@@ -19,7 +19,6 @@ from .analysis import (
     clear_factor_cache,
     complexity_profile,
     construct_witness,
-    default_budget,
     expected_gap_inventory,
     factor_library,
     find_tridents,
@@ -68,10 +67,7 @@ from .numeration import (
     t_orbit,
     validate_renyi,
     value_of,
-    zb_add,
-    zb_mul,
     zb_sign,
-    zb_sub,
     zero,
 )
 from .substitution import (

@@ -1,17 +1,20 @@
 """Factor complexity, special factors, tridents, the affineness test, and the
 non-affine witness construction over the beta-integers.
 
-Factor sets are extracted from finite prefixes of the fixed point.  The word
-is linearly recurrent but no computable recurrence constant is assumed:
-prefixes are doubled until the factor sets of all requested lengths agree
-across two consecutive doublings, and the resulting ``stabilized`` flag is
-reported honestly.  The structural classifier is the authority on
-affineness; enumeration is the cross-check.
+Factor sets are certified complete, not sampled from a prefix.  Let L2 be
+the set of two-letter factors of the fixed point u.  Cut u = phi^k(u) into
+the blocks phi^k(u_i): once every block phi^k(a) has at least n - 1 letters,
+a factor of length n that starts in one block ends in the next, so it lies
+in a text phi^k(a) phi^k(b) with ab in L2.  L2 is the closure of {u_0 u_1}
+under the two-letter factors of phi(ab); the least such k follows from
+integer letter counts; the factor sets of every length are read from those
+texts.  A request whose texts would exceed ``TEXT_CAP`` letters raises
+BudgetExceeded before anything is built.  The structural classifier is the
+authority on affineness; enumeration is the cross-check.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -31,25 +34,14 @@ from .numeration import (
     succ_match_length,
     value_of,
 )
-from .substitution import (
-    build_substitution,
-    fixed_point_prefix_bytes,
-    incidence_matrix,
-    j_indices,
-)
+from .substitution import _image_bytes, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
-DEFAULT_PREFIX_BUDGET = 1_048_576
-
-
-def default_budget() -> int:
-    """Prefix budget: PARRYSCOPE_BUDGET overrides the built-in default."""
-    v = os.environ.get("PARRYSCOPE_BUDGET")
-    return int(v) if v else DEFAULT_PREFIX_BUDGET
+TEXT_CAP = 1 << 20  # letters in the texts of one factor library
 
 
 # ---------------------------------------------------------------------------
-# stabilized factor sets
+# certified factor sets
 
 
 @dataclass
@@ -57,13 +49,14 @@ class FactorLibrary:
     """Factor sets of the fixed point for all lengths up to ``max_len``.
 
     Factors are kept as bytes; the public reports convert to tuples.
+    ``prefix_length`` is the number of letters scanned.
     """
 
     d: RenyiExpansion
     max_len: int
     prefix_length: int
-    stabilized: bool
     factors: list  # factors[n] = set of length-n factors (bytes)
+    stabilized = True  # factor sets are certified complete
     _lext: dict = field(default_factory=dict, repr=False)
     _rext: dict = field(default_factory=dict, repr=False)
 
@@ -98,57 +91,56 @@ def clear_factor_cache():
     _LIB_CACHE.clear()
 
 
-def _phi_power_length(d: RenyiExpansion, k: int) -> int:
-    """|phi^k(0)| via the incidence matrix acting on letter counts."""
-    mat = incidence_matrix(build_substitution(d))
-    m = d.m
-    counts = [1] + [0] * (m - 1)
-    for _ in range(k):
-        counts = [sum(mat[a][b] * counts[b] for b in range(m)) for a in range(m)]
-    return sum(counts)
+def _two_letter_factors(images) -> list:
+    """L2: the closure of {u_0 u_1} under the two-letter factors of phi(ab)."""
+    found = {images[0][:2]}  # u starts with phi(0) = 0^(t_1) 1
+    todo = list(found)
+    while todo:
+        ab = todo.pop()
+        im = images[ab[0]] + images[ab[1]]
+        for i in range(len(im) - 1):
+            f = im[i:i + 2]
+            if f not in found:
+                found.add(f)
+                todo.append(f)
+    return sorted(found)
 
 
-def _scan_factors(prefix: bytes, max_len: int):
-    sets = [{b""}]
-    for n in range(1, max_len + 1):
-        sets.append({prefix[i:i + n] for i in range(len(prefix) - n + 1)})
-    return sets
-
-
-def factor_library(d: RenyiExpansion, max_len: int, budget=None) -> FactorLibrary:
-    """Factor sets up to ``max_len``, doubled to stabilization within budget."""
-    if budget is None:
-        budget = default_budget()
+def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
+    """All factors of lengths up to ``max_len``, from the texts
+    phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least max_len - 1
+    letters long.  Raises BudgetExceeded if the texts would pass TEXT_CAP."""
     cached = _LIB_CACHE.get(d.digits)
-    if cached is not None and cached.stabilized and cached.max_len >= max_len:
+    if cached is not None and cached.max_len >= max_len:
         return cached
-    start = max(10 * max_len, _phi_power_length(d, 2 * d.m))
-    length = min(start, budget)
-    prev = None
-    stabilized = False
+    images = _image_bytes(d)
+    pairs = _two_letter_factors(images)
+    # images are non-empty, so the text length never decreases with k: a
+    # length over the cap at any k is over it at the k the request needs
+    lengths = [1] * d.m
+    k = 0
     while True:
-        prefix = fixed_point_prefix_bytes(d, length)
-        factors = _scan_factors(prefix, max_len)
-        if prev is not None and factors == prev:
-            stabilized = True
+        text_len = sum(lengths[a] + lengths[b] for a, b in pairs)
+        if text_len > TEXT_CAP:
+            raise BudgetExceeded(
+                f"factor sets up to length {max_len} need at least {text_len} "
+                f"letters of text; the cap is {TEXT_CAP}"
+            )
+        if min(lengths) >= max_len - 1:
             break
-        if length >= budget:
-            break
-        prev = factors
-        length = min(2 * length, budget)
-    lib = FactorLibrary(d, max_len, length, stabilized, factors)
-    if stabilized:
-        _LIB_CACHE[d.digits] = lib
+        lengths = [sum(lengths[c] for c in im) for im in images]
+        k += 1
+    blocks = [bytes([a]) for a in range(d.m)]
+    for _ in range(k):
+        blocks = [b"".join(blocks[c] for c in im) for im in images]
+    factors = [{b""}] + [set() for _ in range(max_len)]
+    for a, b in pairs:
+        text = blocks[a] + blocks[b]
+        for n in range(1, max_len + 1):
+            factors[n].update(text[i:i + n] for i in range(len(text) - n + 1))
+    lib = FactorLibrary(d, max_len, text_len, factors)
+    _LIB_CACHE[d.digits] = lib
     return lib
-
-
-def _require_stable(lib: FactorLibrary):
-    if not lib.stabilized:
-        raise BudgetExceeded(
-            f"factor sets up to length {lib.max_len} did not stabilize within "
-            f"prefix {lib.prefix_length}",
-            partial=lib,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ class ComplexityProfile:
     values: list  # C(1), ..., C(n_max)
     deltas: list  # C(2)-C(1), ..., C(n_max)-C(n_max-1)
     prefix_length_used: int
-    stabilized: bool
+    stabilized = True  # factor sets are certified complete
 
     def c(self, n: int) -> int:
         return self.values[n - 1]
@@ -180,14 +172,14 @@ class ComplexityProfile:
         }
 
 
-def complexity_profile(d: RenyiExpansion, n_max: int, budget=None) -> ComplexityProfile:
-    """Count distinct factors per length; partial (flagged) when unstabilized."""
+def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
+    """Count distinct factors per length."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    lib = factor_library(d, n_max, budget)
+    lib = factor_library(d, n_max)
     values = [lib.count(n) for n in range(1, n_max + 1)]
     deltas = [values[i + 1] - values[i] for i in range(n_max - 1)]
-    return ComplexityProfile(d, n_max, values, deltas, lib.prefix_length, lib.stabilized)
+    return ComplexityProfile(d, n_max, values, deltas, lib.prefix_length)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +222,11 @@ class SpecialFactorReport:
         }
 
 
-def special_factors(d: RenyiExpansion, n: int, budget=None) -> SpecialFactorReport:
-    """Inventory of special factors at length n from stabilized factor sets."""
+def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
+    """Inventory of special factors at length n."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    lib = factor_library(d, n + 1, budget)
-    _require_stable(lib)
+    lib = factor_library(d, n + 1)
     lext = lib.lext_map(n)
     rext = lib.rext_map(n)
     left = {tuple(w): tuple(sorted(e)) for w, e in lext.items() if len(e) >= 2}
@@ -245,13 +236,15 @@ def special_factors(d: RenyiExpansion, n: int, budget=None) -> SpecialFactorRepo
     report = SpecialFactorReport(
         d, n, left, right, bis, lib.count(n), lib.count(n + 1), excess, lib.prefix_length
     )
-    assert report.lext_excess == report.delta, (
-        f"left-extension balance broken at n={n}: {report.lext_excess} != {report.delta}"
-    )
+    if report.lext_excess != report.delta:
+        raise VerificationFailed(
+            "balance",
+            f"left-extension balance broken at n={n}: {report.lext_excess} != {report.delta}",
+        )
     return report
 
 
-def maximal_left_special(d: RenyiExpansion, bound: int, budget=None) -> list:
+def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     """All maximal left special factors of length <= bound.
 
     A left special factor is maximal when no one-letter right extension is
@@ -259,8 +252,7 @@ def maximal_left_special(d: RenyiExpansion, bound: int, budget=None) -> list:
     """
     if bound < 1:
         raise ValueError("length bound must be at least 1")
-    lib = factor_library(d, bound + 2, budget)
-    _require_stable(lib)
+    lib = factor_library(d, bound + 2)
     out = []
     for n in range(1, bound + 1):
         specials = lib.left_special(n)
@@ -269,7 +261,10 @@ def maximal_left_special(d: RenyiExpansion, bound: int, budget=None) -> list:
         for w in specials:
             if any(w + bytes([a]) in next_specials for a in range(d.m)):
                 continue
-            assert len(rext.get(w, ())) >= 2, "maximal left special factor must be bispecial"
+            if len(rext.get(w, ())) < 2:
+                raise VerificationFailed(
+                    "bispecial", f"maximal left special factor {fmt(w)} is not right special"
+                )
             out.append(tuple(w))
     return sorted(out, key=lambda w: (len(w), w))
 
@@ -293,12 +288,11 @@ class Trident:
         }
 
 
-def find_tridents(d: RenyiExpansion, bound: int, budget=None) -> list:
-    """Exhaustive trident search over stabilized factors of length <= bound."""
+def find_tridents(d: RenyiExpansion, bound: int) -> list:
+    """Exhaustive trident search over the factors of length <= bound."""
     if bound < 0:
         raise ValueError("length bound must be non-negative")
-    lib = factor_library(d, bound + 2, budget)
-    _require_stable(lib)
+    lib = factor_library(d, bound + 2)
     out = []
     for n in range(0, bound + 1):
         lext_next = lib.lext_map(n + 1)
@@ -334,12 +328,12 @@ class OracleCheck:
     """Enumeration cross-check of the structural verdict."""
 
     n_max: int
-    stabilized: bool
     prefix_length_used: int
     affine: bool  # deltas identically m-1 on the computed range
     agrees: bool
     first_excess_n: int | None
     profile: ComplexityProfile
+    stabilized = True  # factor sets are certified complete
 
     def to_json(self):
         return {
@@ -381,7 +375,7 @@ class Classification:
         }
 
 
-def classify_affine(d: RenyiExpansion, oracle_n=None, budget=None) -> Classification:
+def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
     """Affine iff t_m == 1 and t_1 ... t_(m-1) is borderless or a proper power.
 
     With ``oracle_n`` the verdict is cross-checked against enumeration:
@@ -400,12 +394,11 @@ def classify_affine(d: RenyiExpansion, oracle_n=None, budget=None) -> Classifica
             p = prefix[:min(borders(prefix))]
             cls = Classification(d, affine=False, reason="fractional_power", p=p)
     if oracle_n is not None:
-        prof = complexity_profile(d, oracle_n, budget)
+        prof = complexity_profile(d, oracle_n)
         excess = [i + 1 for i, dc in enumerate(prof.deltas) if dc != m - 1]
         oracle_affine = not excess
         cls.oracle = OracleCheck(
             n_max=oracle_n,
-            stabilized=prof.stabilized,
             prefix_length_used=prof.prefix_length_used,
             affine=oracle_affine,
             agrees=oracle_affine == cls.affine,
@@ -415,14 +408,14 @@ def classify_affine(d: RenyiExpansion, oracle_n=None, budget=None) -> Classifica
     return cls
 
 
-def full_report(d: RenyiExpansion, oracle_n=None, budget=None) -> dict:
+def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     """Composite JSON report: verdict, enumeration data, witness, specials.
 
     The witness block is attached whenever the fractional power construction
     applies; the specials block summarizes per-length special factor counts
     on the oracle range.
     """
-    cls = classify_affine(d, oracle_n=oracle_n, budget=budget)
+    cls = classify_affine(d, oracle_n=oracle_n)
     body = cls.to_json()
     prof = cls.oracle.profile if cls.oracle else None
     body["complexity"] = prof.values if prof else None
@@ -436,8 +429,8 @@ def full_report(d: RenyiExpansion, oracle_n=None, budget=None) -> dict:
         }
     else:
         body["witness"] = None
-    if prof is not None and prof.stabilized and oracle_n >= 2:
-        lib = factor_library(d, oracle_n, budget)
+    if prof is not None and oracle_n >= 2:
+        lib = factor_library(d, oracle_n)
         lengths = range(1, oracle_n)
         body["specials"] = {
             "lengths": [n for n in lengths],
@@ -508,11 +501,10 @@ def expected_gap_inventory(d: RenyiExpansion) -> set:
     return fam
 
 
-def verify_gap_inventory(d: RenyiExpansion, budget=None) -> GapInventoryReport:
-    """Extract every X 0^r Y factor from stabilized sets and compare."""
+def verify_gap_inventory(d: RenyiExpansion) -> GapInventoryReport:
+    """Extract every X 0^r Y factor and compare."""
     need = d.t1 + d.digits[-1] + 2
-    lib = factor_library(d, need, budget)
-    _require_stable(lib)
+    lib = factor_library(d, need)
     observed = set()
     zero_run = 0
     for n in range(1, need + 1):
@@ -610,26 +602,33 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     p_prime = p[:j]
     q = w[r * s + j:len(w) - s]
     # structure guaranteed by the Parry condition; check rather than trust
-    assert q, "q must be non-empty"
-    assert w[len(w) - s:] == p, "digit prefix must end with its shortest border"
-    assert q[0] < p[j], "q must start strictly below the next border digit"
-    assert p * r + p_prime + q + p == w
+    if not q:
+        raise VerificationFailed("decomposition", "q must be non-empty")
+    if w[len(w) - s:] != p:
+        raise VerificationFailed("decomposition", "digit prefix must end with its border")
+    if q[0] >= p[j]:
+        raise VerificationFailed("decomposition", "q must start below the next border digit")
+    if p * r + p_prime + q + p != w:
+        raise VerificationFailed("decomposition", "digit prefix is not p^r p' q p")
     u1 = p + p_prime + q
     u2 = p_prime + q + p
-    assert u1 != u2, "a proper power would have been classified affine"
+    if u1 == u2:
+        raise VerificationFailed("decomposition", "a proper power would be classified affine")
     k = 0
     while k < len(u1) and u1[len(u1) - 1 - k] == u2[len(u2) - 1 - k]:
         k += 1
     c = u1[len(u1) - k:]
     h1, h2 = u1[len(u1) - 1 - k], u2[len(u2) - 1 - k]
-    assert len(c) <= len(p) + len(q) - 1, "common suffix too long"
+    if len(c) > len(p) + len(q) - 1:
+        raise VerificationFailed("decomposition", "common suffix too long")
     h = min(h1, h2)
     a_pad = r * s + j + 1
     z = (h,) + c + p * r + p_prime + (q[0],)
     x1 = _digitwise_sub(p * r + p_prime + q + (0,) * a_pad, (h,) + c + (0,) * a_pad)
     x2 = _digitwise_sub(p * r + p_prime + q + p + (0,) * a_pad, (h,) + c + (0,) * a_pad)
     for name, y in (("z", z), ("x1", x1), ("x2", x2)):
-        assert is_admissible(d, y), f"witness component {name} must be admissible"
+        if not is_admissible(d, y):
+            raise VerificationFailed("admissible", f"witness component {name} must be admissible")
     return WitnessBundle(d, p, r, p_prime, q, c, h1, h2, h, a_pad, z, x1, x2)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes are stable contracts: 0 success, 1 usage or parse error,
 2 validation failure, 3 construction not applicable, 4 internal
-verification failure (including oracle disagreement in a scan).
+verification failure (including oracle disagreement in a scan) or a
+factor request above the text cap.  Each error class carries its code.
 Single-object commands emit JSON; corpus scans emit TSV by default.
 """
 
@@ -16,35 +17,13 @@ from itertools import product
 
 from . import analysis, numeration, substitution
 from .errors import (
-    BudgetExceeded,
-    DigitRangeError,
-    DigitwiseSubtractionFailed,
-    EmptyWordError,
-    InadmissibleInput,
-    LetterRangeError,
-    MixedBaseError,
-    NonIntegerExpansionError,
     NotApplicable,
     ParryViolation,
     ParryscopeError,
-    TrailingZeroError,
     UsageError,
     VerificationFailed,
-    ZeroHasNoPredecessor,
 )
 from .words import fmt, word
-
-_VALIDATION_ERRORS = (
-    EmptyWordError,
-    TrailingZeroError,
-    ParryViolation,
-    DigitRangeError,
-    InadmissibleInput,
-    ZeroHasNoPredecessor,
-    LetterRangeError,
-    MixedBaseError,
-    NonIntegerExpansionError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,11 +129,11 @@ class CorpusSpec:
 def cmd_validate(args):
     try:
         d = _base(args)
-    except _VALIDATION_ERRORS as exc:
+    except ParryscopeError as exc:
         body = {"valid": False, "d": args.d}
         body.update(_error_json(exc))
         _emit(body)
-        return 2
+        return exc.exit_code
     _emit({"valid": True, "d": fmt(d.digits), "m": d.m})
     return 0
 
@@ -163,7 +142,7 @@ def cmd_classify(args):
     # the oracle flag is reported, not enforced: a short oracle range is
     # inconclusive for a non-affine verdict (scan is the enforcing harness)
     d = _base(args)
-    _emit(analysis.full_report(d, oracle_n=args.oracle_n, budget=args.prefix_budget))
+    _emit(analysis.full_report(d, oracle_n=args.oracle_n))
     return 0
 
 
@@ -251,15 +230,14 @@ def cmd_betaint(args):
 
 def cmd_specials(args):
     d = _base(args)
-    budget = args.prefix_budget
     if args.kind == "left":
         if args.n is None:
             raise UsageError("specials left needs -n LENGTH")
-        report = analysis.special_factors(d, args.n, budget)
+        report = analysis.special_factors(d, args.n)
         _emit(report.to_json())
     elif args.kind == "maximal":
         bound = args.length_bound or 2 * (d.t1 + d.digits[-1])
-        found = analysis.maximal_left_special(d, bound, budget)
+        found = analysis.maximal_left_special(d, bound)
         _emit({
             "d": fmt(d.digits),
             "length_bound": bound,
@@ -267,7 +245,7 @@ def cmd_specials(args):
         })
     elif args.kind == "tridents":
         bound = args.length_bound or 2 * (d.t1 + d.digits[-1])
-        found = analysis.find_tridents(d, bound, budget)
+        found = analysis.find_tridents(d, bound)
         _emit({
             "d": fmt(d.digits),
             "length_bound": bound,
@@ -278,8 +256,8 @@ def cmd_specials(args):
     return 0
 
 
-def _scan_row(d, oracle_n, budget):
-    cls = analysis.classify_affine(d, oracle_n=oracle_n, budget=budget)
+def _scan_row(d, oracle_n):
+    cls = analysis.classify_affine(d, oracle_n=oracle_n)
     row = {
         "d": fmt(d.digits),
         "m": d.m,
@@ -293,7 +271,7 @@ def _scan_row(d, oracle_n, budget):
     }
     if cls.oracle is not None:
         row["oracle_affine"] = cls.oracle.affine
-        row["agrees"] = cls.oracle.agrees if cls.oracle.stabilized else ""
+        row["agrees"] = cls.oracle.agrees
         row["stabilized"] = cls.oracle.stabilized
         row["prefix_length"] = cls.oracle.prefix_length_used
     return row, cls
@@ -305,9 +283,9 @@ def cmd_scan(args):
     rows = []
     disagreement = False
     for d in members:
-        row, cls = _scan_row(d, args.oracle_n, args.prefix_budget)
+        row, cls = _scan_row(d, args.oracle_n)
         rows.append(row)
-        if cls.oracle is not None and cls.oracle.stabilized and not cls.oracle.agrees:
+        if cls.oracle is not None and not cls.oracle.agrees:
             disagreement = True
     if args.format == "json":
         _emit({
@@ -332,10 +310,6 @@ def _build_parser():
     parser = _Parser(prog="parryscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget(p):
-        p.add_argument("--prefix-budget", type=int, default=None,
-                       help="maximum fixed point prefix length for factor scans")
-
     p = sub.add_parser("validate", help="validate a digit word as an expansion of 1")
     p.add_argument("d")
     p.set_defaults(func=cmd_validate)
@@ -344,12 +318,10 @@ def _build_parser():
     p.add_argument("d")
     p.add_argument("--oracle-n", type=int, default=None,
                    help="cross-check the verdict by enumeration up to this length")
-    add_budget(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("witness", help="construct and verify the non-affine witness")
     p.add_argument("d")
-    add_budget(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("generate", help="prefix of the substitution fixed point")
@@ -368,7 +340,6 @@ def _build_parser():
     p.add_argument("kind", choices=["left", "maximal", "tridents"])
     p.add_argument("-n", type=int, default=None, help="factor length for 'left'")
     p.add_argument("--length-bound", type=int, default=None)
-    add_budget(p)
     p.set_defaults(func=cmd_specials)
 
     p = sub.add_parser("scan", help="classify a corpus of bases")
@@ -376,7 +347,6 @@ def _build_parser():
                    help='e.g. "m=2..4,digit<=2,tm=1,nonpower"')
     p.add_argument("--oracle-n", type=int, default=None)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    add_budget(p)
     p.set_defaults(func=cmd_scan)
 
     return parser
@@ -387,21 +357,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
+    except ParryscopeError as exc:
         _emit(_error_json(exc))
-        return 2
-    except NotApplicable as exc:
-        _emit(_error_json(exc))
-        return 3
-    except (VerificationFailed, BudgetExceeded, DigitwiseSubtractionFailed) as exc:
-        _emit(_error_json(exc))
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

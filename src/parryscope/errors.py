@@ -1,8 +1,14 @@
-"""Exception hierarchy, shared across modules and mapped to CLI exit codes."""
+"""Exception hierarchy, shared across modules; each class carries its CLI exit code."""
 
 
 class ParryscopeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the command line exit status the error maps to: 2
+    (validation failure) unless the subclass sets another.
+    """
+
+    exit_code = 2
 
 
 class EmptyWordError(ParryscopeError):
@@ -42,6 +48,8 @@ class FractionalBudgetExceeded(ParryscopeError):
     ``partial`` holds the expansion with the digits found so far.
     """
 
+    exit_code = 4
+
     def __init__(self, partial, message=None):
         self.partial = partial
         super().__init__(message or "fractional digit budget exceeded")
@@ -60,11 +68,9 @@ class LetterRangeError(ParryscopeError):
 
 
 class BudgetExceeded(ParryscopeError):
-    """Factor sets did not stabilize within the prefix budget."""
+    """A factor library would need texts longer than the text cap."""
 
-    def __init__(self, message=None, partial=None):
-        self.partial = partial
-        super().__init__(message or "prefix budget exceeded before stabilization")
+    exit_code = 4
 
 
 class NotApplicable(ParryscopeError):
@@ -72,6 +78,8 @@ class NotApplicable(ParryscopeError):
 
     ``reason`` is ``"affine"`` or ``"tm_not_one"``.
     """
+
+    exit_code = 3
 
     def __init__(self, reason, message=None):
         self.reason = reason
@@ -81,12 +89,26 @@ class NotApplicable(ParryscopeError):
 class DigitwiseSubtractionFailed(ParryscopeError):
     """Digit-wise subtraction produced a negative digit (indicates a bug)."""
 
+    exit_code = 4
+
 
 class VerificationFailed(ParryscopeError):
-    """A witness verification condition failed (indicates a bug).
+    """An internal invariant failed (indicates a bug).
 
-    ``condition`` is one of ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``.
+    ``condition`` names the invariant:
+
+    * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions;
+    * ``"decomposition"``: the digit prefix does not factor as p^r p' q p
+      as the witness construction requires;
+    * ``"admissible"``: a witness component z, x1 or x2 is not admissible;
+    * ``"balance"``: the left extensions of the length-n factors do not
+      account for C(n+1) - C(n);
+    * ``"bispecial"``: a maximal left special factor is not right special;
+    * ``"beta"``: the exact arithmetic of the base found a rational root or
+      a gcd that does not divide the base polynomial.
     """
+
+    exit_code = 4
 
     def __init__(self, condition, message=None):
         self.condition = condition
@@ -95,3 +117,5 @@ class VerificationFailed(ParryscopeError):
 
 class UsageError(ParryscopeError):
     """Command line usage or parse error."""
+
+    exit_code = 1

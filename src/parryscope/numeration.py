@@ -32,6 +32,7 @@ from .errors import (
     NonIntegerExpansionError,
     ParryViolation,
     TrailingZeroError,
+    VerificationFailed,
     ZeroHasNoPredecessor,
 )
 from .words import Word, fmt, word
@@ -118,9 +119,10 @@ class RenyiExpansion:
 
     Construction enforces t_1 >= 1, t_m >= 1, beta > 1 and the Parry
     condition: every zero-padded proper suffix of the digit word must be
-    strictly lexicographically smaller than the word itself.  The pairwise
-    distinctness of the gap values T^i(1) is also checked exactly, so the
-    gap-letter coding below is well defined.
+    strictly lexicographically smaller than the word itself.  Under that
+    condition each suffix t_(i+1) ... t_m is the greedy expansion of the gap
+    value T^i(1), so the gap values are pairwise distinct and the gap-letter
+    coding below is well defined.
     """
 
     digits: Word
@@ -142,7 +144,6 @@ class RenyiExpansion:
                 raise ParryViolation(i)
         # isolating interval for beta, shared and monotonically narrowed
         object.__setattr__(self, "_iv", [(Fraction(1), Fraction(w[0] + 1))])
-        _check_orbit_distinct(self)
 
     @property
     def m(self) -> int:
@@ -187,7 +188,8 @@ def _bisect(d: RenyiExpansion):
     mid = (lo + hi) / 2
     v = _peval(parry_polynomial(d), mid)
     # the base polynomial has a single positive root, irrational for m >= 2
-    assert v != 0, "rational midpoint cannot be the base"
+    if v == 0:
+        raise VerificationFailed("beta", "rational midpoint cannot be the base")
     iv = (mid, hi) if v < 0 else (lo, mid)
     d._iv[0] = iv
     return iv
@@ -297,18 +299,6 @@ def beta(d: RenyiExpansion) -> ZBetaElement:
     return ZBetaElement(d, _reduce(d, (0, 1)))
 
 
-def zb_add(a: ZBetaElement, b: ZBetaElement) -> ZBetaElement:
-    return a + b
-
-
-def zb_sub(a: ZBetaElement, b: ZBetaElement) -> ZBetaElement:
-    return a - b
-
-
-def zb_mul(a: ZBetaElement, b: ZBetaElement) -> ZBetaElement:
-    return a * b
-
-
 def _value_is_zero(a: ZBetaElement) -> bool:
     """Exact test of a(beta) == 0.
 
@@ -331,7 +321,8 @@ def _value_is_zero(a: ZBetaElement) -> bool:
     if _pdeg(g) == 0:
         return False
     h, rem = _pdivmod(P, g)
-    assert not rem, "gcd must divide the base polynomial"
+    if rem:
+        raise VerificationFailed("beta", "gcd must divide the base polynomial")
     d = a.d
     lo, hi = d._iv[0]
     while True:
@@ -383,17 +374,6 @@ def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
     for step in range(1, i + 1):
         x = x * b - d.digits[step - 1]
     return x
-
-
-def _check_orbit_distinct(d: RenyiExpansion):
-    """The gap values T^i(1), i = 0..m-1, must be pairwise distinct."""
-    orbit = [t_orbit(d, i) for i in range(d.m)]
-    for i in range(d.m):
-        for j in range(i + 1, d.m):
-            if (orbit[i] - orbit[j]).is_zero():
-                raise ParryViolation(
-                    j, f"gap values T^{i}(1) and T^{j}(1) coincide; coding undefined"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 from parryscope.analysis import (
+    TEXT_CAP,
     classify_affine,
+    clear_factor_cache,
     complexity_profile,
     construct_witness,
     expected_gap_inventory,
@@ -14,10 +16,11 @@ from parryscope.analysis import (
     verify_gap_inventory,
     verify_witness,
 )
+from parryscope.cli import CorpusSpec
 from parryscope.errors import BudgetExceeded, NotApplicable
 from parryscope.numeration import coding_of_segment, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
-from parryscope.words import word
+from parryscope.words import fmt, word
 
 GOLDEN = validate_renyi("11")
 D2121 = validate_renyi("2121")
@@ -75,14 +78,37 @@ def test_dominant_first_digit_bounds():
         assert all((m - 1) * n + 1 <= prof.c(n) <= m * n for n in range(1, 31))
 
 
-def test_budget_exhaustion_is_honest():
-    from parryscope.analysis import clear_factor_cache
+# --- the certified factor engine -------------------------------------------------------
 
+
+def _prefix_scan(digits, length, max_len):
+    """Factor sets of lengths 0..max_len read off a fixed point prefix that is
+    built by iterating the substitution directly."""
+    m = len(digits)
+    images = [bytes([0] * digits[i] + [i + 1]) for i in range(m - 1)]
+    images.append(bytes([0] * digits[-1]))
+    u = b"\0"
+    while len(u) < length:
+        u = b"".join(images[a] for a in u)
+    windows = {u[i:i + max_len] for i in range(length - max_len + 1)}
+    return [{w[:n] for w in windows} for n in range(max_len + 1)]
+
+
+def test_factor_library_matches_long_prefix_scan():
+    members, _ = CorpusSpec.parse("m=2..4,digit<=3").members()
+    for d in members + [validate_renyi("301002")]:
+        clear_factor_cache()
+        lib = factor_library(d, 30)
+        assert lib.factors == _prefix_scan(d.digits, 1 << 16, 30), fmt(d.digits)
+        assert lib.prefix_length < TEXT_CAP
+
+
+def test_oversized_request_fails_before_building():
     clear_factor_cache()
-    prof = complexity_profile(D2121, 10, budget=64)
-    assert not prof.stabilized
     with pytest.raises(BudgetExceeded):
-        special_factors(D2121, 30, budget=64)
+        complexity_profile(D2121, 10**8)
+    with pytest.raises(BudgetExceeded):
+        special_factors(D2121, 10**6)
 
 
 # --- special factors --------------------------------------------------------------

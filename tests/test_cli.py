@@ -1,6 +1,11 @@
 """Command line surface: exit codes, JSON round-trips, corpus scans."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -191,9 +196,21 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_env_var_overrides_prefix_budget(monkeypatch):
-    from parryscope.analysis import default_budget
+def test_oversized_oracle_range_exits_4_fast(capsys):
+    start = time.perf_counter()
+    code, body = run_json(capsys, "classify", "2121", "--oracle-n", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and body["error"]["type"] == "BudgetExceeded"
 
-    assert default_budget() == 1_048_576
-    monkeypatch.setenv("PARRYSCOPE_BUDGET", "4096")
-    assert default_budget() == 4096
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_failed_invariant_exits_4_under_any_optimization(flags):
+    # the construction gives 11011 a witness z with a leading zero; the
+    # invariant check must hold with assertions stripped as well
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "parryscope.cli", "witness", "11011"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout)["error"]["condition"] == "admissible"
