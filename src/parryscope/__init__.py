@@ -63,7 +63,6 @@ from .numeration import (
     quasi_greedy,
     radix_rank,
     succ_gap_letter,
-    succ_match_length,
     t_orbit,
     validate_renyi,
     value_of,

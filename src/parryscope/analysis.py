@@ -24,20 +24,17 @@ from .errors import (
     VerificationFailed,
 )
 from .numeration import (
+    TEXT_CAP,
     RenyiExpansion,
-    coding_of_segment,
+    _segment,
     is_admissible,
-    next_admissible,
     pred_gap_letter,
     radix_rank,
     succ_gap_letter,
-    succ_match_length,
     value_of,
 )
-from .substitution import _image_bytes, j_indices
+from .substitution import _image_bytes, fixed_point_prefix, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
-
-TEXT_CAP = 1 << 20  # letters in the texts of one factor library
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,7 @@ class FactorLibrary:
         return {w: e for w, e in self.lext_map(n).items() if len(e) >= 2}
 
 
-_LIB_CACHE: dict = {}
+_LIB_CACHE: dict = {}  # one slot: the library of the base used last
 
 
 def clear_factor_cache():
@@ -139,6 +136,7 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
         for n in range(1, max_len + 1):
             factors[n].update(text[i:i + n] for i in range(len(text) - n + 1))
     lib = FactorLibrary(d, max_len, text_len, factors)
+    _LIB_CACHE.clear()
     _LIB_CACHE[d.digits] = lib
     return lib
 
@@ -661,25 +659,18 @@ class WitnessVerification:
         }
 
 
-def _walk(d: RenyiExpansion, start: Word, steps: int):
-    letters = []
-    y = start
-    for _ in range(steps):
-        letters.append(succ_gap_letter(d, y))
-        y = next_admissible(d, y)
-    return tuple(letters), y
-
-
 def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerification:
     """Check the four conditions making coding(z)+0 a non-prefix left special
     factor.  All four are guaranteed; a failure raises VerificationFailed."""
     z, x1, x2 = bundle.z, bundle.x1, bundle.x2
     span = radix_rank(d, z)
-    coding = coding_of_segment(d, (), span)
+    # the fixed point is the gap coding of Z_beta+ read from 0; the walks
+    # from x1 and x2 are checked against it, and their end points exactly
+    coding = fixed_point_prefix(d, span)
     zval = value_of(d, z)
     ends = []
     for name, x in (("x1", x1), ("x2", x2)):
-        letters, end = _walk(d, x, span)
+        letters, end = _segment(d, x, span)
         if letters != coding:
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
@@ -691,8 +682,9 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
     for name, end in (("x1", ends[0]), ("x2", ends[1])):
         if succ_gap_letter(d, end) != 0:
             raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")
-    k = succ_match_length(d, z)
-    if succ_gap_letter(d, z) == 0:
+    # the match length of z, mod m; |z| <= m, so a nonzero letter is the length
+    k = succ_gap_letter(d, z)
+    if k == 0:
         raise VerificationFailed("iv", "successor gap at z is 1")
     if not (0 < bundle.a_pad <= k < len(z) <= d.m):
         raise VerificationFailed("iv", f"match length {k} violates the index bounds")
@@ -704,6 +696,6 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         x1_end=ends[0],
         x2_end=ends[1],
         pred_letters=(pred1, pred2),
-        succ_letter_z=succ_gap_letter(d, z),
+        succ_letter_z=k,
         match_k=k,
     )

@@ -68,7 +68,8 @@ class LetterRangeError(ParryscopeError):
 
 
 class BudgetExceeded(ParryscopeError):
-    """A factor library would need texts longer than the text cap."""
+    """A request would need a text longer than the text cap: the texts of a
+    factor library, a fixed-point prefix or a gap coding."""
 
     exit_code = 4
 

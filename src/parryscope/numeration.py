@@ -16,6 +16,19 @@ polynomial need not be irreducible) followed by interval refinement of the
 isolating interval of beta with rational endpoints.  Refinement terminates
 because interval evaluation of a polynomial converges to its nonzero value as
 the interval shrinks onto beta.
+
+The beta-integers are read with the Parry automaton.  Its state is the match
+length, mod m, against the quasi-greedy period t_1 ... t_(m-1) (t_m - 1): a
+digit below the period digit of the state resets it to 0, an equal digit
+advances it, and a larger digit rejects.  One left-to-right pass decides
+admissibility; the final state is the letter of the gap to the successor;
+the successor raises the rightmost digit below its period digit and zeroes
+the tail.  The rank of a string in radix order is its value in the linear
+numeration system U_k = t_1 U_(k-1) + ... + t_m U_(k-m) (plus 1 for k < m),
+so it costs O(|s|) and no walk.  The gap coding of Z_beta+ read from 0 is the
+fixed point of the substitution; codings from other points are walks that
+keep the automaton state of every position, so each step re-reads only the
+digits it changes.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BudgetExceeded,
     DigitRangeError,
     EmptyWordError,
     FractionalBudgetExceeded,
@@ -380,37 +394,60 @@ def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
 # admissible digit strings and beta-integers
 
 
-def _suffix_less(d: RenyiExpansion, s, i) -> bool:
-    """Is the suffix s[i:] strictly smaller than the expansion of 1?
+TEXT_CAP = 1 << 20  # letters in one gap coding, fixed-point prefix or factor text
 
-    A suffix longer than m that starts with the full digit word compares
-    greater (the expansion is then its proper prefix).
+
+def _advance(per, s, states) -> bool:
+    """Run the Parry automaton over the digits of s past the last state kept.
+
+    ``states[i]`` is the state before digit i, and the last entry is the
+    state after the digits read so far; one state is appended per digit.
+    Returns False at the first digit above the period digit of its state.
     """
-    t = d.digits
-    m = len(t)
-    n = len(s) - i
-    for k in range(min(n, m)):
-        if s[i + k] != t[k]:
-            return s[i + k] < t[k]
-    return n < m
+    m = len(per)
+    k = states[-1]
+    for a in s[len(states) - 1:]:
+        p = per[k]
+        if a < p:
+            k = 0
+        elif a == p:
+            k = k + 1 if k + 1 < m else 0
+        else:
+            return False
+        states.append(k)
+    return True
+
+
+def _states(d: RenyiExpansion, s):
+    """Automaton states along the word s (see ``_advance``), or None when s
+    is not admissible."""
+    md = d.max_digit
+    for a in s:
+        if a > md:
+            raise DigitRangeError(f"digit {a} exceeds the alphabet bound {md}")
+    states = [0]
+    if (s and s[0] == 0) or not _advance(quasi_greedy(d), s, states):
+        return None
+    return states
+
+
+def _admissible_states(d: RenyiExpansion, s):
+    """The word s with its automaton states; raises InadmissibleInput."""
+    s = word(s)
+    states = _states(d, s)
+    if states is None:
+        raise InadmissibleInput(f"{fmt(s)!r} is not admissible")
+    return s, states
 
 
 def is_admissible(d: RenyiExpansion, s) -> bool:
     """Is s the canonical expansion of a non-negative beta-integer?
 
     Every suffix must be strictly smaller than the expansion of 1, and the
-    leading digit must be nonzero (zero is the empty word).
+    leading digit must be nonzero (zero is the empty word).  Decided by one
+    pass of the Parry automaton.
     """
-    s = word(s)
-    if not s:
-        return True
-    md = d.max_digit
-    for a in s:
-        if a > md:
-            raise DigitRangeError(f"digit {a} exceeds the alphabet bound {md}")
-    if s[0] == 0:
-        return False
-    return all(_suffix_less(d, s, i) for i in range(len(s)))
+    return _states(d, word(s)) is not None
 
 
 @dataclass(frozen=True)
@@ -491,21 +528,10 @@ def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaEx
 def next_admissible(d: RenyiExpansion, s) -> Word:
     """Radix successor among admissible strings (length first, then lex).
 
-    The rightmost position that can be bumped is bumped to the smallest
-    admissible digit and the tail zeroed; when no position can be bumped the
-    word rolls over to 1 followed by zeros.  Radix order on admissible
-    strings equals numerical order of the beta-integers they denote.
+    Radix order on admissible strings equals numerical order of the
+    beta-integers they denote; the step itself is described in ``_segment``.
     """
-    s = word(s)
-    if not is_admissible(d, s):
-        raise InadmissibleInput(f"{fmt(s)!r} is not admissible")
-    md = d.max_digit
-    for pos in range(len(s) - 1, -1, -1):
-        for v in range(s[pos] + 1, md + 1):
-            cand = s[:pos] + (v,) + (0,) * (len(s) - 1 - pos)
-            if is_admissible(d, cand):
-                return cand
-    return (1,) + (0,) * len(s)
+    return _segment(d, s, 1)[1]
 
 
 def beta_integers(d: RenyiExpansion):
@@ -517,36 +543,25 @@ def beta_integers(d: RenyiExpansion):
 
 
 def radix_rank(d: RenyiExpansion, s) -> int:
-    """Number of admissible strings strictly below s in radix order."""
-    s = word(s)
-    if not is_admissible(d, s):
-        raise InadmissibleInput(f"{fmt(s)!r} is not admissible")
-    rank = 0
-    y = ()
-    while y != s:
-        y = next_admissible(d, y)
-        rank += 1
-    return rank
+    """Number of admissible strings strictly below s in radix order.
 
-
-def succ_match_length(d: RenyiExpansion, y) -> int:
-    """Largest k <= |y| such that the length-k suffix of y is a prefix of the
-    quasi-greedy expansion of 1.  k = 0 (the empty suffix) always qualifies."""
-    y = word(y)
-    if not is_admissible(d, y):
-        raise InadmissibleInput(f"{fmt(y)!r} is not admissible")
-    per = quasi_greedy(d)
-    m = d.m
-    n = len(y)
-    for k in range(n, 0, -1):
-        if all(y[n - k + i] == per[i % m] for i in range(k)):
-            return k
-    return 0
+    That is the value of s in the linear numeration system U, where U_k
+    counts the admissible strings of length at most k:
+    U_k = t_1 U_(k-1) + ... + t_m U_(k-m), plus 1 while k < m.
+    """
+    s, _ = _admissible_states(d, s)
+    t = d.digits
+    u = []
+    for k in range(len(s)):
+        u.append(sum(t[i] * u[k - 1 - i] for i in range(min(k, len(t)))) + (k < len(t)))
+    return sum(a * w for a, w in zip(reversed(s), u))
 
 
 def succ_gap_letter(d: RenyiExpansion, y) -> int:
-    """Letter coding the gap succ(y) - y = T^k(1), k the match length mod m."""
-    return succ_match_length(d, y) % d.m
+    """Letter coding the gap succ(y) - y = T^k(1): k is the final state of
+    the Parry automaton on y, the length of the suffix of y matching the
+    quasi-greedy expansion of 1, mod m."""
+    return _admissible_states(d, y)[1][-1]
 
 
 def pred_gap_letter(d: RenyiExpansion, y) -> int:
@@ -562,13 +577,47 @@ def pred_gap_letter(d: RenyiExpansion, y) -> int:
     return k % d.m
 
 
-def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:
-    """Gap letters of the count consecutive gaps of Z_beta+ starting at start."""
+def _segment(d: RenyiExpansion, start, count: int):
+    """Gap letters of the count gaps of Z_beta+ from start, and the
+    beta-integer count steps after start.
+
+    A step raises the rightmost digit below the period digit of its
+    automaton state by one and zeroes the tail; when every digit equals its
+    period digit the word rolls over to 1 followed by zeros.  The walk keeps
+    the automaton state before every digit, so a step re-runs the automaton
+    only over the digits it changes (amortized O(1) per step), and every
+    string visited is checked admissible on the way.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    y = word(start)
+    if count > TEXT_CAP:
+        raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
+    if count == 0:  # no gap is read, so the start is not checked
+        return (), word(start)
+    y, states = _admissible_states(d, start)
+    per = quasi_greedy(d)
+    y = list(y)
     letters = []
     for _ in range(count):
-        letters.append(succ_gap_letter(d, y))
-        y = next_admissible(d, y)
-    return tuple(letters)
+        letters.append(states[-1])
+        pos = len(y) - 1
+        while pos >= 0 and y[pos] == per[states[pos]]:
+            pos -= 1
+        if pos < 0:
+            y = [1] + [0] * len(y)
+            del states[1:]
+        else:
+            y[pos] += 1
+            y[pos + 1:] = [0] * (len(y) - 1 - pos)
+            del states[pos + 1:]
+        if not _advance(per, y, states):
+            raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")
+    return tuple(letters), tuple(y)
+
+
+def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:
+    """Gap letters of the count consecutive gaps of Z_beta+ starting at start.
+
+    Raises BudgetExceeded for a count above TEXT_CAP before walking.
+    """
+    return _segment(d, start, count)[0]

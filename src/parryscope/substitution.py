@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LetterRangeError
-from .numeration import RenyiExpansion
+from .errors import BudgetExceeded, LetterRangeError
+from .numeration import TEXT_CAP, RenyiExpansion
 from .words import Word, fmt, word
 
 MAX_ALPHABET = 255
@@ -68,9 +68,14 @@ def _image_bytes(d: RenyiExpansion):
 
 
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
-    """First ``length`` letters of the fixed point, as bytes (letters < 256)."""
+    """First ``length`` letters of the fixed point, as bytes (letters < 256).
+
+    Raises BudgetExceeded for a length above TEXT_CAP before building.
+    """
     if length < 0:
         raise ValueError("prefix length must be non-negative")
+    if length > TEXT_CAP:
+        raise BudgetExceeded(f"a prefix of {length} letters exceeds the cap of {TEXT_CAP}")
     if length == 0:
         return b""
     images = _image_bytes(d)

@@ -1,0 +1,84 @@
+"""Reference implementations of the beta-integer layer, kept as test oracles.
+
+These are the direct definitions: admissibility compares every suffix with
+the expansion of 1, the successor tries every candidate bump from the right,
+the rank counts successors from 0, and the match length reads the string
+backwards.  They are quadratic or worse and are only run on small inputs.
+"""
+
+from parryscope.errors import DigitRangeError, InadmissibleInput
+from parryscope.numeration import quasi_greedy
+from parryscope.words import fmt, word
+
+
+def _suffix_less(d, s, i):
+    """Is the suffix s[i:] strictly smaller than the expansion of 1?
+
+    A suffix longer than m that starts with the full digit word compares
+    greater (the expansion is then its proper prefix).
+    """
+    t = d.digits
+    m = len(t)
+    n = len(s) - i
+    for k in range(min(n, m)):
+        if s[i + k] != t[k]:
+            return s[i + k] < t[k]
+    return n < m
+
+
+def is_admissible(d, s):
+    """Every suffix strictly below the expansion of 1, no leading zero."""
+    s = word(s)
+    if not s:
+        return True
+    md = d.max_digit
+    for a in s:
+        if a > md:
+            raise DigitRangeError(f"digit {a} exceeds the alphabet bound {md}")
+    if s[0] == 0:
+        return False
+    return all(_suffix_less(d, s, i) for i in range(len(s)))
+
+
+def _require(d, s):
+    s = word(s)
+    if not is_admissible(d, s):
+        raise InadmissibleInput(f"{fmt(s)!r} is not admissible")
+    return s
+
+
+def next_admissible(d, s):
+    """Bump the rightmost position that admits a larger digit (trying each
+    candidate), zero the tail; roll over to 1 0...0."""
+    s = _require(d, s)
+    md = d.max_digit
+    for pos in range(len(s) - 1, -1, -1):
+        for v in range(s[pos] + 1, md + 1):
+            cand = s[:pos] + (v,) + (0,) * (len(s) - 1 - pos)
+            if is_admissible(d, cand):
+                return cand
+    return (1,) + (0,) * len(s)
+
+
+def radix_rank(d, s):
+    """Number of successor steps from the empty word to s."""
+    s = _require(d, s)
+    rank = 0
+    y = ()
+    while y != s:
+        y = next_admissible(d, y)
+        rank += 1
+    return rank
+
+
+def succ_match_length(d, y):
+    """Largest k <= |y| such that the length-k suffix of y is a prefix of the
+    quasi-greedy expansion of 1."""
+    y = _require(d, y)
+    per = quasi_greedy(d)
+    m = d.m
+    n = len(y)
+    for k in range(n, 0, -1):
+        if all(y[n - k + i] == per[i % m] for i in range(k)):
+            return k
+    return 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import radix_oracle
 from parryscope.analysis import (
     TEXT_CAP,
     classify_affine,
@@ -332,3 +333,19 @@ def test_witness_second_base():
     v = verify_witness(d, b)
     assert v.pred_letters == (3, 2)
     assert v.w0 == v.coding + (0,)
+
+
+@pytest.mark.parametrize("base", ["2121", "3231", "22121", "33231", "212121"])
+def test_witness_walks_match_reference_successor(base):
+    # condition (i) against the candidate-retry successor and the walk rank
+    d = validate_renyi(base)
+    b = construct_witness(d)
+    v = verify_witness(d, b)
+    assert v.span == radix_oracle.radix_rank(d, b.z)
+    for x, end in ((b.x1, v.x1_end), (b.x2, v.x2_end)):
+        y, letters = x, []
+        for _ in range(v.span):
+            letters.append(radix_oracle.succ_match_length(d, y) % d.m)
+            y = radix_oracle.next_admissible(d, y)
+        assert tuple(letters) == v.coding and y == end
+    assert v.match_k == radix_oracle.succ_match_length(d, b.z)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from parryscope import analysis
 from parryscope.cli import CorpusSpec, main
 from parryscope.errors import UsageError
 
@@ -201,6 +202,23 @@ def test_oversized_oracle_range_exits_4_fast(capsys):
     code, body = run_json(capsys, "classify", "2121", "--oracle-n", "100000000")
     assert time.perf_counter() - start < 1.0
     assert code == 4 and body["error"]["type"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ("betaint", "2121", "coding", "0", "10000000000"),
+    ("generate", "2121", "-L", "10000000000"),
+], ids=["coding", "generate"])
+def test_oversized_text_request_exits_4_fast(capsys, argv):
+    start = time.perf_counter()
+    code, body = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and body["error"]["type"] == "BudgetExceeded"
+
+
+def test_scan_keeps_one_factor_library(capsys):
+    code, _ = run(capsys, "scan", "--corpus", "m=2..3,digit<=2", "--oracle-n", "8")
+    assert code == 0
+    assert len(analysis._LIB_CACHE) == 1
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])

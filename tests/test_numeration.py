@@ -1,9 +1,13 @@
 """Base validation, admissibility, exact Z[beta] arithmetic, beta-integers."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
+import radix_oracle
+from parryscope.cli import CorpusSpec
 from parryscope.errors import (
     DigitRangeError,
     EmptyWordError,
@@ -19,6 +23,7 @@ from parryscope.numeration import (
     BetaExpansion,
     RenyiExpansion,
     ZBetaElement,
+    _segment,
     beta,
     beta_integers,
     coding_of_segment,
@@ -32,13 +37,12 @@ from parryscope.numeration import (
     quasi_greedy,
     radix_rank,
     succ_gap_letter,
-    succ_match_length,
     t_orbit,
     validate_renyi,
     value_of,
     zero,
 )
-from parryscope.words import word
+from parryscope.words import fmt, word
 
 GOLDEN = validate_renyi("11")
 D2121 = validate_renyi("2121")
@@ -296,7 +300,7 @@ def test_gap_letters_examples():
     assert succ_gap_letter(GOLDEN, "1") == 1
     assert succ_gap_letter(GOLDEN, "") == 0
     assert succ_gap_letter(D2121, "121") == 2
-    assert succ_match_length(D2121, "121") == 2
+    assert radix_oracle.succ_match_length(D2121, "121") == 2
     assert pred_gap_letter(GOLDEN, "10") == 1
     assert pred_gap_letter(D2121, "2000") == 3
     assert pred_gap_letter(D2121, "21100") == 2
@@ -390,3 +394,67 @@ def test_distinct_strings_have_distinct_values():
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 assert not (vals[i] - vals[j]).is_zero()
+
+
+# --- the Parry automaton against the reference definitions -----------------------
+
+AUTOMATON_BASES = CorpusSpec.parse("m=2..4,digit<=3").members()[0]
+
+
+@functools.cache
+def _reference_walk(d, steps):
+    """The first ``steps`` beta-integers from 0, by the candidate-retry
+    successor; the i-th has rank i by the definition of rank."""
+    ys = [()]
+    for _ in range(steps - 1):
+        ys.append(radix_oracle.next_admissible(d, ys[-1]))
+    return ys
+
+
+@pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
+def test_automaton_matches_reference_on_short_strings(d):
+    # every string of length <= 6: admissibility, successor and gap letter
+    for n in range(7):
+        for s in itertools.product(range(d.max_digit + 1), repeat=n):
+            ok = radix_oracle.is_admissible(d, s)
+            assert is_admissible(d, s) == ok, s
+            if ok:
+                assert succ_gap_letter(d, s) == radix_oracle.succ_match_length(d, s) % d.m, s
+                assert next_admissible(d, s) == radix_oracle.next_admissible(d, s), s
+            else:
+                with pytest.raises(InadmissibleInput):
+                    next_admissible(d, s)
+
+
+@pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
+def test_rank_round_trips_through_successor(d):
+    ys = _reference_walk(d, 401)
+    for i in range(400):
+        assert radix_rank(d, ys[i]) == i
+        assert next_admissible(d, ys[i]) == ys[i + 1]
+    for i in (0, 1, 57, 399):
+        assert radix_oracle.radix_rank(d, ys[i]) == i
+
+
+@pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
+def test_coding_from_zero_is_the_fixed_point(d):
+    from parryscope.substitution import fixed_point_prefix
+
+    u = fixed_point_prefix(d, 3000)
+    for n in (0, 1, 17, 3000):
+        assert coding_of_segment(d, (), n) == u[:n]
+
+
+@pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
+def test_segment_walk_matches_repeated_successor(d):
+    ys = _reference_walk(d, 401)
+    letters = [radix_oracle.succ_match_length(d, y) % d.m for y in ys]
+    for i in range(0, 300, 23):
+        for count in (0, 1, 2, 9, 100):
+            assert _segment(d, ys[i], count) == (tuple(letters[i:i + count]), ys[i + count])
+
+
+def test_segment_rejects_inadmissible_start():
+    with pytest.raises(InadmissibleInput):
+        _segment(GOLDEN, "11", 3)
+
