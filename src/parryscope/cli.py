@@ -10,6 +10,7 @@ Single-object commands emit JSON; corpus scans emit TSV by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -306,6 +307,7 @@ def cmd_scan(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="parryscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,9 +355,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,16 @@ The base beta is the largest real root of
 
 and is never represented approximately.  Comparisons are decided exactly:
 an element of Z[beta] is a degree-reduced integer polynomial in beta, and its
-sign at beta is obtained by a gcd test against the base polynomial (the
-polynomial need not be irreducible) followed by interval refinement of the
-isolating interval of beta with rational endpoints.  Refinement terminates
-because interval evaluation of a polynomial converges to its nonzero value as
-the interval shrinks onto beta.
+sign at beta is read off an enclosure of its values on the isolating interval
+of beta.  That interval is dyadic, [lo/2^e, hi/2^e] with integers lo, hi, e;
+it is shared by every element of the base and only ever halved.  Splitting a
+polynomial into its positive and negative parts, both increasing for x > 0,
+bounds it by integer Horner evaluations at the two end points, so no division
+is made.  While the enclosure straddles 0 the interval is halved, up to a
+fixed precision; only then does a gcd with the base polynomial (which need
+not be irreducible) decide whether the value is exactly 0.  Refinement
+terminates because the enclosure of a polynomial converges to its nonzero
+value as the interval shrinks onto beta.
 
 The beta-integers are read with the Parry automaton.  Its state is the match
 length, mod m, against the quasi-greedy period t_1 ... t_(m-1) (t_m - 1): a
@@ -66,13 +71,6 @@ def _pdeg(p):
     return len(p) - 1
 
 
-def _peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _pdivmod(a, b):
     """Quotient and remainder over the rationals."""
     a = [Fraction(c) for c in a]
@@ -114,13 +112,36 @@ def _pgcd(a, b):
     return _make_primitive(a)
 
 
-def _interval_eval(p, lo, hi):
-    """Interval Horner evaluation of p over [lo, hi] with lo > 0."""
-    alo = ahi = Fraction(p[-1]) if p else Fraction(0)
-    for c in reversed(p[:-1]):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+def _enclosure_sign(p, lo, hi, e) -> int:
+    """Sign shared by all values of p on [lo/2^e, hi/2^e] (0 < lo), or 0 when
+    the enclosure straddles 0.
+
+    p = P+ - P- with P+ and P- of non-negative coefficients, both increasing
+    for x > 0, so on the interval p lies between P+(lo/2^e) - P-(hi/2^e) and
+    P+(hi/2^e) - P-(lo/2^e).  Each part is an integer Horner evaluation
+    scaled by 2^(e deg p).
+    """
+    pl = ph = nl = nh = 0
+    shift = 0
+    for c in reversed(p):
+        pl *= lo
+        ph *= hi
+        nl *= lo
+        nh *= hi
+        if c > 0:
+            c <<= shift
+            pl += c
+            ph += c
+        elif c < 0:
+            c = -c << shift
+            nl += c
+            nh += c
+        shift += e
+    if pl > nh:
+        return 1
+    if ph < nl:
+        return -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +177,9 @@ class RenyiExpansion:
             suffix = w[i - 1:] + (0,) * (i - 1)
             if not suffix < w:
                 raise ParryViolation(i)
-        # isolating interval for beta, shared and monotonically narrowed
-        object.__setattr__(self, "_iv", [(Fraction(1), Fraction(w[0] + 1))])
+        # isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e), shared
+        # and monotonically narrowed
+        object.__setattr__(self, "_iv", [(1, w[0] + 1, 0)])
 
     @property
     def m(self) -> int:
@@ -197,14 +219,23 @@ def quasi_greedy(d: RenyiExpansion) -> Word:
 
 
 def _bisect(d: RenyiExpansion):
-    """Halve the isolating interval of beta; returns the narrowed interval."""
-    lo, hi = d._iv[0]
-    mid = (lo + hi) / 2
-    v = _peval(parry_polynomial(d), mid)
+    """Halve the isolating interval of beta; returns the narrowed interval.
+
+    The midpoint is (lo + hi) / 2^(e+1); the base polynomial is evaluated
+    there by integer Horner scaled by 2^((e+1) m).
+    """
+    lo, hi, e = d._iv[0]
+    mid = lo + hi
+    e += 1
+    v = 1
+    shift = 0
+    for t in d.digits:
+        shift += e
+        v = v * mid - (t << shift)
     # the base polynomial has a single positive root, irrational for m >= 2
     if v == 0:
         raise VerificationFailed("beta", "rational midpoint cannot be the base")
-    iv = (mid, hi) if v < 0 else (lo, mid)
+    iv = (mid, 2 * hi, e) if v < 0 else (2 * lo, mid, e)
     d._iv[0] = iv
     return iv
 
@@ -313,48 +344,65 @@ def beta(d: RenyiExpansion) -> ZBetaElement:
     return ZBetaElement(d, _reduce(d, (0, 1)))
 
 
+# bits of beta (the exponent e of the isolating interval) resolved before a
+# zero test falls back to the gcd: past it, a straddling enclosure almost
+# always means an exact zero
+_REFINE_BITS = 64
+
+
+def _refined_sign(v, d: RenyiExpansion) -> int:
+    """Sign of v(beta) from the enclosure, halving the shared interval while
+    it straddles 0 and is coarser than _REFINE_BITS; 0 when undecided."""
+    while True:
+        iv = d._iv[0]
+        s = _enclosure_sign(v, *iv)
+        if s or iv[2] >= _REFINE_BITS:
+            return s
+        _bisect(d)
+
+
 def _value_is_zero(a: ZBetaElement) -> bool:
     """Exact test of a(beta) == 0.
 
-    The base polynomial may be reducible, so nonzero coordinates can still
-    evaluate to zero at beta.  a(beta) == 0 iff gcd(a, base polynomial) has
-    beta among its roots; writing the base polynomial as g*h, exactly one of
-    g, h vanishes at beta (the positive root is simple), so refining the
-    isolating interval until one of them is bounded away from zero decides.
+    The interval is refined first; that decides every value not within about
+    2^-_REFINE_BITS of 0.  The base polynomial may be reducible, so nonzero
+    coordinates can still evaluate to zero at beta.  a(beta) == 0 iff
+    gcd(a, base polynomial) has beta among its roots; writing the base
+    polynomial as g*h, exactly one of g, h vanishes at beta (the positive
+    root is simple), so refining the isolating interval until one of them is
+    bounded away from zero decides.
     """
     v = _ptrim(a.coords)
     if not v:
         return True
     if len(v) == 1:
         return False
-    vlo, vhi = _interval_eval(v, *a.d._iv[0])
-    if vlo > 0 or vhi < 0:
+    d = a.d
+    if _refined_sign(v, d):
         return False
-    P = list(parry_polynomial(a.d))
+    P = list(parry_polynomial(d))
     g = _pgcd(v, P)
     if _pdeg(g) == 0:
         return False
     h, rem = _pdivmod(P, g)
     if rem:
         raise VerificationFailed("beta", "gcd must divide the base polynomial")
-    d = a.d
-    lo, hi = d._iv[0]
+    h = _make_primitive(h)
     while True:
-        glo, ghi = _interval_eval(g, lo, hi)
-        if glo > 0 or ghi < 0:
+        iv = d._iv[0]
+        if _enclosure_sign(g, *iv):
             return False
-        hlo, hhi = _interval_eval(h, lo, hi)
-        if hlo > 0 or hhi < 0:
+        if _enclosure_sign(h, *iv):
             return True
-        lo, hi = _bisect(d)
+        _bisect(d)
 
 
 def zb_sign(a: ZBetaElement) -> int:
     """Exact sign (-1, 0, +1) of the real number a(beta).
 
-    The interval test runs first: it can certify a nonzero sign cheaply but
-    never decides zero, so the gcd-based zero test is consulted only when
-    the current interval straddles 0.
+    The enclosure, refined up to _REFINE_BITS, certifies a nonzero sign but
+    never decides zero, so the gcd-based zero test is consulted only when it
+    still straddles 0.
     """
     v = _ptrim(a.coords)
     if not v:
@@ -362,21 +410,14 @@ def zb_sign(a: ZBetaElement) -> int:
     if len(v) == 1:
         return 1 if v[0] > 0 else -1
     d = a.d
-    lo, hi = d._iv[0]
-    vlo, vhi = _interval_eval(v, lo, hi)
-    if vlo > 0:
-        return 1
-    if vhi < 0:
-        return -1
+    s = _refined_sign(v, d)
+    if s:
+        return s
     if _value_is_zero(a):
         return 0
-    while True:
-        lo, hi = _bisect(d)
-        vlo, vhi = _interval_eval(v, lo, hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
+    while not s:
+        s = _enclosure_sign(v, *_bisect(d))
+    return s
 
 
 def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
@@ -592,8 +633,6 @@ def _segment(d: RenyiExpansion, start, count: int):
         raise ValueError("count must be non-negative")
     if count > TEXT_CAP:
         raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
-    if count == 0:  # no gap is read, so the start is not checked
-        return (), word(start)
     y, states = _admissible_states(d, start)
     per = quasi_greedy(d)
     y = list(y)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from parryscope import analysis
-from parryscope.cli import CorpusSpec, main
+from parryscope.cli import CorpusSpec, _build_parser, main
 from parryscope.errors import UsageError
 
 
@@ -125,6 +125,9 @@ def test_betaint_inadmissible_input(capsys):
     code, body = run_json(capsys, "betaint", "11", "succ", "11")
     assert code == 2
     assert body["error"]["type"] == "InadmissibleInput"
+    code, body = run_json(capsys, "betaint", "11", "coding", "11", "0")
+    assert code == 2
+    assert body["error"]["type"] == "InadmissibleInput"
 
 
 def test_specials_commands(capsys):
@@ -195,6 +198,16 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first = run(capsys, "classify", "2121", "--oracle-n", "15")
     _, second = run(capsys, "classify", "2121", "--oracle-n", "15")
     assert first == second
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["betaint", "11", "coding"]) == 1
+    assert main(["specials", "11", "sideways"]) == 1
+    capsys.readouterr()
+    first = run(capsys, "betaint", "2121", "expand", "7")
+    assert first[0] == 0
+    assert run(capsys, "betaint", "2121", "expand", "7") == first
 
 
 def test_oversized_oracle_range_exits_4_fast(capsys):

@@ -3,10 +3,14 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radix_oracle
+import zbeta_oracle
 from parryscope.cli import CorpusSpec
 from parryscope.errors import (
     DigitRangeError,
@@ -40,6 +44,7 @@ from parryscope.numeration import (
     t_orbit,
     validate_renyi,
     value_of,
+    zb_sign,
     zero,
 )
 from parryscope.words import fmt, word
@@ -457,4 +462,119 @@ def test_segment_walk_matches_repeated_successor(d):
 def test_segment_rejects_inadmissible_start():
     with pytest.raises(InadmissibleInput):
         _segment(GOLDEN, "11", 3)
+    with pytest.raises(InadmissibleInput):  # even when no gap is read
+        _segment(GOLDEN, "11", 0)
+
+
+# --- the exact-sign engine against the reference engine ---------------------------
+
+SIGN_BASES = AUTOMATON_BASES  # includes the reducible base 3202
+COORD = st.integers(-(10**6), 10**6)
+SIGN_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _vanishing_cofactors(d):
+    """P / (x - r) for every integer root r of the base polynomial P: each
+    vanishes at beta (the base is never an integer for m >= 2), though its
+    coordinates are nonzero."""
+    P = parry_polynomial(d)
+    t_m = d.digits[-1]
+    for r in {s * k for k in range(1, t_m + 1) if t_m % k == 0 for s in (1, -1)}:
+        q = [0] * (len(P) - 1)
+        acc = 0
+        for i in range(len(P) - 1, 0, -1):
+            acc = acc * r + P[i]
+            q[i - 1] = acc
+        if acc * r + P[0] == 0:
+            yield ZBetaElement(d, q)
+
+
+def _element(data, d):
+    return ZBetaElement(d, data.draw(st.lists(COORD, min_size=d.m, max_size=d.m)))
+
+
+def _admissible_word(data, d):
+    """A random admissible string, drawn digit by digit through the automaton."""
+    per = quasi_greedy(d)
+    n = data.draw(st.integers(1, 14))
+    y, k = [], 0
+    for i in range(n):
+        a = data.draw(st.integers(1 if i == 0 else 0, per[k]))
+        k = (k + 1) % d.m if a == per[k] else 0
+        y.append(a)
+    return tuple(y)
+
+
+def _agrees_with_reference(x):
+    s = zb_sign(x)
+    assert s == zbeta_oracle.zb_sign(x), x
+    assert x.is_zero() == (s == 0) == zbeta_oracle._value_is_zero(x), x
+    return s
+
+
+def test_sign_bases_include_a_reducible_base():
+    d = validate_renyi("3202")
+    assert d in SIGN_BASES and list(_vanishing_cofactors(d))
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from(SIGN_BASES), st.data())
+def test_sign_matches_reference_on_random_elements(d, data):
+    _agrees_with_reference(_element(data, d))
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from(SIGN_BASES), st.data())
+def test_sign_matches_reference_on_exact_zeros(d, data):
+    r = _element(data, d)
+    zeros = [t_orbit(d, d.m) * r, *(z * r for z in _vanishing_cofactors(d))]
+    if d.digits == (3, 2, 0, 2):
+        zeros.append(ZBetaElement(d, (-2, 2, -4, 1)) * r)
+    for z in zeros:
+        assert _agrees_with_reference(z) == 0
+        assert _agrees_with_reference(z + 1) == 1
+        assert _agrees_with_reference(z - beta(d)) == -1
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from(SIGN_BASES), st.data())
+def test_sign_matches_reference_on_neighbour_differences(d, data):
+    # the gap between two beta-integers of large value is T^k(1) for exactly
+    # one k < m; on a reducible base the zero difference may keep nonzero
+    # coordinates
+    y = _admissible_word(data, d)
+    gap = value_of(d, next_admissible(d, y)) - value_of(d, y)
+    assert _agrees_with_reference(gap) == 1
+    signs = [_agrees_with_reference(gap - t_orbit(d, k)) for k in range(d.m)]
+    assert signs.count(0) == 1 and signs.index(0) == succ_gap_letter(d, y)
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from([d for d in SIGN_BASES if d.digits[-1] == 1]), st.integers(1, 90),
+       st.data())
+def test_sign_matches_reference_on_tiny_values(d, n, data):
+    # for t_m = 1 beta is a unit, with inverse beta^(m-1) - t_1 beta^(m-2) -
+    # ... - t_(m-1); its powers have values far below 2^-64 and large
+    # coordinates
+    inverse = ZBetaElement(d, tuple(-t for t in reversed(d.digits[:-1])) + (1,))
+    assert (inverse * beta(d) - 1).is_zero()
+    tiny = one(d)
+    for _ in range(n):
+        tiny = tiny * inverse
+    _agrees_with_reference(tiny * _element(data, d))
+    assert _agrees_with_reference(tiny - tiny * inverse) == 1
+
+
+@SIGN_SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(SIGN_BASES), st.lists(COORD, min_size=4, max_size=4)),
+                min_size=1, max_size=6))
+def test_isolating_interval_brackets_beta(calls):
+    # after any sequence of sign calls, P(lo/2^e) < 0 < P(hi/2^e)
+    for d, coords in calls:
+        zb_sign(ZBetaElement(d, coords[:d.m]))
+        lo, hi, e = d._iv[0]
+        assert 0 < lo < hi and e >= 0
+        at_lo, at_hi = (sum(c * x**i for i, c in enumerate(parry_polynomial(d)))
+                        for x in (Fraction(lo, 2**e), Fraction(hi, 2**e)))
+        assert at_lo < 0 < at_hi
 

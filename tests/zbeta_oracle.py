@@ -1,0 +1,100 @@
+"""Reference exact-sign engine for Z[beta], kept as a test oracle.
+
+This is the direct definition over the rationals: the isolating interval of
+beta has Fraction end points, a polynomial is enclosed by interval Horner
+evaluation, and whenever the enclosure straddles 0 the polynomial gcd with
+the base polynomial decides whether the value is exactly 0.  It keeps its own
+interval per base, so it shares no state with the engine under test.
+"""
+
+from fractions import Fraction
+
+from parryscope.errors import VerificationFailed
+from parryscope.numeration import _pdeg, _pdivmod, _pgcd, _ptrim, parry_polynomial
+
+_IV = {}  # digits of the base -> isolating interval (lo, hi) of beta
+
+
+def _peval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _interval_eval(p, lo, hi):
+    """Interval Horner evaluation of p over [lo, hi] with lo > 0."""
+    alo = ahi = Fraction(p[-1]) if p else Fraction(0)
+    for c in reversed(p[:-1]):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+def _interval(d):
+    return _IV.setdefault(d.digits, (Fraction(1), Fraction(d.digits[0] + 1)))
+
+
+def _bisect(d):
+    """Halve the isolating interval of beta; returns the narrowed interval."""
+    lo, hi = _interval(d)
+    mid = (lo + hi) / 2
+    v = _peval(parry_polynomial(d), mid)
+    if v == 0:
+        raise VerificationFailed("beta", "rational midpoint cannot be the base")
+    iv = (mid, hi) if v < 0 else (lo, mid)
+    _IV[d.digits] = iv
+    return iv
+
+
+def _value_is_zero(a):
+    """a(beta) == 0: gcd with the base polynomial, then refine until exactly
+    one of the two cofactors is bounded away from 0."""
+    v = _ptrim(a.coords)
+    if not v:
+        return True
+    if len(v) == 1:
+        return False
+    d = a.d
+    lo, hi = _interval(d)
+    vlo, vhi = _interval_eval(v, lo, hi)
+    if vlo > 0 or vhi < 0:
+        return False
+    P = list(parry_polynomial(d))
+    g = _pgcd(v, P)
+    if _pdeg(g) == 0:
+        return False
+    h, rem = _pdivmod(P, g)
+    if rem:
+        raise VerificationFailed("beta", "gcd must divide the base polynomial")
+    while True:
+        glo, ghi = _interval_eval(g, lo, hi)
+        if glo > 0 or ghi < 0:
+            return False
+        hlo, hhi = _interval_eval(h, lo, hi)
+        if hlo > 0 or hhi < 0:
+            return True
+        lo, hi = _bisect(d)
+
+
+def zb_sign(a):
+    """Sign (-1, 0, +1) of a(beta): interval test, zero test, then bisection."""
+    v = _ptrim(a.coords)
+    if not v:
+        return 0
+    if len(v) == 1:
+        return 1 if v[0] > 0 else -1
+    d = a.d
+    vlo, vhi = _interval_eval(v, *_interval(d))
+    if vlo > 0:
+        return 1
+    if vhi < 0:
+        return -1
+    if _value_is_zero(a):
+        return 0
+    while True:
+        vlo, vhi = _interval_eval(v, *_bisect(d))
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
