@@ -7,14 +7,19 @@ the blocks phi^k(u_i): once every block phi^k(a) has at least n - 1 letters,
 a factor of length n that starts in one block ends in the next, so it lies
 in a text phi^k(a) phi^k(b) with ab in L2.  L2 is the closure of {u_0 u_1}
 under the two-letter factors of phi(ab); the least such k follows from
-integer letter counts; the factor sets of every length are read from those
-texts.  A request whose texts would exceed ``TEXT_CAP`` letters raises
-BudgetExceeded before anything is built.  The structural classifier is the
-authority on affineness; enumeration is the cross-check.
+integer letter counts.  Only the set of the longest length is read from
+those texts: u is right-infinite, so every factor is a prefix of a factor
+one letter longer, and each shorter set is the truncation of the next.  The
+balance identity of ``special_factors`` certifies that the truncated sets
+are also closed under suffixes.  A request whose texts would exceed
+``TEXT_CAP`` letters raises BudgetExceeded before anything is built.  The
+structural classifier is the authority on affineness; enumeration is the
+cross-check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -104,9 +109,10 @@ def _two_letter_factors(images) -> list:
 
 
 def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
-    """All factors of lengths up to ``max_len``, from the texts
-    phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least max_len - 1
-    letters long.  Raises BudgetExceeded if the texts would pass TEXT_CAP."""
+    """All factors of lengths up to ``max_len``: those of length ``max_len``
+    from the texts phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least
+    max_len - 1 letters long, the shorter ones by truncation.  Raises
+    BudgetExceeded if the texts would pass TEXT_CAP."""
     cached = _LIB_CACHE.get(d.digits)
     if cached is not None and cached.max_len >= max_len:
         return cached
@@ -130,11 +136,14 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     blocks = [bytes([a]) for a in range(d.m)]
     for _ in range(k):
         blocks = [b"".join(blocks[c] for c in im) for im in images]
-    factors = [{b""}] + [set() for _ in range(max_len)]
+    longest = set()
     for a, b in pairs:
         text = blocks[a] + blocks[b]
-        for n in range(1, max_len + 1):
-            factors[n].update(text[i:i + n] for i in range(len(text) - n + 1))
+        longest.update(text[i:i + max_len] for i in range(len(text) - max_len + 1))
+    # u is right-infinite, so every factor is a prefix of a longer one
+    factors = [None] * max_len + [longest]
+    for n in range(max_len - 1, -1, -1):
+        factors[n] = {f[:n] for f in factors[n + 1]}
     lib = FactorLibrary(d, max_len, text_len, factors)
     _LIB_CACHE.clear()
     _LIB_CACHE[d.digits] = lib
@@ -230,6 +239,8 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     left = {tuple(w): tuple(sorted(e)) for w, e in lext.items() if len(e) >= 2}
     right = {tuple(w): tuple(sorted(e)) for w, e in rext.items() if len(e) >= 2}
     bis = sorted(set(left) & set(right))
+    # equals C(n+1) - C(n) exactly when every suffix of an (n+1)-factor is an
+    # n-factor: the truncated sets are checked to be closed under suffixes
     excess = sum(len(lext.get(f, ())) - 1 for f in lib.factors[n])
     report = SpecialFactorReport(
         d, n, left, right, bis, lib.count(n), lib.count(n + 1), excess, lib.prefix_length
@@ -406,6 +417,13 @@ def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
     return cls
 
 
+def _special_count(cuts) -> int:
+    """Number of special factors among the cuts of the (n+1)-factors, each with
+    its left or its right letter removed: distinct factors with the same cut
+    differ in that letter, so a factor with two extensions is cut twice."""
+    return sum(c >= 2 for c in Counter(cuts).values())
+
+
 def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     """Composite JSON report: verdict, enumeration data, witness, specials.
 
@@ -428,15 +446,12 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     else:
         body["witness"] = None
     if prof is not None and oracle_n >= 2:
-        lib = factor_library(d, oracle_n)
-        lengths = range(1, oracle_n)
+        # the (n+1)-factors for n = 1 .. oracle_n - 1; the cache may hold more
+        longer = factor_library(d, oracle_n).factors[2:oracle_n + 1]
         body["specials"] = {
-            "lengths": [n for n in lengths],
-            "left_special_counts": [len(lib.left_special(n)) for n in lengths],
-            "right_special_counts": [
-                len([w for w, e in lib.rext_map(n).items() if len(e) >= 2])
-                for n in lengths
-            ],
+            "lengths": list(range(1, oracle_n)),
+            "left_special_counts": [_special_count(f[1:] for f in F) for F in longer],
+            "right_special_counts": [_special_count(f[:-1] for f in F) for F in longer],
         }
     else:
         body["specials"] = None

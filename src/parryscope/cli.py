@@ -2,8 +2,9 @@
 
 Exit codes are stable contracts: 0 success, 1 usage or parse error,
 2 validation failure, 3 construction not applicable, 4 internal
-verification failure (including oracle disagreement in a scan) or a
-factor request above the text cap.  Each error class carries its code.
+verification failure (including oracle disagreement in a scan), a
+factor request above the text cap or a corpus above the candidate cap.
+Each error class carries its code.
 Single-object commands emit JSON; corpus scans emit TSV by default.
 """
 
@@ -18,13 +19,14 @@ from itertools import product
 
 from . import analysis, numeration, substitution
 from .errors import (
+    BudgetExceeded,
     NotApplicable,
     ParryViolation,
     ParryscopeError,
     UsageError,
     VerificationFailed,
 )
-from .words import fmt, word
+from .words import fmt, satisfies_power_condition, word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +55,9 @@ def _base(args):
 
 # ---------------------------------------------------------------------------
 # corpus specification
+
+
+CORPUS_CAP = 1 << 20  # candidate digit words in one corpus
 
 
 @dataclass
@@ -95,7 +100,17 @@ class CorpusSpec:
 
     def members(self):
         """All valid expansions in the family, plus the count of rejected
-        candidates, in deterministic enumeration order."""
+        candidates, in deterministic enumeration order.  Raises
+        BudgetExceeded, before enumerating, for more than CORPUS_CAP
+        candidates (each m counted as at least one)."""
+        candidates = 0
+        for m in range(self.m_min, self.m_max + 1):
+            candidates += max(self.digit_bound + 1, 1) ** m
+            if candidates > CORPUS_CAP:
+                raise BudgetExceeded(
+                    f"corpus m={self.m_min}..{self.m_max}, digit<={self.digit_bound} "
+                    f"has more than {CORPUS_CAP} candidate digit words"
+                )
         out = []
         skipped = 0
         for m in range(self.m_min, self.m_max + 1):
@@ -112,8 +127,6 @@ class CorpusSpec:
                     skipped += 1
                     continue
                 if self.power != "any" and m >= 2:
-                    from .words import satisfies_power_condition
-
                     is_pow = satisfies_power_condition(t[:-1])
                     if self.power == "power" and not is_pow:
                         continue

@@ -543,27 +543,40 @@ def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaEx
     md = d.max_digit
     rem = target
     int_digits = []
+    exact = False  # rem != 0 until a digit makes it 0
     for p in reversed(powers):
-        x = 0
-        while x < md and (rem - p * (x + 1)).sign() >= 0:
-            x += 1
+        x, hit = _greedy_digit(rem, p, md)
+        exact = exact or hit
         int_digits.append(x)
         rem = rem - p * x
     ints = tuple(int_digits)
-    if rem.is_zero():
+    if exact:
         return BetaExpansion(ints, ())
     frac = []
     s = rem
     for _ in range(frac_budget):
         s = s * b
-        x = 0
-        while x < md and (s - (x + 1)).sign() >= 0:
-            x += 1
+        x, exact = _greedy_digit(s, powers[0], md)  # powers[0] = 1
         frac.append(x)
         s = s - x
-        if s.is_zero():
+        if exact:
             return BetaExpansion(ints, tuple(frac))
     raise FractionalBudgetExceeded(BetaExpansion(ints, tuple(frac)))
+
+
+def _greedy_digit(v: ZBetaElement, p: ZBetaElement, md: int) -> tuple:
+    """The largest x <= md with v - x p >= 0 (p > 0), and whether the sign
+    decision that raised x found v - x p to be 0.  For v != 0 that is
+    exactly when v - x p is 0, so each exact zero is decided once."""
+    x = 0
+    while x < md:
+        sign = (v - p * (x + 1)).sign()
+        if sign < 0:
+            break
+        x += 1
+        if sign == 0:
+            return x, True
+    return x, False
 
 
 def next_admissible(d: RenyiExpansion, s) -> Word:

@@ -12,6 +12,7 @@ from parryscope.analysis import (
     expected_gap_inventory,
     factor_library,
     find_tridents,
+    full_report,
     maximal_left_special,
     special_factors,
     verify_gap_inventory,
@@ -83,24 +84,27 @@ def test_dominant_first_digit_bounds():
 
 
 def _prefix_scan(digits, length, max_len):
-    """Factor sets of lengths 0..max_len read off a fixed point prefix that is
-    built by iterating the substitution directly."""
+    """Factor sets of lengths 0..max_len, each read off a fixed point prefix
+    that is built by iterating the substitution directly."""
     m = len(digits)
     images = [bytes([0] * digits[i] + [i + 1]) for i in range(m - 1)]
     images.append(bytes([0] * digits[-1]))
     u = b"\0"
     while len(u) < length:
         u = b"".join(images[a] for a in u)
-    windows = {u[i:i + max_len] for i in range(length - max_len + 1)}
-    return [{w[:n] for w in windows} for n in range(max_len + 1)]
+    u = u[:length]
+    return [{u[i:i + n] for i in range(length - n + 1)} for n in range(max_len + 1)]
 
 
 def test_factor_library_matches_long_prefix_scan():
+    # every length is read directly from the prefix; on these bases every
+    # factor of length 30 occurs before letter 1,500 (before 12,000 for
+    # 301002), as measured on prefixes of 2^16 letters
     members, _ = CorpusSpec.parse("m=2..4,digit<=3").members()
-    for d in members + [validate_renyi("301002")]:
+    for d, length in [(d, 1 << 11) for d in members] + [(validate_renyi("301002"), 1 << 14)]:
         clear_factor_cache()
         lib = factor_library(d, 30)
-        assert lib.factors == _prefix_scan(d.digits, 1 << 16, 30), fmt(d.digits)
+        assert lib.factors == _prefix_scan(d.digits, length, 30), fmt(d.digits)
         assert lib.prefix_length < TEXT_CAP
 
 
@@ -176,6 +180,24 @@ def test_affine_power_case_has_one_left_and_p_right_specials():
         assert len(rep.right_special) == 2
     rep1 = special_factors(d, 1)
     assert len(rep1.left_special) == 1 and len(rep1.right_special) == 1
+
+
+def test_report_special_counts_match_extension_maps():
+    # the counts of full_report against the extension maps, on the 66 bases
+    # of m=2..4,digit<=2 and m=2..4,digit<=3,tm>=2
+    bases = {d.digits: d for spec in ("m=2..4,digit<=2", "m=2..4,digit<=3,tm>=2")
+             for d in CorpusSpec.parse(spec).members()[0]}
+    assert len(bases) == 66
+    for d in bases.values():
+        clear_factor_cache()
+        specials = full_report(d, oracle_n=30)["specials"]
+        lib = factor_library(d, 30)
+        assert specials["lengths"] == list(range(1, 30))
+        for n, left, right in zip(range(1, 30), specials["left_special_counts"],
+                                  specials["right_special_counts"]):
+            lext, rext = lib.lext_map(n), lib.rext_map(n)
+            assert left == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
+            assert right == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
 
 
 # --- maximal left special factors ---------------------------------------------------

@@ -217,10 +217,12 @@ def test_oversized_oracle_range_exits_4_fast(capsys):
     assert code == 4 and body["error"]["type"] == "BudgetExceeded"
 
 
+# requests above a cap (letters of text, candidates of a corpus) fail before any work
 @pytest.mark.parametrize("argv", [
     ("betaint", "2121", "coding", "0", "10000000000"),
     ("generate", "2121", "-L", "10000000000"),
-], ids=["coding", "generate"])
+    ("scan", "--corpus", "m=2..40,digit<=9"),
+], ids=["coding", "generate", "corpus"])
 def test_oversized_text_request_exits_4_fast(capsys, argv):
     start = time.perf_counter()
     code, body = run_json(capsys, *argv)
@@ -234,14 +236,28 @@ def test_scan_keeps_one_factor_library(capsys):
     assert len(analysis._LIB_CACHE) == 1
 
 
+def run_process(flags, *argv):
+    """The CLI in a fresh interpreter started with ``flags``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "parryscope.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_failed_invariant_exits_4_under_any_optimization(flags):
     # the construction gives 11011 a witness z with a leading zero; the
     # invariant check must hold with assertions stripped as well
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "parryscope.cli", "witness", "11011"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_process(flags, "witness", "11011")
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout)["error"]["condition"] == "admissible"
+
+
+@pytest.mark.parametrize("base", ["2121", "301002", "22"])
+def test_classify_is_byte_identical_under_optimization(base):
+    # the factor engine, the special counts and the witness without asserts
+    argv = ("classify", base, "--oracle-n", "30")
+    plain, optimized = run_process((), *argv), run_process(("-O",), *argv)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
