@@ -22,6 +22,17 @@ not be irreducible) decide whether the value is exactly 0.  Refinement
 terminates because the enclosure of a polynomial converges to its nonzero
 value as the interval shrinks onto beta.
 
+Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
+beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
+move up one place and the top one folds back through
+beta^m = t_1 beta^(m-1) + ... + t_m, which is O(m).  Horner evaluation of a
+digit string, the orbit T^i(1), products and the powers and fractional
+digits of greedy expansions all use it, and the greedy loop subtracts in
+place and asks the vector sign core directly.  ``ZBetaElement`` wraps a
+vector for callers: its public constructor checks the length and coerces
+each coordinate with ``operator.index`` (a float raises TypeError), while
+results of arithmetic are built by a trusted constructor that skips both.
+
 The beta-integers are read with the Parry automaton.  Its state is the match
 length, mod m, against the quasi-greedy period t_1 ... t_(m-1) (t_m - 1): a
 digit below the period digit of the state resets it to 0, an equal digit
@@ -38,6 +49,7 @@ digits it changes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -246,7 +258,13 @@ def _bisect(d: RenyiExpansion):
 
 @dataclass(frozen=True)
 class ZBetaElement:
-    """Element of Z[beta] as integer coordinates over 1, beta, ..., beta^(m-1)."""
+    """Element of Z[beta] as integer coordinates over 1, beta, ..., beta^(m-1).
+
+    The constructor checks the length and coerces each coordinate with
+    ``operator.index``, so a non-integral coordinate raises TypeError.
+    Results of arithmetic are built by ``_trusted``, which skips both; every
+    product by beta goes through ``_times_beta``.
+    """
 
     d: RenyiExpansion
     coords: tuple
@@ -254,22 +272,23 @@ class ZBetaElement:
     def __post_init__(self):
         if len(self.coords) != self.d.m:
             raise ValueError("coordinate vector must have length m")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
 
     def _coerce(self, other):
+        """Coordinates of an int or of an element of the same base."""
         if isinstance(other, int):
-            return from_int(self.d, other)
+            return (other,) + (0,) * (len(self.coords) - 1)
         if isinstance(other, ZBetaElement):
             if other.d.digits != self.d.digits:
                 raise MixedBaseError("elements belong to different bases")
-            return other
+            return other.coords
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return ZBetaElement(self.d, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return _trusted(self.d, tuple([a + b for a, b in zip(self.coords, o)]))
 
     __radd__ = __add__
 
@@ -277,27 +296,27 @@ class ZBetaElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return ZBetaElement(self.d, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return _trusted(self.d, tuple([a - b for a, b in zip(self.coords, o)]))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return ZBetaElement(self.d, tuple(-c for c in self.coords))
+        return _trusted(self.d, tuple([-c for c in self.coords]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ZBetaElement(self.d, tuple(c * other for c in self.coords))
+            return _trusted(self.d, tuple([c * other for c in self.coords]))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        m = self.d.m
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coords):
+        # Horner over the coordinates of self: v = v * beta + a o
+        v = [0] * len(o)
+        for a in reversed(self.coords):
+            v = _times_beta(self.d, v)
             if a:
-                for j, b in enumerate(o.coords):
-                    prod[i + j] += a * b
-        return ZBetaElement(self.d, _reduce(self.d, prod))
+                v = [x + a * y for x, y in zip(v, o)]
+        return _trusted(self.d, tuple(v))
 
     __rmul__ = __mul__
 
@@ -314,34 +333,43 @@ class ZBetaElement:
         return f"ZBetaElement({fmt(self.d.digits)!r}, {self.coords})"
 
 
-def _reduce(d: RenyiExpansion, coeffs) -> tuple:
-    """Reduce a polynomial in beta to degree < m via beta^m = sum t_i beta^(m-i)."""
-    m = d.m
-    cs = list(coeffs) + [0] * max(0, m - len(coeffs))
-    for k in range(len(cs) - 1, m - 1, -1):
-        c = cs[k]
-        if c:
-            cs[k] = 0
-            for i, t in enumerate(d.digits, start=1):
-                cs[k - i] += c * t
-    return tuple(cs[:m])
+def _trusted(d: RenyiExpansion, coords: tuple) -> ZBetaElement:
+    """Element from a tuple of m ints made by the arithmetic here, without
+    the checks of the public constructor."""
+    a = object.__new__(ZBetaElement)
+    object.__setattr__(a, "d", d)
+    object.__setattr__(a, "coords", coords)
+    return a
+
+
+def _times_beta(d: RenyiExpansion, v, c: int = 0) -> list:
+    """Coordinates of v * beta + c, from the coordinates v of an element.
+
+    The coordinates shift up one place, c enters at the bottom, and the
+    coefficient of beta^m folds back through
+    beta^m = t_1 beta^(m-1) + ... + t_m: O(m) work.
+    """
+    top = v[-1]
+    if not top:
+        return [c, *v[:-1]]
+    return [a + top * t for a, t in zip((c, *v), reversed(d.digits))]
 
 
 def zero(d: RenyiExpansion) -> ZBetaElement:
-    return ZBetaElement(d, (0,) * d.m)
+    return _trusted(d, (0,) * d.m)
 
 
 def one(d: RenyiExpansion) -> ZBetaElement:
-    return from_int(d, 1)
+    return _trusted(d, (1,) + (0,) * (d.m - 1))
 
 
 def from_int(d: RenyiExpansion, n: int) -> ZBetaElement:
-    return ZBetaElement(d, (int(n),) + (0,) * (d.m - 1))
+    return ZBetaElement(d, (n,) + (0,) * (d.m - 1))
 
 
 def beta(d: RenyiExpansion) -> ZBetaElement:
     """The base itself as an element of Z[beta]."""
-    return ZBetaElement(d, _reduce(d, (0, 1)))
+    return _trusted(d, tuple(_times_beta(d, one(d).coords)))
 
 
 # bits of beta (the exponent e of the isolating interval) resolved before a
@@ -361,23 +389,22 @@ def _refined_sign(v, d: RenyiExpansion) -> int:
         _bisect(d)
 
 
-def _value_is_zero(a: ZBetaElement) -> bool:
-    """Exact test of a(beta) == 0.
+def _is_zero(d: RenyiExpansion, v) -> bool:
+    """Exact test of v(beta) == 0 for the coordinates v of an element.
 
     The interval is refined first; that decides every value not within about
     2^-_REFINE_BITS of 0.  The base polynomial may be reducible, so nonzero
-    coordinates can still evaluate to zero at beta.  a(beta) == 0 iff
-    gcd(a, base polynomial) has beta among its roots; writing the base
+    coordinates can still evaluate to zero at beta.  v(beta) == 0 iff
+    gcd(v, base polynomial) has beta among its roots; writing the base
     polynomial as g*h, exactly one of g, h vanishes at beta (the positive
     root is simple), so refining the isolating interval until one of them is
     bounded away from zero decides.
     """
-    v = _ptrim(a.coords)
+    v = _ptrim(v)
     if not v:
         return True
     if len(v) == 1:
         return False
-    d = a.d
     if _refined_sign(v, d):
         return False
     P = list(parry_polynomial(d))
@@ -397,38 +424,46 @@ def _value_is_zero(a: ZBetaElement) -> bool:
         _bisect(d)
 
 
-def zb_sign(a: ZBetaElement) -> int:
-    """Exact sign (-1, 0, +1) of the real number a(beta).
+def _sign(d: RenyiExpansion, v) -> int:
+    """Exact sign (-1, 0, +1) of v(beta) for the coordinates v of an element.
 
     The enclosure, refined up to _REFINE_BITS, certifies a nonzero sign but
     never decides zero, so the gcd-based zero test is consulted only when it
     still straddles 0.
     """
-    v = _ptrim(a.coords)
+    v = _ptrim(v)
     if not v:
         return 0
     if len(v) == 1:
         return 1 if v[0] > 0 else -1
-    d = a.d
     s = _refined_sign(v, d)
     if s:
         return s
-    if _value_is_zero(a):
+    if _is_zero(d, v):
         return 0
     while not s:
         s = _enclosure_sign(v, *_bisect(d))
     return s
 
 
+def _value_is_zero(a: ZBetaElement) -> bool:
+    """Exact test of a(beta) == 0 (see ``_is_zero``)."""
+    return _is_zero(a.d, a.coords)
+
+
+def zb_sign(a: ZBetaElement) -> int:
+    """Exact sign (-1, 0, +1) of the real number a(beta) (see ``_sign``)."""
+    return _sign(a.d, a.coords)
+
+
 def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
     """T^i(1) exactly: T^0 = 1, T^i = beta * T^(i-1) - t_i; T^m(1) = 0."""
     if not 0 <= i <= d.m:
         raise ValueError(f"orbit index must lie in 0..{d.m}")
-    x = one(d)
-    b = beta(d)
-    for step in range(1, i + 1):
-        x = x * b - d.digits[step - 1]
-    return x
+    v = one(d).coords
+    for t in d.digits[:i]:
+        v = _times_beta(d, v, -t)
+    return _trusted(d, tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +550,10 @@ def value_of(d: RenyiExpansion, e) -> ZBetaElement:
         digits = e.integer_digits
     else:
         digits = word(e)
-    acc = zero(d)
-    b = beta(d)
+    v = zero(d).coords
     for x in digits:
-        acc = acc * b + x
-    return acc
+        v = _times_beta(d, v, x)
+    return _trusted(d, tuple(v))
 
 
 def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaExpansion:
@@ -535,43 +569,48 @@ def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaEx
         frac_budget = 4 * d.m
     if n == 0:
         return BetaExpansion((), ())
-    b = beta(d)
-    target = from_int(d, n)
-    powers = [one(d)]
-    while (target - powers[-1] * b).sign() >= 0:
-        powers.append(powers[-1] * b)
+    target = from_int(d, n).coords
+    powers = [one(d).coords]
+    while True:
+        p = _times_beta(d, powers[-1])
+        if _sign(d, [a - b for a, b in zip(target, p)]) < 0:
+            break
+        powers.append(p)
     md = d.max_digit
-    rem = target
+    rem = list(target)
     int_digits = []
     exact = False  # rem != 0 until a digit makes it 0
     for p in reversed(powers):
-        x, hit = _greedy_digit(rem, p, md)
+        x, hit = _greedy_digit(d, rem, p, md)
         exact = exact or hit
         int_digits.append(x)
-        rem = rem - p * x
     ints = tuple(int_digits)
     if exact:
         return BetaExpansion(ints, ())
     frac = []
-    s = rem
     for _ in range(frac_budget):
-        s = s * b
-        x, exact = _greedy_digit(s, powers[0], md)  # powers[0] = 1
+        rem = _times_beta(d, rem)
+        x, exact = _greedy_digit(d, rem, powers[0], md)  # powers[0] = 1
         frac.append(x)
-        s = s - x
         if exact:
             return BetaExpansion(ints, tuple(frac))
     raise FractionalBudgetExceeded(BetaExpansion(ints, tuple(frac)))
 
 
-def _greedy_digit(v: ZBetaElement, p: ZBetaElement, md: int) -> tuple:
-    """The largest x <= md with v - x p >= 0 (p > 0), and whether the sign
-    decision that raised x found v - x p to be 0.  For v != 0 that is
-    exactly when v - x p is 0, so each exact zero is decided once."""
+def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:
+    """The largest x <= md with v - x p >= 0 (p > 0), leaving v - x p in v:
+    p is subtracted in place one trial at a time, and added back after the
+    trial that goes negative.  Also returns whether the sign decision that
+    raised x found v - x p to be 0.  For v != 0 that is exactly when
+    v - x p is 0, so each exact zero is decided once."""
     x = 0
     while x < md:
-        sign = (v - p * (x + 1)).sign()
+        for i, c in enumerate(p):
+            v[i] -= c
+        sign = _sign(d, v)
         if sign < 0:
+            for i, c in enumerate(p):
+                v[i] += c
             break
         x += 1
         if sign == 0:

@@ -254,10 +254,17 @@ def test_failed_invariant_exits_4_under_any_optimization(flags):
     assert json.loads(proc.stdout)["error"]["condition"] == "admissible"
 
 
-@pytest.mark.parametrize("base", ["2121", "301002", "22"])
-def test_classify_is_byte_identical_under_optimization(base):
+@pytest.mark.parametrize("argv", [
     # the factor engine, the special counts and the witness without asserts
-    argv = ("classify", base, "--oracle-n", "30")
+    *(pytest.param(("classify", base, "--oracle-n", "30"), id=base)
+      for base in ("2121", "301002", "22")),
+    # the fractional budget (exact: false), a reducible base, and gap_coords
+    # from t_orbit
+    pytest.param(("betaint", "2121", "expand", "29"), id="expand-2121-29"),
+    pytest.param(("betaint", "3202", "expand", "7"), id="expand-3202-7"),
+    pytest.param(("betaint", "11", "succ", "101"), id="succ-11-101"),
+])
+def test_classify_is_byte_identical_under_optimization(argv):
     plain, optimized = run_process((), *argv), run_process(("-O",), *argv)
     assert plain.returncode == 0, plain.stderr
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -27,6 +27,7 @@ from parryscope.numeration import (
     BetaExpansion,
     RenyiExpansion,
     ZBetaElement,
+    _pdivmod,
     _segment,
     beta,
     beta_integers,
@@ -197,6 +198,17 @@ def test_ring_axioms_randomized():
 def test_mixed_base_rejected():
     with pytest.raises(MixedBaseError):
         beta(GOLDEN) + beta(D2121)
+
+
+def test_non_integral_coordinates_are_rejected():
+    # coordinates are coerced with operator.index: a float raises instead of
+    # being truncated
+    with pytest.raises(TypeError):
+        ZBetaElement(GOLDEN, (1.7, 0.2))
+    with pytest.raises(TypeError):
+        from_int(GOLDEN, 2.9)
+    assert ZBetaElement(GOLDEN, [3, -2]).coords == (3, -2)
+    assert from_int(D2121, 5).coords == (5, 0, 0, 0)
 
 
 def test_sign_examples():
@@ -578,3 +590,41 @@ def test_isolating_interval_brackets_beta(calls):
                         for x in (Fraction(lo, 2**e), Fraction(hi, 2**e)))
         assert at_lo < 0 < at_hi
 
+
+
+# --- greedy expansions against the polynomial oracle ------------------------------
+
+
+def _polynomial_coords(d, s):
+    """Coordinates of s_1 x^(k-1) + ... + s_k modulo the base polynomial,
+    divided over the rationals; the base polynomial is monic, so the
+    remainder is integral."""
+    _, r = _pdivmod(list(reversed(s)), parry_polynomial(d))
+    assert all(c.denominator == 1 for c in r)
+    return tuple(int(c) for c in r) + (0,) * (d.m - len(r))
+
+
+@pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
+def test_greedy_expansion_matches_polynomial_oracle(d):
+    for n in range(61):
+        try:
+            e, exact = greedy_expand_integer(d, n), True
+        except FractionalBudgetExceeded as exc:
+            e, exact = exc.partial, False
+        ints, digits = e.integer_digits, e.integer_digits + e.fractional_digits
+        assert radix_oracle.is_admissible(d, ints), (n, ints)
+        for s in (ints, digits):
+            assert value_of(d, s).coords == _polynomial_coords(d, s), (n, s)
+        # n minus the integer part lies in [0, 1)
+        r = [-c for c in _polynomial_coords(d, ints)]
+        r[0] += n
+        assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) >= 0, n
+        r[0] -= 1
+        assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) < 0, n
+        # n beta^f minus all f + |ints| digits is 0 exactly when the
+        # expansion is exact, and positive otherwise
+        f = len(e.fractional_digits)
+        r = [-c for c in _polynomial_coords(d, digits)]
+        scaled = _polynomial_coords(d, (n,) + (0,) * f)
+        tail = ZBetaElement(d, [a + b for a, b in zip(r, scaled)])
+        assert zbeta_oracle.zb_sign(tail) == (0 if exact else 1), n
