@@ -7,20 +7,30 @@ the blocks phi^k(u_i): once every block phi^k(a) has at least n - 1 letters,
 a factor of length n that starts in one block ends in the next, so it lies
 in a text phi^k(a) phi^k(b) with ab in L2.  L2 is the closure of {u_0 u_1}
 under the two-letter factors of phi(ab); the least such k follows from
-integer letter counts.  Only the set of the longest length is read from
-those texts: u is right-infinite, so every factor is a prefix of a factor
-one letter longer, and each shorter set is the truncation of the next.  The
-balance identity of ``special_factors`` certifies that the truncated sets
-are also closed under suffixes.  A request whose texts would exceed
-``TEXT_CAP`` letters raises BudgetExceeded before anything is built.  The
-structural classifier is the authority on affineness; enumeration is the
-cross-check.
+integer letter counts.  A window of phi^k(a) phi^k(b) lies in one block or
+crosses the boundary, so the windows of each block are read once and those
+of each boundary once per pair.  Only the set of the longest length is
+built: u is right-infinite, so every factor is a prefix of a longer one, and
+the shorter sets are its truncations, made only when asked for.
+
+C(n) and the special-factor counts of every length come from one sort of
+the longest factors: C(n) is one more than the number of neighbours whose
+longest common prefix is shorter than n, and the right special factors of
+length n are the branching nodes of depth n in the trie of the sorted
+words.  The same count on the sorted reversed factors gives the left special
+factors, provided the longest set is closed under suffixes; equal C(n) in
+both views certifies it, since the n-suffixes are among the n-factors.  A
+request whose texts would exceed ``TEXT_CAP`` letters raises BudgetExceeded
+before anything is built.  The structural classifier is the authority on
+affineness; enumeration is the cross-check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -46,21 +56,79 @@ from .words import Word, borders, fmt, satisfies_power_condition, word
 # certified factor sets
 
 
+class PrefixCounts(NamedTuple):
+    """Counts read off a set of words of one length L, for n = 0 .. L."""
+
+    complexity: list  # complexity[n] = number of distinct n-prefixes
+    special: list  # special[n] = n-prefixes with two or more next letters (n < L)
+
+
+def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
+    """Prefix counts of a non-empty set of distinct words of ``length`` bytes,
+    from one sort.  Read little-endian, the words count as reversed."""
+    keys = sorted(int.from_bytes(w, byteorder) for w in words)
+    bits = 8 * length
+    cuts = [0] * length  # neighbour pairs by the length of their common prefix
+    special = [0] * length
+    open_depths = []  # depths of the branching nodes on the current trie path
+    for x, y in zip(keys, keys[1:]):
+        lcp = (bits - (x ^ y).bit_length()) >> 3
+        cuts[lcp] += 1
+        # neighbours meeting at the same depth share the node only when no
+        # pair between them meets higher up
+        while open_depths and open_depths[-1] > lcp:
+            open_depths.pop()
+        if not open_depths or open_depths[-1] < lcp:
+            open_depths.append(lcp)
+            special[lcp] += 1
+    return PrefixCounts(list(accumulate(cuts, initial=1)), special)
+
+
 @dataclass
 class FactorLibrary:
     """Factor sets of the fixed point for all lengths up to ``max_len``.
 
-    Factors are kept as bytes; the public reports convert to tuples.
-    ``prefix_length`` is the number of letters scanned.
+    Only ``longest``, the factors of length ``max_len``, is stored; the
+    shorter sets (``factors[n]``), the extension maps and the sorted views
+    are built when first asked for.  Factors are kept as bytes; the public
+    reports convert to tuples.  ``prefix_length`` is the total length of the
+    texts phi^k(a) phi^k(b) the factors were read from.
     """
 
     d: RenyiExpansion
     max_len: int
     prefix_length: int
-    factors: list  # factors[n] = set of length-n factors (bytes)
+    longest: set  # the factors of length max_len (bytes)
     stabilized = True  # factor sets are certified complete
     _lext: dict = field(default_factory=dict, repr=False)
     _rext: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def factors(self) -> list:
+        """factors[n] = set of length-n factors, the truncations of ``longest``."""
+        factors = [None] * self.max_len + [self.longest]
+        for n in range(self.max_len - 1, -1, -1):
+            factors[n] = {f[:n] for f in factors[n + 1]}
+        return factors
+
+    @cached_property
+    def sorted_view(self) -> PrefixCounts:
+        """C(n) and the right special counts, from the sorted factors."""
+        return _prefix_counts(self.longest, self.max_len)
+
+    @cached_property
+    def reversed_view(self) -> PrefixCounts:
+        """C(n) and the left special counts, from the sorted reversed factors.
+        Raises VerificationFailed unless ``longest`` is closed under suffixes."""
+        view = _prefix_counts(self.longest, self.max_len, "little")
+        for n, (suffixes, prefixes) in enumerate(zip(view.complexity, self.sorted_view.complexity)):
+            if suffixes != prefixes:
+                raise VerificationFailed(
+                    "balance",
+                    f"factors of length {self.max_len} are not closed under suffixes: "
+                    f"{suffixes} suffixes of length {n} against {prefixes} factors",
+                )
+        return view
 
     def count(self, n: int) -> int:
         return len(self.factors[n])
@@ -136,15 +204,20 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     blocks = [bytes([a]) for a in range(d.m)]
     for _ in range(k):
         blocks = [b"".join(blocks[c] for c in im) for im in images]
+    # a window of phi^k(a) phi^k(b) lies in one block or starts in the last
+    # max_len - 1 letters of phi^k(a); every letter occurs in L2 (phi is
+    # primitive), and every block is at least max_len - 1 letters long
     longest = set()
+    for block in blocks:
+        if len(block) >= max_len:
+            longest.update(block[i:i + max_len] for i in range(len(block) - max_len + 1))
+    edge = max_len - 1
+    heads = [block[:edge] for block in blocks]
+    tails = [block[len(block) - edge:] for block in blocks]
     for a, b in pairs:
-        text = blocks[a] + blocks[b]
-        longest.update(text[i:i + max_len] for i in range(len(text) - max_len + 1))
-    # u is right-infinite, so every factor is a prefix of a longer one
-    factors = [None] * max_len + [longest]
-    for n in range(max_len - 1, -1, -1):
-        factors[n] = {f[:n] for f in factors[n + 1]}
-    lib = FactorLibrary(d, max_len, text_len, factors)
+        text = tails[a] + heads[b]
+        longest.update(text[i:i + max_len] for i in range(edge))
+    lib = FactorLibrary(d, max_len, text_len, longest)
     _LIB_CACHE.clear()
     _LIB_CACHE[d.digits] = lib
     return lib
@@ -184,7 +257,7 @@ def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     lib = factor_library(d, n_max)
-    values = [lib.count(n) for n in range(1, n_max + 1)]
+    values = lib.sorted_view.complexity[1:n_max + 1]
     deltas = [values[i + 1] - values[i] for i in range(n_max - 1)]
     return ComplexityProfile(d, n_max, values, deltas, lib.prefix_length)
 
@@ -417,13 +490,6 @@ def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
     return cls
 
 
-def _special_count(cuts) -> int:
-    """Number of special factors among the cuts of the (n+1)-factors, each with
-    its left or its right letter removed: distinct factors with the same cut
-    differ in that letter, so a factor with two extensions is cut twice."""
-    return sum(c >= 2 for c in Counter(cuts).values())
-
-
 def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     """Composite JSON report: verdict, enumeration data, witness, specials.
 
@@ -446,12 +512,12 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     else:
         body["witness"] = None
     if prof is not None and oracle_n >= 2:
-        # the (n+1)-factors for n = 1 .. oracle_n - 1; the cache may hold more
-        longer = factor_library(d, oracle_n).factors[2:oracle_n + 1]
+        # the cache may hold a longer library; its counts agree below oracle_n
+        lib = factor_library(d, oracle_n)
         body["specials"] = {
             "lengths": list(range(1, oracle_n)),
-            "left_special_counts": [_special_count(f[1:] for f in F) for F in longer],
-            "right_special_counts": [_special_count(f[:-1] for f in F) for F in longer],
+            "left_special_counts": lib.reversed_view.special[1:oracle_n],
+            "right_special_counts": lib.sorted_view.special[1:oracle_n],
         }
     else:
         body["specials"] = None

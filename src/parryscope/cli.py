@@ -244,13 +244,15 @@ def cmd_betaint(args):
 
 def cmd_specials(args):
     d = _base(args)
+    bound = args.length_bound
+    if bound is None:  # an explicit 0 is a bound, not a request for the default
+        bound = 2 * (d.t1 + d.digits[-1])
     if args.kind == "left":
         if args.n is None:
             raise UsageError("specials left needs -n LENGTH")
         report = analysis.special_factors(d, args.n)
         _emit(report.to_json())
     elif args.kind == "maximal":
-        bound = args.length_bound or 2 * (d.t1 + d.digits[-1])
         found = analysis.maximal_left_special(d, bound)
         _emit({
             "d": fmt(d.digits),
@@ -258,7 +260,6 @@ def cmd_specials(args):
             "maximal_left_special": [fmt(w) for w in found],
         })
     elif args.kind == "tridents":
-        bound = args.length_bound or 2 * (d.t1 + d.digits[-1])
         found = analysis.find_tridents(d, bound)
         _emit({
             "d": fmt(d.digits),

@@ -1,10 +1,14 @@
 """Complexity profiles, special factors, tridents, affineness, witnesses."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import radix_oracle
 from parryscope.analysis import (
     TEXT_CAP,
+    FactorLibrary,
+    _prefix_counts,
     classify_affine,
     clear_factor_cache,
     complexity_profile,
@@ -19,7 +23,7 @@ from parryscope.analysis import (
     verify_witness,
 )
 from parryscope.cli import CorpusSpec
-from parryscope.errors import BudgetExceeded, NotApplicable
+from parryscope.errors import BudgetExceeded, NotApplicable, VerificationFailed
 from parryscope.numeration import coding_of_segment, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import fmt, word
@@ -108,12 +112,92 @@ def test_factor_library_matches_long_prefix_scan():
         assert lib.prefix_length < TEXT_CAP
 
 
+def test_factor_library_short_lengths_match_prefix_scan():
+    # at max_len 1 no window crosses a block boundary; at 2 the blocks are
+    # single letters and every window crosses one
+    members, _ = CorpusSpec.parse("m=2..4,digit<=3").members()
+    for d in members:
+        scan = _prefix_scan(d.digits, 1 << 11, 4)
+        for max_len in range(1, 5):
+            clear_factor_cache()
+            assert factor_library(d, max_len).factors == scan[:max_len + 1], (fmt(d.digits), max_len)
+
+
 def test_oversized_request_fails_before_building():
     clear_factor_cache()
     with pytest.raises(BudgetExceeded):
         complexity_profile(D2121, 10**8)
     with pytest.raises(BudgetExceeded):
         special_factors(D2121, 10**6)
+
+
+def _naive_prefix_counts(words, length):
+    """Distinct n-prefixes, and n-prefixes followed by two or more letters."""
+    complexity = [len({w[:n] for w in words}) for n in range(length + 1)]
+    special = []
+    for n in range(length):
+        following = {}
+        for w in words:
+            following.setdefault(w[:n], set()).add(w[n])
+        special.append(sum(len(e) >= 2 for e in following.values()))
+    return complexity, special
+
+
+@st.composite
+def _equal_length_words(draw):
+    # letters anywhere in 0..255, so that neighbours may differ in the top bit
+    alphabet = sorted(draw(st.sets(st.integers(0, 255), min_size=1, max_size=4)))
+    length = draw(st.integers(0, 9))
+    letter = st.sampled_from(alphabet)
+    words = draw(st.sets(st.lists(letter, min_size=length, max_size=length).map(bytes),
+                         min_size=1, max_size=60))
+    return words, length
+
+
+@given(_equal_length_words())
+def test_sorted_view_counts_match_naive_counts(case):
+    words, length = case
+    assert tuple(_prefix_counts(words, length)) == _naive_prefix_counts(words, length)
+    reversed_words = {w[::-1] for w in words}
+    assert tuple(_prefix_counts(words, length, "little")) == _naive_prefix_counts(
+        reversed_words, length)
+
+
+def test_sorted_views_match_factor_sets_and_extension_maps():
+    # factors with three or more extensions occur on these bases
+    bases = CorpusSpec.parse("m=5..6,digit<=2").members()[0] + [validate_renyi("301002")]
+    widest = 0
+    for d in bases:
+        clear_factor_cache()
+        values = complexity_profile(d, 30).values
+        lib = factor_library(d, 30)
+        assert values == [len(lib.factors[n]) for n in range(1, 31)], fmt(d.digits)
+        left = lib.reversed_view.special
+        right = lib.sorted_view.special
+        for n in range(1, 30):
+            lext, rext = lib.lext_map(n), lib.rext_map(n)
+            assert left[n] == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
+            assert right[n] == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
+            widest = max(widest, *map(len, lext.values()), *map(len, rext.values()))
+        if classify_affine(d).reason != "fractional_power":  # no witness is built
+            specials = full_report(d, oracle_n=30)["specials"]
+            assert specials["left_special_counts"] == left[1:30], fmt(d.digits)
+            assert specials["right_special_counts"] == right[1:30], fmt(d.digits)
+    assert widest >= 3
+
+
+def test_reversed_view_certifies_suffix_closure():
+    clear_factor_cache()
+    lib = factor_library(D2121, 12)
+    rext, lext = lib.rext_map(11), lib.lext_map(11)
+    # without w, its 11-prefix is no longer a factor but its 11-suffix still is
+    w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
+    tampered = FactorLibrary(D2121, 12, lib.prefix_length, lib.longest - {w})
+    assert tampered.sorted_view.complexity[11] == lib.sorted_view.complexity[11] - 1
+    with pytest.raises(VerificationFailed) as err:
+        tampered.reversed_view
+    assert err.value.condition == "balance"
+    assert lib.reversed_view.complexity == lib.sorted_view.complexity
 
 
 # --- special factors --------------------------------------------------------------

@@ -143,6 +143,17 @@ def test_specials_commands(capsys):
     assert body["tridents"]
 
 
+def test_specials_length_bound_zero_is_kept(capsys):
+    # an explicit 0 is not replaced by the default bound 2 (t_1 + t_m) = 6
+    code, body = run_json(capsys, "specials", "2121", "tridents", "--length-bound", "0")
+    assert code == 0
+    assert (body["length_bound"], body["tridents"]) == (0, [])
+    assert main(["specials", "2121", "maximal", "--length-bound", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "length bound must be at least 1" in captured.err
+
+
 def test_corpus_spec_parsing():
     spec = CorpusSpec.parse("m=2..4,digit<=2,tm=1")
     assert (spec.m_min, spec.m_max, spec.digit_bound, spec.tm) == (2, 4, 2, "=1")
@@ -263,6 +274,12 @@ def test_failed_invariant_exits_4_under_any_optimization(flags):
     pytest.param(("betaint", "2121", "expand", "29"), id="expand-2121-29"),
     pytest.param(("betaint", "3202", "expand", "7"), id="expand-3202-7"),
     pytest.param(("betaint", "11", "succ", "101"), id="succ-11-101"),
+    # the extension maps, the trident search and the sorted views of a scan
+    pytest.param(("specials", "2121", "left", "-n", "5"), id="left-2121-5"),
+    pytest.param(("specials", "21211", "tridents", "--length-bound", "12"),
+                 id="tridents-21211-12"),
+    pytest.param(("scan", "--corpus", "m=2..3,digit<=2", "--oracle-n", "20"),
+                 id="scan-m2-3"),
 ])
 def test_classify_is_byte_identical_under_optimization(argv):
     plain, optimized = run_process((), *argv), run_process(("-O",), *argv)
