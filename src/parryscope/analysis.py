@@ -10,8 +10,10 @@ under the two-letter factors of phi(ab); the least such k follows from
 integer letter counts.  A window of phi^k(a) phi^k(b) lies in one block or
 crosses the boundary, so the windows of each block are read once and those
 of each boundary once per pair.  Only the set of the longest length is
-built: u is right-infinite, so every factor is a prefix of a longer one, and
-the shorter sets are its truncations, made only when asked for.
+built: u is right-infinite, so every factor is a prefix of a longer one.
+The inventories that print extension letters read one extension map per
+length n off the (n+1)-factors: the keys of the map one length up when it
+is built, else prefixes of the longest factors.
 
 C(n) and the special-factor counts of every length come from one sort of
 the longest factors: C(n) is one more than the number of neighbours whose
@@ -89,10 +91,10 @@ class FactorLibrary:
     """Factor sets of the fixed point for all lengths up to ``max_len``.
 
     Only ``longest``, the factors of length ``max_len``, is stored; the
-    shorter sets (``factors[n]``), the extension maps and the sorted views
-    are built when first asked for.  Factors are kept as bytes; the public
-    reports convert to tuples.  ``prefix_length`` is the total length of the
-    texts phi^k(a) phi^k(b) the factors were read from.
+    sorted views and the extension maps of shorter lengths are built when
+    first asked for.  Factors are kept as bytes; the public reports convert
+    to tuples.  ``prefix_length`` is the total length of the texts
+    phi^k(a) phi^k(b) the factors were read from.
     """
 
     d: RenyiExpansion
@@ -100,16 +102,7 @@ class FactorLibrary:
     prefix_length: int
     longest: set  # the factors of length max_len (bytes)
     stabilized = True  # factor sets are certified complete
-    _lext: dict = field(default_factory=dict, repr=False)
-    _rext: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def factors(self) -> list:
-        """factors[n] = set of length-n factors, the truncations of ``longest``."""
-        factors = [None] * self.max_len + [self.longest]
-        for n in range(self.max_len - 1, -1, -1):
-            factors[n] = {f[:n] for f in factors[n + 1]}
-        return factors
+    _extensions: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def sorted_view(self) -> PrefixCounts:
@@ -130,28 +123,25 @@ class FactorLibrary:
                 )
         return view
 
-    def count(self, n: int) -> int:
-        return len(self.factors[n])
-
-    def lext_map(self, n: int) -> dict:
-        """Left extensions of every length-n factor, from the (n+1)-factors."""
-        if n not in self._lext:
-            ext = {}
-            for f in self.factors[n + 1]:
-                ext.setdefault(f[1:], set()).add(f[0])
-            self._lext[n] = ext
-        return self._lext[n]
-
-    def rext_map(self, n: int) -> dict:
-        if n not in self._rext:
-            ext = {}
-            for f in self.factors[n + 1]:
-                ext.setdefault(f[:-1], set()).add(f[-1])
-            self._rext[n] = ext
-        return self._rext[n]
-
-    def left_special(self, n: int) -> dict:
-        return {w: e for w, e in self.lext_map(n).items() if len(e) >= 2}
+    def extensions(self, n: int) -> tuple:
+        """(lext, rext): the left and right extension letters of the
+        n-factors (the keys of rext), n < max_len.  Read off the keys of the
+        right map at n + 1 when it is built, else off the (n+1)-prefixes of
+        ``longest``."""
+        maps = self._extensions.get(n)
+        if maps is None:
+            if n + 1 in self._extensions:
+                words = self._extensions[n + 1][1]
+            elif n + 1 == self.max_len:
+                words = self.longest
+            else:
+                words = {f[:n + 1] for f in self.longest}
+            lext, rext = {}, {}
+            for f in words:
+                lext.setdefault(f[1:], set()).add(f[0])
+                rext.setdefault(f[:-1], set()).add(f[-1])
+            maps = self._extensions[n] = (lext, rext)
+        return maps
 
 
 _LIB_CACHE: dict = {}  # one slot: the library of the base used last
@@ -179,7 +169,7 @@ def _two_letter_factors(images) -> list:
 def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     """All factors of lengths up to ``max_len``: those of length ``max_len``
     from the texts phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least
-    max_len - 1 letters long, the shorter ones by truncation.  Raises
+    max_len - 1 letters long, the shorter ones as their prefixes.  Raises
     BudgetExceeded if the texts would pass TEXT_CAP."""
     cached = _LIB_CACHE.get(d.digits)
     if cached is not None and cached.max_len >= max_len:
@@ -307,16 +297,16 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     if n < 1:
         raise ValueError("length must be at least 1")
     lib = factor_library(d, n + 1)
-    lext = lib.lext_map(n)
-    rext = lib.rext_map(n)
+    lext, rext = lib.extensions(n)
     left = {tuple(w): tuple(sorted(e)) for w, e in lext.items() if len(e) >= 2}
     right = {tuple(w): tuple(sorted(e)) for w, e in rext.items() if len(e) >= 2}
     bis = sorted(set(left) & set(right))
     # equals C(n+1) - C(n) exactly when every suffix of an (n+1)-factor is an
-    # n-factor: the truncated sets are checked to be closed under suffixes
-    excess = sum(len(lext.get(f, ())) - 1 for f in lib.factors[n])
+    # n-factor: the n-prefixes are checked to be closed under suffixes
+    excess = sum(len(lext.get(f, ())) - 1 for f in rext)
+    c_n1 = sum(len(e) for e in rext.values())
     report = SpecialFactorReport(
-        d, n, left, right, bis, lib.count(n), lib.count(n + 1), excess, lib.prefix_length
+        d, n, left, right, bis, len(rext), c_n1, excess, lib.prefix_length
     )
     if report.lext_excess != report.delta:
         raise VerificationFailed(
@@ -336,18 +326,21 @@ def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
         raise ValueError("length bound must be at least 1")
     lib = factor_library(d, bound + 2)
     out = []
-    for n in range(1, bound + 1):
-        specials = lib.left_special(n)
-        next_specials = lib.left_special(n + 1)
-        rext = lib.rext_map(n)
-        for w in specials:
-            if any(w + bytes([a]) in next_specials for a in range(d.m)):
+    # downwards, so that each extension map is read off the next longer one
+    next_lext = lib.extensions(bound + 1)[0]
+    for n in range(bound, 0, -1):
+        lext, rext = lib.extensions(n)
+        for w, e in lext.items():
+            if len(e) < 2:
+                continue
+            if any(len(next_lext.get(w + bytes([a]), ())) >= 2 for a in range(d.m)):
                 continue
             if len(rext.get(w, ())) < 2:
                 raise VerificationFailed(
                     "bispecial", f"maximal left special factor {fmt(w)} is not right special"
                 )
             out.append(tuple(w))
+        next_lext = lext
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -376,9 +369,12 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
         raise ValueError("length bound must be non-negative")
     lib = factor_library(d, bound + 2)
     out = []
-    for n in range(0, bound + 1):
-        lext_next = lib.lext_map(n + 1)
-        for w in lib.factors[n]:
+    # downwards, so that each extension map is read off the next longer one
+    for n in range(bound, -1, -1):
+        lext_next = lib.extensions(n + 1)[0]
+        for w, right in lib.extensions(n)[1].items():
+            if len(right) < 3:  # one rooted tooth and two plain ones
+                continue
             rooted = []
             plain = []
             for a in range(d.m):
@@ -586,11 +582,13 @@ def verify_gap_inventory(d: RenyiExpansion) -> GapInventoryReport:
     lib = factor_library(d, need)
     observed = set()
     zero_run = 0
-    for n in range(1, need + 1):
-        for f in lib.factors[n]:
-            if n >= 2 and f[0] and f[-1] and not any(f[1:-1]):
-                observed.add(tuple(f))
-            if not any(f):
+    # every factor of length n <= need is an n-prefix of a longest factor
+    for f in lib.longest:
+        for n in range(1, need + 1):
+            g = f[:n]
+            if n >= 2 and g[0] and g[-1] and not any(g[1:-1]):
+                observed.add(tuple(g))
+            if not any(g):
                 zero_run = max(zero_run, n)
     return GapInventoryReport(d, expected_gap_inventory(d), observed, zero_run, lib.prefix_length)
 

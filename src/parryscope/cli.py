@@ -168,7 +168,7 @@ def cmd_witness(args):
         body = _error_json(exc)
         body["classification"] = analysis.classify_affine(d).to_json()
         _emit(body)
-        return 3
+        return exc.exit_code
     verification = analysis.verify_witness(d, bundle)
     _emit({"bundle": bundle.to_json(), "verification": verification.to_json()})
     return 0

@@ -18,9 +18,11 @@ polynomial into its positive and negative parts, both increasing for x > 0,
 bounds it by integer Horner evaluations at the two end points, so no division
 is made.  While the enclosure straddles 0 the interval is halved, up to a
 fixed precision; only then does a gcd with the base polynomial (which need
-not be irreducible) decide whether the value is exactly 0.  Refinement
-terminates because the enclosure of a polynomial converges to its nonzero
-value as the interval shrinks onto beta.
+not be irreducible) decide whether the value is exactly 0, and a nonzero
+value is bisected on until its sign shows.  One routine does all three
+steps, and the zero test asks it for sign 0.  Refinement terminates because
+the enclosure of a polynomial converges to its nonzero value as the interval
+shrinks onto beta.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -378,77 +380,54 @@ def beta(d: RenyiExpansion) -> ZBetaElement:
 _REFINE_BITS = 64
 
 
-def _refined_sign(v, d: RenyiExpansion) -> int:
-    """Sign of v(beta) from the enclosure, halving the shared interval while
-    it straddles 0 and is coarser than _REFINE_BITS; 0 when undecided."""
-    while True:
-        iv = d._iv[0]
-        s = _enclosure_sign(v, *iv)
-        if s or iv[2] >= _REFINE_BITS:
-            return s
-        _bisect(d)
-
-
-def _is_zero(d: RenyiExpansion, v) -> bool:
-    """Exact test of v(beta) == 0 for the coordinates v of an element.
-
-    The interval is refined first; that decides every value not within about
-    2^-_REFINE_BITS of 0.  The base polynomial may be reducible, so nonzero
-    coordinates can still evaluate to zero at beta.  v(beta) == 0 iff
-    gcd(v, base polynomial) has beta among its roots; writing the base
-    polynomial as g*h, exactly one of g, h vanishes at beta (the positive
-    root is simple), so refining the isolating interval until one of them is
-    bounded away from zero decides.
-    """
-    v = _ptrim(v)
-    if not v:
-        return True
-    if len(v) == 1:
-        return False
-    if _refined_sign(v, d):
-        return False
-    P = list(parry_polynomial(d))
-    g = _pgcd(v, P)
-    if _pdeg(g) == 0:
-        return False
-    h, rem = _pdivmod(P, g)
-    if rem:
-        raise VerificationFailed("beta", "gcd must divide the base polynomial")
-    h = _make_primitive(h)
-    while True:
-        iv = d._iv[0]
-        if _enclosure_sign(g, *iv):
-            return False
-        if _enclosure_sign(h, *iv):
-            return True
-        _bisect(d)
-
-
 def _sign(d: RenyiExpansion, v) -> int:
     """Exact sign (-1, 0, +1) of v(beta) for the coordinates v of an element.
 
-    The enclosure, refined up to _REFINE_BITS, certifies a nonzero sign but
-    never decides zero, so the gcd-based zero test is consulted only when it
-    still straddles 0.
+    The enclosure certifies a nonzero sign but never decides zero.  While it
+    straddles 0 the interval is halved, up to _REFINE_BITS; that decides
+    every value not within about 2^-_REFINE_BITS of 0.  The base polynomial
+    may be reducible, so nonzero coordinates can still evaluate to zero at
+    beta.  v(beta) == 0 iff gcd(v, base polynomial) has beta among its
+    roots; writing the base polynomial as g*h, exactly one of g, h vanishes
+    at beta (the positive root is simple), so refining the isolating
+    interval until one of them is bounded away from zero decides.  A
+    nonzero value is then bisected until its enclosure leaves 0.
     """
     v = _ptrim(v)
     if not v:
         return 0
     if len(v) == 1:
         return 1 if v[0] > 0 else -1
-    s = _refined_sign(v, d)
-    if s:
-        return s
-    if _is_zero(d, v):
-        return 0
+    while True:
+        iv = d._iv[0]
+        s = _enclosure_sign(v, *iv)
+        if s:
+            return s
+        if iv[2] >= _REFINE_BITS:
+            break
+        _bisect(d)
+    P = list(parry_polynomial(d))
+    g = _pgcd(v, P)
+    if _pdeg(g) > 0:
+        h, rem = _pdivmod(P, g)
+        if rem:
+            raise VerificationFailed("beta", "gcd must divide the base polynomial")
+        h = _make_primitive(h)
+        while True:
+            iv = d._iv[0]
+            if _enclosure_sign(g, *iv):
+                break
+            if _enclosure_sign(h, *iv):
+                return 0
+            _bisect(d)
     while not s:
         s = _enclosure_sign(v, *_bisect(d))
     return s
 
 
 def _value_is_zero(a: ZBetaElement) -> bool:
-    """Exact test of a(beta) == 0 (see ``_is_zero``)."""
-    return _is_zero(a.d, a.coords)
+    """Exact test of a(beta) == 0 (see ``_sign``)."""
+    return _sign(a.d, a.coords) == 0
 
 
 def zb_sign(a: ZBetaElement) -> int:
@@ -662,8 +641,7 @@ def pred_gap_letter(d: RenyiExpansion, y) -> int:
     y = word(y)
     if not y:
         raise ZeroHasNoPredecessor("zero has no predecessor in Z_beta+")
-    if not is_admissible(d, y):
-        raise InadmissibleInput(f"{fmt(y)!r} is not admissible")
+    _admissible_states(d, y)  # raises unless y is admissible
     k = 0
     while y[len(y) - 1 - k] == 0:
         k += 1

@@ -150,7 +150,7 @@ def test_criterion_07_witness_pipeline():
     n = len(v.w0)
     lib = factor_library(D2121, n + 1)
     assert lib.stabilized
-    exts = lib.lext_map(n).get(bytes(v.w0))
+    exts = lib.extensions(n)[0].get(bytes(v.w0))
     assert exts is not None and len(exts) >= 2
     assert v.w0 != fixed_point_prefix(D2121, n)
 

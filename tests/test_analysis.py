@@ -1,5 +1,7 @@
 """Complexity profiles, special factors, tridents, affineness, witnesses."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ import radix_oracle
 from parryscope.analysis import (
     TEXT_CAP,
     FactorLibrary,
+    Trident,
     _prefix_counts,
     classify_affine,
     clear_factor_cache,
@@ -100,6 +103,12 @@ def _prefix_scan(digits, length, max_len):
     return [{u[i:i + n] for i in range(length - n + 1)} for n in range(max_len + 1)]
 
 
+def _factor_sets(lib):
+    """The factor sets of lengths 0..max_len held by a library: the keys of
+    its right extension maps, then ``longest``."""
+    return [set(lib.extensions(n)[1]) for n in range(lib.max_len)] + [lib.longest]
+
+
 def test_factor_library_matches_long_prefix_scan():
     # every length is read directly from the prefix; on these bases every
     # factor of length 30 occurs before letter 1,500 (before 12,000 for
@@ -108,7 +117,7 @@ def test_factor_library_matches_long_prefix_scan():
     for d, length in [(d, 1 << 11) for d in members] + [(validate_renyi("301002"), 1 << 14)]:
         clear_factor_cache()
         lib = factor_library(d, 30)
-        assert lib.factors == _prefix_scan(d.digits, length, 30), fmt(d.digits)
+        assert _factor_sets(lib) == _prefix_scan(d.digits, length, 30), fmt(d.digits)
         assert lib.prefix_length < TEXT_CAP
 
 
@@ -120,7 +129,35 @@ def test_factor_library_short_lengths_match_prefix_scan():
         scan = _prefix_scan(d.digits, 1 << 11, 4)
         for max_len in range(1, 5):
             clear_factor_cache()
-            assert factor_library(d, max_len).factors == scan[:max_len + 1], (fmt(d.digits), max_len)
+            assert _factor_sets(factor_library(d, max_len)) == scan[:max_len + 1], (
+                fmt(d.digits), max_len)
+
+
+def _extension_maps(sets, n, m):
+    """Left and right extension letters of every n-factor, by testing each
+    one-letter extension for membership among the (n+1)-factors."""
+    letters = [bytes([a]) for a in range(m)]
+    lext = {w: {a for a in range(m) if letters[a] + w in sets[n + 1]} for w in sets[n]}
+    rext = {w: {a for a in range(m) if w + letters[a] in sets[n + 1]} for w in sets[n]}
+    return lext, rext
+
+
+def test_extensions_match_prefix_scan():
+    # on prefixes of 2^16 letters, every factor of length 30 occurs before
+    # letter 1,500 on m=2..4,digit<=3, before 6,600 on m=5..6,digit<=2 and
+    # before 12,000 on 301002
+    cases = [(d, 1 << 11) for d in CorpusSpec.parse("m=2..4,digit<=3").members()[0]]
+    cases += [(d, 1 << 13) for d in CorpusSpec.parse("m=5..6,digit<=2").members()[0]]
+    cases.append((validate_renyi("301002"), 1 << 14))
+    for d, length in cases:
+        sets = _prefix_scan(d.digits, length, 30)
+        expected = [_extension_maps(sets, n, d.m) for n in range(30)]
+        # ascending calls read each map off longest, descending ones chain
+        for order in (range(30), range(29, -1, -1)):
+            clear_factor_cache()
+            lib = factor_library(d, 30)
+            got = {n: lib.extensions(n) for n in order}
+            assert [got[n] for n in range(30)] == expected, (fmt(d.digits), order)
 
 
 def test_oversized_request_fails_before_building():
@@ -171,11 +208,11 @@ def test_sorted_views_match_factor_sets_and_extension_maps():
         clear_factor_cache()
         values = complexity_profile(d, 30).values
         lib = factor_library(d, 30)
-        assert values == [len(lib.factors[n]) for n in range(1, 31)], fmt(d.digits)
+        assert values == [len(f) for f in _factor_sets(lib)[1:31]], fmt(d.digits)
         left = lib.reversed_view.special
         right = lib.sorted_view.special
         for n in range(1, 30):
-            lext, rext = lib.lext_map(n), lib.rext_map(n)
+            lext, rext = lib.extensions(n)
             assert left[n] == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
             assert right[n] == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
             widest = max(widest, *map(len, lext.values()), *map(len, rext.values()))
@@ -189,7 +226,7 @@ def test_sorted_views_match_factor_sets_and_extension_maps():
 def test_reversed_view_certifies_suffix_closure():
     clear_factor_cache()
     lib = factor_library(D2121, 12)
-    rext, lext = lib.rext_map(11), lib.lext_map(11)
+    lext, rext = lib.extensions(11)
     # without w, its 11-prefix is no longer a factor but its 11-suffix still is
     w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
     tampered = FactorLibrary(D2121, 12, lib.prefix_length, lib.longest - {w})
@@ -279,7 +316,7 @@ def test_report_special_counts_match_extension_maps():
         assert specials["lengths"] == list(range(1, 30))
         for n, left, right in zip(range(1, 30), specials["left_special_counts"],
                                   specials["right_special_counts"]):
-            lext, rext = lib.lext_map(n), lib.rext_map(n)
+            lext, rext = lib.extensions(n)
             assert left == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
             assert right == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
 
@@ -318,6 +355,41 @@ def test_2121_tridents():
         y, z = t.teeth
         assert len({t.rooted, y, z}) == 3
         assert t.teeth_lext[0] != t.teeth_lext[1]
+
+
+def _brute_force_tridents(d, bound, sets):
+    """Tridents by their definition, from the factor sets of a prefix: a
+    factor w with letters x, y, z such that wx is left special while wy and
+    wz each have one left extension, and those two differ."""
+    def lext(u):
+        return {a for a in range(d.m) if bytes([a]) + u in sets[len(u) + 1]}
+
+    out = []
+    for n in range(bound + 1):
+        for w in sets[n]:
+            ext = {a: lext(w + bytes([a])) for a in range(d.m) if w + bytes([a]) in sets[n + 1]}
+            for x, rooted in ext.items():
+                if len(rooted) < 2:
+                    continue
+                for y, z in combinations(sorted(ext), 2):
+                    if len(ext[y]) == len(ext[z]) == 1 and ext[y] != ext[z]:
+                        (ly,), (lz,) = ext[y], ext[z]
+                        out.append(Trident(tuple(w), x, (y, z), (ly, lz)))
+    return out
+
+
+def test_tridents_match_brute_force_search():
+    # on prefixes of 2^16 letters, every factor of length 14 of these bases
+    # occurs before letter 710
+    found = 0
+    for base in ("2121", "211", "201", "3202", "321", "21211"):
+        d = validate_renyi(base)
+        expected = _brute_force_tridents(d, 12, _prefix_scan(d.digits, 1 << 11, 14))
+        clear_factor_cache()
+        got = find_tridents(d, 12)
+        assert got == sorted(expected, key=lambda t: (len(t.word), t.word, t.rooted, t.teeth)), base
+        found += len(got)
+    assert found
 
 
 def test_rooted_tooth_one_forces_dominant_digits():
@@ -426,7 +498,7 @@ def test_witness_word_is_left_special_but_not_a_prefix():
     n = len(v.w0)
     lib = factor_library(D2121, n + 1)
     assert lib.stabilized
-    exts = lib.lext_map(n).get(bytes(v.w0))
+    exts = lib.extensions(n)[0].get(bytes(v.w0))
     assert exts is not None and len(exts) >= 2
     assert v.w0 != fixed_point_prefix(D2121, n)
 

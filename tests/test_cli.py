@@ -128,6 +128,13 @@ def test_betaint_inadmissible_input(capsys):
     code, body = run_json(capsys, "betaint", "11", "coding", "11", "0")
     assert code == 2
     assert body["error"]["type"] == "InadmissibleInput"
+    code, body = run_json(capsys, "betaint", "11", "pred", "11")
+    assert code == 2
+    assert body["error"]["type"] == "InadmissibleInput"
+    # a digit above the alphabet is reported before the inadmissible pair
+    code, body = run_json(capsys, "betaint", "11", "pred", "112")
+    assert code == 2
+    assert body["error"]["type"] == "DigitRangeError"
 
 
 def test_specials_commands(capsys):
@@ -278,6 +285,12 @@ def test_failed_invariant_exits_4_under_any_optimization(flags):
     pytest.param(("specials", "2121", "left", "-n", "5"), id="left-2121-5"),
     pytest.param(("specials", "21211", "tridents", "--length-bound", "12"),
                  id="tridents-21211-12"),
+    # the downward walks of the maximal and trident searches, and the
+    # bispecial check of a maximal left special factor
+    pytest.param(("specials", "2121", "maximal", "--length-bound", "20"),
+                 id="maximal-2121-20"),
+    pytest.param(("specials", "2121", "tridents", "--length-bound", "20"),
+                 id="tridents-2121-20"),
     pytest.param(("scan", "--corpus", "m=2..3,digit<=2", "--oracle-n", "20"),
                  id="scan-m2-3"),
 ])
