@@ -1,6 +1,6 @@
 """Beta-numeration toolkit for simple Parry bases.
 
-Validates expansions of 1, streams canonical substitution fixed points,
+Validates expansions of 1, generates canonical substitution fixed points,
 does exact arithmetic in Z[beta], enumerates beta-integers with their gap
 coding, profiles factor complexity, and decides whether the complexity is
 affine, with a constructive witness in the fractional power case.
@@ -31,7 +31,6 @@ from .analysis import (
 from .errors import (
     BudgetExceeded,
     DigitRangeError,
-    DigitwiseSubtractionFailed,
     EmptyWordError,
     FractionalBudgetExceeded,
     InadmissibleInput,
@@ -72,7 +71,6 @@ from .numeration import (
 from .substitution import (
     Substitution,
     build_substitution,
-    fixed_point_letters,
     fixed_point_prefix,
     incidence_matrix,
     is_primitive,
@@ -82,9 +80,7 @@ from .substitution import (
 from .words import (
     Word,
     borders,
-    factor_set,
     fmt,
-    lex_compare,
     primitive_root,
     satisfies_power_condition,
     word,

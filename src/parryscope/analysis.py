@@ -34,12 +34,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import (
-    BudgetExceeded,
-    DigitwiseSubtractionFailed,
-    NotApplicable,
-    VerificationFailed,
-)
+from .errors import BudgetExceeded, NotApplicable, VerificationFailed
 from .numeration import (
     TEXT_CAP,
     RenyiExpansion,
@@ -170,7 +165,11 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     """All factors of lengths up to ``max_len``: those of length ``max_len``
     from the texts phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least
     max_len - 1 letters long, the shorter ones as their prefixes.  Raises
-    BudgetExceeded if the texts would pass TEXT_CAP."""
+    BudgetExceeded if the texts would pass TEXT_CAP.
+
+    A rebuild for a base already cached reads the texts at the longest
+    length they certify, min_a |phi^k(a)| + 1, so that a sweep of growing
+    lengths rebuilds once per k; a cold build reads ``max_len``."""
     cached = _LIB_CACHE.get(d.digits)
     if cached is not None and cached.max_len >= max_len:
         return cached
@@ -191,6 +190,8 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
             break
         lengths = [sum(lengths[c] for c in im) for im in images]
         k += 1
+    if cached is not None:
+        max_len = min(lengths) + 1
     blocks = [bytes([a]) for a in range(d.m)]
     for _ in range(k):
         blocks = [b"".join(blocks[c] for c in im) for im in images]
@@ -647,12 +648,12 @@ class WitnessBundle:
 def _digitwise_sub(u: Word, v: Word) -> Word:
     """Right-aligned digit-wise subtraction; no borrows may occur."""
     if len(v) > len(u):
-        raise DigitwiseSubtractionFailed("subtrahend longer than minuend")
+        raise VerificationFailed("decomposition", "subtrahend longer than minuend")
     v = (0,) * (len(u) - len(v)) + v
     out = []
     for a, b in zip(u, v):
         if b > a:
-            raise DigitwiseSubtractionFailed(f"digit-wise borrow in {fmt(u)} - {fmt(v)}")
+            raise VerificationFailed("decomposition", f"digit-wise borrow in {fmt(u)} - {fmt(v)}")
         out.append(a - b)
     return tuple(out)
 
@@ -667,7 +668,7 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     if cls.reason == "tm_not_one":
         raise NotApplicable("tm_not_one")
     w = d.digits[:-1]
-    p = w[:min(borders(w))]
+    p = cls.p
     s = len(p)
     r = 1
     while w[r * s:(r + 1) * s] == p:

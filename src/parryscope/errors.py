@@ -88,12 +88,6 @@ class NotApplicable(ParryscopeError):
         super().__init__(message or f"witness construction not applicable: {reason}")
 
 
-class DigitwiseSubtractionFailed(ParryscopeError):
-    """Digit-wise subtraction produced a negative digit (indicates a bug)."""
-
-    exit_code = 4
-
-
 class VerificationFailed(ParryscopeError):
     """An internal invariant failed (indicates a bug).
 
@@ -101,7 +95,8 @@ class VerificationFailed(ParryscopeError):
 
     * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions;
     * ``"decomposition"``: the digit prefix does not factor as p^r p' q p
-      as the witness construction requires;
+      as the witness construction requires, or the digit-wise subtraction
+      that builds x1 and x2 would borrow;
     * ``"admissible"``: a witness component z, x1 or x2 is not admissible;
     * ``"balance"``: the left extensions of the length-n factors do not
       account for C(n+1) - C(n);

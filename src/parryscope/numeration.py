@@ -535,17 +535,14 @@ def value_of(d: RenyiExpansion, e) -> ZBetaElement:
     return _trusted(d, tuple(v))
 
 
-def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaExpansion:
+def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     """Greedy beta-expansion of a non-negative integer, computed exactly.
 
-    Integer expansions need not terminate; after ``frac_budget`` fractional
-    digits (default 4m) the partial result is raised in
-    FractionalBudgetExceeded.
+    Integer expansions need not terminate; after 4m fractional digits the
+    partial result is raised in FractionalBudgetExceeded.
     """
     if n < 0:
         raise ValueError("only non-negative integers are expanded")
-    if frac_budget is None:
-        frac_budget = 4 * d.m
     if n == 0:
         return BetaExpansion((), ())
     target = from_int(d, n).coords
@@ -567,7 +564,7 @@ def greedy_expand_integer(d: RenyiExpansion, n: int, frac_budget=None) -> BetaEx
     if exact:
         return BetaExpansion(ints, ())
     frac = []
-    for _ in range(frac_budget):
+    for _ in range(4 * d.m):
         rem = _times_beta(d, rem)
         x, exact = _greedy_digit(d, rem, powers[0], md)  # powers[0] = 1
         frac.append(x)

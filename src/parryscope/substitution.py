@@ -8,6 +8,8 @@ between consecutive beta-integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import BudgetExceeded, LetterRangeError
 from .numeration import TEXT_CAP, RenyiExpansion
@@ -90,19 +92,6 @@ def fixed_point_prefix(d: RenyiExpansion, length: int) -> Word:
     return tuple(fixed_point_prefix_bytes(d, length))
 
 
-def fixed_point_letters(d: RenyiExpansion):
-    """Lazily yield the letters of the fixed point.  Single consumer; the
-    internal buffer grows geometrically with the position reached."""
-    images = _image_bytes(d)
-    buf = b"\x00"
-    pos = 0
-    while True:
-        while pos < len(buf):
-            yield buf[pos]
-            pos += 1
-        buf = b"".join(images[a] for a in buf)
-
-
 def incidence_matrix(s: Substitution):
     """Entry (a, b) counts occurrences of the letter a in the image of b."""
     m = s.m
@@ -111,22 +100,20 @@ def incidence_matrix(s: Substitution):
     )
 
 
-def _mat_mul(x, y):
-    n = len(x)
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def primitivity_exponent(s: Substitution):
-    """Smallest k <= 2m with the k-th matrix power entrywise positive, else None."""
-    mat = incidence_matrix(s)
-    power = mat
+    """Smallest k <= 2m with the k-th matrix power entrywise positive, else None.
+
+    Entry (a, b) of M^k is positive exactly when a occurs in phi^k(b), so
+    the powers are tracked as letter sets, one bit mask per letter: the
+    letters of phi^(k+1)(b) are those of phi^k(c) over the letters c of phi(b).
+    """
+    full = (1 << s.m) - 1
+    letters = [set(im) for im in s.images]
+    masks = [sum(1 << a for a in ls) for ls in letters]
     for k in range(1, 2 * s.m + 1):
-        if all(all(e > 0 for e in row) for row in power):
+        if all(mask == full for mask in masks):
             return k
-        power = _mat_mul(power, mat)
+        masks = [reduce(or_, (masks[c] for c in ls)) for ls in letters]
     return None
 
 

@@ -1,4 +1,4 @@
-"""Finite words over an integer alphabet: order, borders, periods, factors.
+"""Finite words over an integer alphabet: borders, periods, the power condition.
 
 Words are plain tuples of non-negative ints.  Tuple comparison gives exactly
 the lexicographic order used throughout: position-wise, with a proper prefix
@@ -42,16 +42,6 @@ def fmt(w) -> str:
     if all(a <= 9 for a in w):
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w)
-
-
-def lex_compare(u, v) -> int:
-    """-1, 0 or +1 for u < v, u == v, u > v in lexicographic order.
-
-    Mixed lengths use the prefix-is-smaller convention, which is native
-    tuple order.
-    """
-    u, v = tuple(u), tuple(v)
-    return (u > v) - (u < v)
 
 
 def _failure_function(w):
@@ -105,22 +95,12 @@ def satisfies_power_condition(w) -> bool:
     """True iff w has no border, or w is a proper integer power.
 
     Equivalently: every way of writing w as a rational power of a primitive
-    word uses an integer exponent, stated via borders and the primitive root.
+    word uses an integer exponent.  Both facts come from the longest border
+    b: w is borderless when b is 0, and a proper power when its smallest
+    period |w| - b divides |w|.
     """
     w = tuple(w)
     if not w:
         raise EmptyWordError("power condition of the empty word is undefined")
-    return not borders(w) or primitive_root(w)[1] >= 2
-
-
-def factor_set(w, n: int) -> set:
-    """All distinct length-n contiguous subwords of w.
-
-    n == 0 gives {()}; n > |w| gives the empty set.
-    """
-    if n < 0:
-        raise ValueError("factor length must be non-negative")
-    w = tuple(w)
-    if n == 0:
-        return {()}
-    return {w[i:i + n] for i in range(len(w) - n + 1)}
+    b = _failure_function(w)[-1]
+    return not b or len(w) % (len(w) - b) == 0

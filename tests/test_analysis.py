@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import radix_oracle
+from parryscope import analysis
 from parryscope.analysis import (
     TEXT_CAP,
     FactorLibrary,
@@ -158,6 +159,32 @@ def test_extensions_match_prefix_scan():
             lib = factor_library(d, 30)
             got = {n: lib.extensions(n) for n in order}
             assert [got[n] for n in range(30)] == expected, (fmt(d.digits), order)
+
+
+SPECIALS_SESSION_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211")
+
+
+def test_growing_sweep_rebuilds_once_per_text(monkeypatch):
+    # a rebuild for a cached base reads its texts at the longest length they
+    # certify, so a growing sweep builds one library per text length, and
+    # every report equals the one from a cold cache
+    builds = []
+    image_bytes = analysis._image_bytes
+
+    def counting(d):
+        builds.append(d)
+        return image_bytes(d)
+
+    monkeypatch.setattr(analysis, "_image_bytes", counting)
+    for base in SPECIALS_SESSION_BASES:
+        d = validate_renyi(base)
+        clear_factor_cache()
+        builds.clear()
+        sweep = [special_factors(d, n) for n in range(1, 26)]
+        assert len(builds) == len({r.prefix_length_used for r in sweep}), base
+        for n, report in enumerate(sweep, 1):
+            clear_factor_cache()
+            assert report == special_factors(d, n), (base, n)
 
 
 def test_oversized_request_fails_before_building():

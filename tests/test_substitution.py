@@ -1,15 +1,16 @@
-"""Canonical substitution, fixed point streaming, incidence data."""
+"""Canonical substitution, fixed point prefixes, incidence data."""
 
 import random
-from itertools import islice
+import time
 
 import pytest
 
+from parryscope.cli import CorpusSpec
 from parryscope.errors import LetterRangeError
 from parryscope.numeration import validate_renyi
 from parryscope.substitution import (
+    Substitution,
     build_substitution,
-    fixed_point_letters,
     fixed_point_prefix,
     incidence_matrix,
     is_primitive,
@@ -71,12 +72,6 @@ def test_prefix_is_fixed_by_the_substitution():
             assert s.apply(p)[:L] == p
 
 
-def test_letter_stream_matches_prefix():
-    for base in ("11", "2121"):
-        d = validate_renyi(base)
-        assert tuple(islice(fixed_point_letters(d), 300)) == fixed_point_prefix(d, 300)
-
-
 def test_incidence_and_primitivity():
     s = build_substitution(GOLDEN)
     assert incidence_matrix(s) == ((1, 1), (1, 0))
@@ -84,6 +79,40 @@ def test_incidence_and_primitivity():
     s4 = build_substitution(D2121)
     e = primitivity_exponent(s4)
     assert e is not None and e <= 2 * s4.m
+
+
+def _matrix_power_exponent(s):
+    """Smallest k <= 2m with the k-th power of the incidence matrix
+    entrywise positive, by integer matrix products, else None."""
+    mat = incidence_matrix(s)
+    m = s.m
+    power = mat
+    for k in range(1, 2 * m + 1):
+        if all(e > 0 for row in power for e in row):
+            return k
+        power = [[sum(power[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
+                 for i in range(m)]
+    return None
+
+
+def test_primitivity_exponent_matches_matrix_powers():
+    members, _ = CorpusSpec.parse("m=2..5,digit<=3").members()
+    assert members
+    for d in members:
+        s = build_substitution(d)
+        assert primitivity_exponent(s) == _matrix_power_exponent(s), d.digits
+    # a permutation of the letters is never primitive
+    for images in (((0,), (1,)), ((1,), (0,))):
+        s = Substitution(GOLDEN, images)
+        assert primitivity_exponent(s) is None and _matrix_power_exponent(s) is None
+
+
+def test_primitivity_of_the_largest_alphabet_is_fast():
+    s = build_substitution(validate_renyi("2" + "1" * 254))
+    start = time.perf_counter()
+    e = primitivity_exponent(s)
+    assert time.perf_counter() - start < 2.0
+    assert e == 255
 
 
 def test_incidence_columns_sum_to_image_lengths():

@@ -1,10 +1,9 @@
-"""Word substrate: order, borders, primitive roots, factors.
+"""Word substrate: borders, primitive roots, the power condition.
 
 Derived values are checked against naive reference implementations written
 here with no shared machinery (direct slice comparisons, divisor scans).
 """
 
-import random
 from itertools import product
 
 import pytest
@@ -12,9 +11,7 @@ import pytest
 from parryscope.errors import EmptyWordError
 from parryscope.words import (
     borders,
-    factor_set,
     fmt,
-    lex_compare,
     primitive_root,
     satisfies_power_condition,
     word,
@@ -60,30 +57,6 @@ def test_word_rejects_garbage():
         word("abc")
     with pytest.raises(ValueError):
         word([-1, 2])
-
-
-# --- lexicographic order ---------------------------------------------------
-
-
-def test_lex_compare_examples():
-    assert lex_compare(word("10"), word("11")) == -1
-    assert lex_compare(word("1"), word("11")) == -1  # proper prefix is smaller
-    assert lex_compare(word("2121"), word("2121")) == 0
-    assert lex_compare(word("11"), word("1")) == 1
-
-
-def test_lex_compare_total_order():
-    rng = random.Random(7)
-    pool = [tuple(rng.randrange(4) for _ in range(rng.randrange(7))) for _ in range(120)]
-    for u in pool:
-        assert lex_compare(u, u) == 0
-    for u in pool[:60]:
-        for v in pool[:60]:
-            assert lex_compare(u, v) == -lex_compare(v, u)
-    for _ in range(400):
-        u, v, w = rng.sample(pool, 3)
-        if lex_compare(u, v) <= 0 and lex_compare(v, w) <= 0:
-            assert lex_compare(u, w) <= 0
 
 
 # --- borders ----------------------------------------------------------------
@@ -140,24 +113,3 @@ def test_power_condition_exhaustive_against_naive():
     for n in range(1, 9):
         for w in product(range(4), repeat=n):
             assert satisfies_power_condition(w) == naive_power_condition(w), w
-
-
-# --- factor sets -------------------------------------------------------------
-
-
-def test_factor_set_examples():
-    assert factor_set(word("01001"), 2) == {word("01"), word("10"), word("00")}
-    assert factor_set(word("01001"), 0) == {()}
-    assert factor_set(word("01001"), 6) == set()
-
-
-def test_factor_set_size_bound():
-    rng = random.Random(11)
-    for _ in range(80):
-        a = rng.randrange(1, 4)
-        w = tuple(rng.randrange(a) for _ in range(rng.randrange(1, 30)))
-        for n in range(0, len(w) + 2):
-            fs = factor_set(w, n)
-            if n <= len(w):
-                assert len(fs) <= min(len(w) - n + 1, a ** n)
-            assert all(len(f) == n for f in fs)
