@@ -42,7 +42,6 @@ from .numeration import (
     is_admissible,
     pred_gap_letter,
     radix_rank,
-    succ_gap_letter,
     value_of,
 )
 from .substitution import _image_bytes, fixed_point_prefix, j_indices
@@ -434,7 +433,9 @@ class Classification:
     slope: int | None = None
     intercept: int | None = None
     reason: str | None = None  # "tm_not_one" | "fractional_power"
-    p: Word | None = None  # shortest border, for the fractional power case
+    # shortest border, for the fractional power case; the witness bundle's
+    # p is the power of it chosen by construct_witness
+    p: Word | None = None
     evidence: Word | None = None  # a known non-prefix left special factor
     oracle: OracleCheck | None = None
 
@@ -602,11 +603,13 @@ def verify_gap_inventory(d: RenyiExpansion) -> GapInventoryReport:
 class WitnessBundle:
     """Data of the witness construction for a base failing the power condition.
 
-    The digit word factors as p^r p' q p 1 with p the shortest border of
-    t_1 ... t_(m-1), p' a proper prefix of p of length j, and q starting
+    The digit word factors as p^r p' q p 1 with p the border of
+    t_1 ... t_(m-1) chosen by ``construct_witness`` (a power of the shortest
+    border), r maximal, p' a proper prefix of p of length j, and q starting
     below the digit p_(j+1).  c is the longest common suffix of p p' q and
     p' q p, h1/h2 the distinct digits preceding it, h their minimum, and
-    a_pad = r|p| + j + 1 the zero padding of the digit-wise subtraction.
+    a_pad = r|p| + j + 1 the number of zeros that follow the digit-wise
+    differences in x1 and x2.  z, x1 and x2 carry no leading zeros.
     """
 
     d: RenyiExpansion
@@ -658,17 +661,48 @@ def _digitwise_sub(u: Word, v: Word) -> Word:
     return tuple(out)
 
 
+def _drop_leading_zeros(y: Word) -> Word:
+    """The admissible spelling of the beta-integer with digits y."""
+    return y[next((i for i, a in enumerate(y) if a), len(y)):]
+
+
 def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     """Build the beta-integers z, x1, x2 witnessing a non-prefix left
-    special factor, for a base with t_m = 1 whose digit prefix has a border
-    but is not a proper power."""
+    special factor, for a base with t_m = 1 whose digit prefix
+    w = t_1 ... t_(m-1) has a border but is not a proper power.
+
+    With w = p^r p' q p (see WitnessBundle), z = h c p^r p' q_1, and x1, x2
+    are the digit-wise differences p^r p' q - h c and w - h c, each followed
+    by a_pad zeros.  The leading zeros of all three are dropped: they do not
+    change the value, and an admissible string starts with a nonzero digit.
+
+    The border p.  Let b be the shortest border of w and b^e the longest
+    power of b that w starts with.  By the Parry condition w leaves b^e by a
+    digit below the digit of b it replaces: w = b^e y a ... with y b' a
+    prefix of b and a < b'.  So w has no suffix b^(e+1), and for p a power
+    of b, p^r p' q_1 = b^e y a.  If c ends with b, z then has the suffix
+    b^(e+1) y a, which is above the prefix of w of the same length, and z
+    is not admissible.  c is the common suffix of p p' q and p' q p, and w
+    ends with p p' q p, so c ends with b exactly when w ends with b p.  The
+    shortest border p = b fails this way when w ends with b b: 221221 has
+    b = 2, c = 2 and the inadmissible z = 12221.  So p is the shortest border
+    such that b p is not a suffix of w: p = b^f with b^f the longest power
+    of b that w ends with.  It is a border because f <= e.  Every border
+    shorter than it is a power of b: it has period |b| and starts and ends
+    with b, and b, being unbordered, is primitive.  When w does not end with
+    b b the rule picks p = b.  The remaining conditions are not derived
+    here: the admissibility of z, x1 and x2 is checked below, and
+    ``verify_witness`` checks conditions (i)-(iv).
+    """
     cls = classify_affine(d)
     if cls.affine:
         raise NotApplicable("affine")
     if cls.reason == "tm_not_one":
         raise NotApplicable("tm_not_one")
     w = d.digits[:-1]
-    p = cls.p
+    b = p = cls.p
+    while w[-len(b + p):] == b + p:
+        p = b + p
     s = len(p)
     r = 1
     while w[r * s:(r + 1) * s] == p:
@@ -678,22 +712,19 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     while j < min(len(rest), s) and rest[j] == p[j]:
         j += 1
     p_prime = p[:j]
+    # p is a border, so w == p^r p' q p once q is non-empty; the rest of the
+    # structure comes from the Parry condition: check rather than trust
     q = w[r * s + j:len(w) - s]
-    # structure guaranteed by the Parry condition; check rather than trust
     if not q:
         raise VerificationFailed("decomposition", "q must be non-empty")
-    if w[len(w) - s:] != p:
-        raise VerificationFailed("decomposition", "digit prefix must end with its border")
     if q[0] >= p[j]:
         raise VerificationFailed("decomposition", "q must start below the next border digit")
-    if p * r + p_prime + q + p != w:
-        raise VerificationFailed("decomposition", "digit prefix is not p^r p' q p")
     u1 = p + p_prime + q
     u2 = p_prime + q + p
     if u1 == u2:
         raise VerificationFailed("decomposition", "a proper power would be classified affine")
     k = 0
-    while k < len(u1) and u1[len(u1) - 1 - k] == u2[len(u2) - 1 - k]:
+    while u1[len(u1) - 1 - k] == u2[len(u2) - 1 - k]:
         k += 1
     c = u1[len(u1) - k:]
     h1, h2 = u1[len(u1) - 1 - k], u2[len(u2) - 1 - k]
@@ -701,9 +732,10 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
         raise VerificationFailed("decomposition", "common suffix too long")
     h = min(h1, h2)
     a_pad = r * s + j + 1
-    z = (h,) + c + p * r + p_prime + (q[0],)
-    x1 = _digitwise_sub(p * r + p_prime + q + (0,) * a_pad, (h,) + c + (0,) * a_pad)
-    x2 = _digitwise_sub(p * r + p_prime + q + p + (0,) * a_pad, (h,) + c + (0,) * a_pad)
+    hc = (h,) + c
+    z = _drop_leading_zeros(hc + w[:a_pad])  # w[:a_pad] == p^r p' q_1
+    x1 = _drop_leading_zeros(_digitwise_sub(w[:len(w) - s], hc) + (0,) * a_pad)
+    x2 = _drop_leading_zeros(_digitwise_sub(w, hc) + (0,) * a_pad)
     for name, y in (("z", z), ("x1", x1), ("x2", x2)):
         if not is_admissible(d, y):
             raise VerificationFailed("admissible", f"witness component {name} must be admissible")
@@ -740,33 +772,40 @@ class WitnessVerification:
 
 
 def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerification:
-    """Check the four conditions making coding(z)+0 a non-prefix left special
-    factor.  All four are guaranteed; a failure raises VerificationFailed."""
+    """Check the four conditions making w0 = u[:span] 0 a non-prefix left
+    special factor of the fixed point u, with span = rank(z).
+
+    u is the gap coding of Z_beta+ read from 0, so u[:span] codes [0, z] and
+    u[span] is the gap after z.  (i) and (iii): the walk of span gaps from
+    x1, and the one from x2, reads u[:span] and ends, exactly at x + z, in
+    the automaton state 0, so w0 is read after x1 and after x2.  (ii): the
+    gaps before x1 and x2 differ, so w0 has two left letters.  (iv):
+    u[span], the match length of z, is not 0, so w0 is not a prefix.  All
+    four are guaranteed; a failure raises VerificationFailed.
+    """
     z, x1, x2 = bundle.z, bundle.x1, bundle.x2
     span = radix_rank(d, z)
-    # the fixed point is the gap coding of Z_beta+ read from 0; the walks
-    # from x1 and x2 are checked against it, and their end points exactly
-    coding = fixed_point_prefix(d, span)
+    u = fixed_point_prefix(d, span + 1)
+    coding = u[:span]
     zval = value_of(d, z)
     ends = []
     for name, x in (("x1", x1), ("x2", x2)):
-        letters, end = _segment(d, x, span)
+        letters, end, state = _segment(d, x, span)
         if letters != coding:
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
             raise VerificationFailed("i", f"segment from {name} does not end at {name}+z")
+        if state != 0:
+            raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")
         ends.append(end)
     pred1, pred2 = pred_gap_letter(d, x1), pred_gap_letter(d, x2)
     if pred1 == pred2:
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
-    for name, end in (("x1", ends[0]), ("x2", ends[1])):
-        if succ_gap_letter(d, end) != 0:
-            raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")
-    # the match length of z, mod m; |z| <= m, so a nonzero letter is the length
-    k = succ_gap_letter(d, z)
+    k = u[span]
     if k == 0:
         raise VerificationFailed("iv", "successor gap at z is 1")
-    if not (0 < bundle.a_pad <= k < len(z) <= d.m):
+    # the match of z covers its tail t_1 ... t_(a_pad) and stops before h
+    if not (bundle.a_pad <= k <= bundle.a_pad + len(bundle.c) < d.m):
         raise VerificationFailed("iv", f"match length {k} violates the index bounds")
     return WitnessVerification(
         bundle=bundle,

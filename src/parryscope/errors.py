@@ -94,10 +94,14 @@ class VerificationFailed(ParryscopeError):
     ``condition`` names the invariant:
 
     * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions;
-    * ``"decomposition"``: the digit prefix does not factor as p^r p' q p
-      as the witness construction requires, or the digit-wise subtraction
-      that builds x1 and x2 would borrow;
-    * ``"admissible"``: a witness component z, x1 or x2 is not admissible;
+    * ``"decomposition"``: the digit prefix w does not factor as p^r p' q p
+      as the witness construction requires (q is empty or does not start
+      below the next digit of p, p p' q equals p' q p, or their common
+      suffix is too long), or the digit-wise subtraction that builds x1 and
+      x2 would borrow;
+    * ``"admissible"``: a witness component z, x1 or x2, its leading zeros
+      dropped, is not admissible, or a walk reached an inadmissible
+      successor;
     * ``"balance"``: the left extensions of the length-n factors do not
       account for C(n+1) - C(n);
     * ``"bispecial"``: a maximal left special factor is not right special;

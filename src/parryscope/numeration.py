@@ -646,8 +646,9 @@ def pred_gap_letter(d: RenyiExpansion, y) -> int:
 
 
 def _segment(d: RenyiExpansion, start, count: int):
-    """Gap letters of the count gaps of Z_beta+ from start, and the
-    beta-integer count steps after start.
+    """Gap letters of the count gaps of Z_beta+ from start, the beta-integer
+    count steps after start, and its automaton state: the letter of the gap
+    that follows it.
 
     A step raises the rightmost digit below the period digit of its
     automaton state by one and zeroes the tail; when every digit equals its
@@ -678,7 +679,7 @@ def _segment(d: RenyiExpansion, start, count: int):
             del states[pos + 1:]
         if not _advance(per, y, states):
             raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")
-    return tuple(letters), tuple(y)
+    return tuple(letters), tuple(y), states[-1]
 
 
 def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:

@@ -243,10 +243,9 @@ def test_sorted_views_match_factor_sets_and_extension_maps():
             assert left[n] == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
             assert right[n] == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
             widest = max(widest, *map(len, lext.values()), *map(len, rext.values()))
-        if classify_affine(d).reason != "fractional_power":  # no witness is built
-            specials = full_report(d, oracle_n=30)["specials"]
-            assert specials["left_special_counts"] == left[1:30], fmt(d.digits)
-            assert specials["right_special_counts"] == right[1:30], fmt(d.digits)
+        specials = full_report(d, oracle_n=30)["specials"]
+        assert specials["left_special_counts"] == left[1:30], fmt(d.digits)
+        assert specials["right_special_counts"] == right[1:30], fmt(d.digits)
     assert widest >= 3
 
 
@@ -540,7 +539,8 @@ def test_witness_second_base():
     assert v.w0 == v.coding + (0,)
 
 
-@pytest.mark.parametrize("base", ["2121", "3231", "22121", "33231", "212121"])
+# 11011 drops a leading zero of z; 221221 needs the border 22, not 2
+@pytest.mark.parametrize("base", ["2121", "3231", "22121", "33231", "212121", "11011", "221221"])
 def test_witness_walks_match_reference_successor(base):
     # condition (i) against the candidate-retry successor and the walk rank
     d = validate_renyi(base)
@@ -554,3 +554,19 @@ def test_witness_walks_match_reference_successor(base):
             y = radix_oracle.next_admissible(d, y)
         assert tuple(letters) == v.coding and y == end
     assert v.match_k == radix_oracle.succ_match_length(d, b.z)
+
+
+def test_witness_is_the_shortest_non_prefix_left_special_factor():
+    # on every base of the witness corpus, w0 branches left in the certified
+    # factor set, is not a prefix, and is as long as the first excess of C
+    bases = CorpusSpec.parse("m=2..7,digit<=3,tm=1,nonpower").members()[0]
+    assert len(bases) == 279
+    for d in bases:
+        w0 = verify_witness(d, construct_witness(d)).w0
+        n = len(w0)
+        lib = factor_library(d, n + 1)
+        assert len(lib.extensions(n)[0].get(bytes(w0), ())) >= 2, fmt(d.digits)
+        assert w0 != fixed_point_prefix(d, n), fmt(d.digits)
+        c = lib.sorted_view.complexity
+        excess = [k for k in range(1, n + 1) if c[k + 1] - c[k] > d.m - 1]
+        assert excess[:1] == [n], fmt(d.digits)

@@ -254,22 +254,43 @@ def test_scan_keeps_one_factor_library(capsys):
     assert len(analysis._LIB_CACHE) == 1
 
 
-def run_process(flags, *argv):
-    """The CLI in a fresh interpreter started with ``flags``."""
+def run_python(flags, *args):
+    """A fresh interpreter started with ``flags`` and ``args``."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run(
-        [sys.executable, *flags, "-m", "parryscope.cli", *argv],
+        [sys.executable, *flags, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
 
+def run_process(flags, *argv):
+    """The CLI in a fresh interpreter started with ``flags``."""
+    return run_python(flags, "-m", "parryscope.cli", *argv)
+
+
+# verifies the 2121 witness with x2 replaced by x1; prints the failed
+# condition and exits with the error's CLI exit code
+TAMPERED_WITNESS = """
+import dataclasses, sys
+from parryscope import analysis, numeration
+from parryscope.errors import VerificationFailed
+d = numeration.validate_renyi("2121")
+bundle = analysis.construct_witness(d)
+try:
+    analysis.verify_witness(d, dataclasses.replace(bundle, x2=bundle.x1))
+except VerificationFailed as exc:
+    print(exc.condition)
+    sys.exit(exc.exit_code)
+"""
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_failed_invariant_exits_4_under_any_optimization(flags):
-    # the construction gives 11011 a witness z with a leading zero; the
+    # a tampered witness has equal predecessor gaps at x1 and x2; the
     # invariant check must hold with assertions stripped as well
-    proc = run_process(flags, "witness", "11011")
+    proc = run_python(flags, "-c", TAMPERED_WITNESS)
     assert proc.returncode == 4, proc.stderr
-    assert json.loads(proc.stdout)["error"]["condition"] == "admissible"
+    assert proc.stdout.split() == ["ii"]
 
 
 @pytest.mark.parametrize("argv", [
