@@ -22,7 +22,8 @@ length n are the branching nodes of depth n in the trie of the sorted
 words.  The same count on the sorted reversed factors gives the left special
 factors, provided the longest set is closed under suffixes; equal C(n) in
 both views certifies it, since the n-suffixes are among the n-factors.  A
-request whose texts would exceed ``TEXT_CAP`` letters raises BudgetExceeded
+request whose texts would exceed ``TEXT_CAP`` letters, or whose longest
+factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises BudgetExceeded
 before anything is built.  The structural classifier is the authority on
 affineness; enumeration is the cross-check.
 """
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, NotApplicable, VerificationFailed
+from .errors import BudgetExceeded, LetterRangeError, NotApplicable, VerificationFailed
 from .numeration import (
     TEXT_CAP,
     RenyiExpansion,
@@ -95,7 +96,6 @@ class FactorLibrary:
     max_len: int
     prefix_length: int
     longest: set  # the factors of length max_len (bytes)
-    stabilized = True  # factor sets are certified complete
     _extensions: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -139,6 +139,7 @@ class FactorLibrary:
 
 
 _LIB_CACHE: dict = {}  # one slot: the library of the base used last
+FACTOR_BYTES_CAP = 1 << 28  # bytes of the longest factors one library stores
 
 
 def clear_factor_cache():
@@ -160,15 +161,25 @@ def _two_letter_factors(images) -> list:
     return sorted(found)
 
 
+def _min_stored_bytes(m: int, max_len: int) -> int:
+    """A lower bound on the bytes of the factors of length ``max_len``:
+    every prefix of the fixed point has m left extensions, so
+    C(n) >= (m - 1) n + 1."""
+    return ((m - 1) * max_len + 1) * max_len
+
+
 def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     """All factors of lengths up to ``max_len``: those of length ``max_len``
     from the texts phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least
     max_len - 1 letters long, the shorter ones as their prefixes.  Raises
-    BudgetExceeded if the texts would pass TEXT_CAP.
+    BudgetExceeded if the texts would pass TEXT_CAP or the factors of length
+    ``max_len`` FACTOR_BYTES_CAP: before building when the lower bound on
+    C(max_len) passes it, else as soon as the factors read so far do.
 
     A rebuild for a base already cached reads the texts at the longest
     length they certify, min_a |phi^k(a)| + 1, so that a sweep of growing
-    lengths rebuilds once per k; a cold build reads ``max_len``."""
+    lengths rebuilds once per k, unless the bound at that length passes
+    FACTOR_BYTES_CAP; a cold build reads ``max_len``."""
     cached = _LIB_CACHE.get(d.digits)
     if cached is not None and cached.max_len >= max_len:
         return cached
@@ -189,7 +200,13 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
             break
         lengths = [sum(lengths[c] for c in im) for im in images]
         k += 1
-    if cached is not None:
+    stored = _min_stored_bytes(d.m, max_len)
+    if stored > FACTOR_BYTES_CAP:
+        raise BudgetExceeded(
+            f"factor sets up to length {max_len} need at least {stored} "
+            f"bytes; the cap is {FACTOR_BYTES_CAP}"
+        )
+    if cached is not None and _min_stored_bytes(d.m, min(lengths) + 1) <= FACTOR_BYTES_CAP:
         max_len = min(lengths) + 1
     blocks = [bytes([a]) for a in range(d.m)]
     for _ in range(k):
@@ -197,16 +214,19 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     # a window of phi^k(a) phi^k(b) lies in one block or starts in the last
     # max_len - 1 letters of phi^k(a); every letter occurs in L2 (phi is
     # primitive), and every block is at least max_len - 1 letters long
-    longest = set()
-    for block in blocks:
-        if len(block) >= max_len:
-            longest.update(block[i:i + max_len] for i in range(len(block) - max_len + 1))
     edge = max_len - 1
     heads = [block[:edge] for block in blocks]
     tails = [block[len(block) - edge:] for block in blocks]
-    for a, b in pairs:
-        text = tails[a] + heads[b]
-        longest.update(text[i:i + max_len] for i in range(edge))
+    texts = chain(((block, len(block) - edge) for block in blocks),
+                  ((tails[a] + heads[b], edge) for a, b in pairs))
+    longest = set()
+    for text, windows in texts:
+        longest.update(text[i:i + max_len] for i in range(windows))
+        if len(longest) * max_len > FACTOR_BYTES_CAP:
+            raise BudgetExceeded(
+                f"{len(longest)} factors of length {max_len} pass the cap of "
+                f"{FACTOR_BYTES_CAP} bytes"
+            )
     lib = FactorLibrary(d, max_len, text_len, longest)
     _LIB_CACHE.clear()
     _LIB_CACHE[d.digits] = lib
@@ -226,7 +246,6 @@ class ComplexityProfile:
     values: list  # C(1), ..., C(n_max)
     deltas: list  # C(2)-C(1), ..., C(n_max)-C(n_max-1)
     prefix_length_used: int
-    stabilized = True  # factor sets are certified complete
 
     def c(self, n: int) -> int:
         return self.values[n - 1]
@@ -238,7 +257,6 @@ class ComplexityProfile:
             "complexity": self.values,
             "deltas": self.deltas,
             "prefix_length_used": self.prefix_length_used,
-            "stabilized": self.stabilized,
         }
 
 
@@ -268,7 +286,6 @@ class SpecialFactorReport:
     bispecial: list
     c_n: int
     c_n1: int
-    lext_excess: int
     prefix_length_used: int
 
     @property
@@ -287,7 +304,6 @@ class SpecialFactorReport:
             ],
             "bispecial": [fmt(w) for w in self.bispecial],
             "delta": self.delta,
-            "lext_excess": self.lext_excess,
             "prefix_length_used": self.prefix_length_used,
         }
 
@@ -305,15 +321,12 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     # n-factor: the n-prefixes are checked to be closed under suffixes
     excess = sum(len(lext.get(f, ())) - 1 for f in rext)
     c_n1 = sum(len(e) for e in rext.values())
-    report = SpecialFactorReport(
-        d, n, left, right, bis, len(rext), c_n1, excess, lib.prefix_length
-    )
-    if report.lext_excess != report.delta:
+    if excess != c_n1 - len(rext):
         raise VerificationFailed(
             "balance",
-            f"left-extension balance broken at n={n}: {report.lext_excess} != {report.delta}",
+            f"left-extension balance broken at n={n}: {excess} != {c_n1 - len(rext)}",
         )
-    return report
+    return SpecialFactorReport(d, n, left, right, bis, len(rext), c_n1, lib.prefix_length)
 
 
 def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
@@ -405,19 +418,19 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
 class OracleCheck:
     """Enumeration cross-check of the structural verdict."""
 
-    n_max: int
-    prefix_length_used: int
-    affine: bool  # deltas identically m-1 on the computed range
     agrees: bool
     first_excess_n: int | None
     profile: ComplexityProfile
-    stabilized = True  # factor sets are certified complete
+
+    @property
+    def affine(self) -> bool:
+        """Deltas identically m-1 on the computed range."""
+        return self.first_excess_n is None
 
     def to_json(self):
         return {
-            "n_max": self.n_max,
-            "stabilized": self.stabilized,
-            "prefix_length_used": self.prefix_length_used,
+            "n_max": self.profile.n_max,
+            "prefix_length_used": self.profile.prefix_length_used,
             "affine": self.affine,
             "agrees": self.agrees,
             "first_excess_n": self.first_excess_n,
@@ -460,11 +473,13 @@ def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
 
     With ``oracle_n`` the verdict is cross-checked against enumeration:
     affine on the computed range means the first difference of complexity is
-    identically m - 1.
+    identically m - 1.  A one-letter alphabet raises LetterRangeError.
     """
     m = d.m
-    if m == 1 or d.digits[-1] != 1:
-        ev = (0,) * (d.t1 + d.digits[-1] - 1) if m >= 2 else None
+    if m < 2:
+        raise LetterRangeError("the affineness test needs an alphabet of size >= 2")
+    if d.digits[-1] != 1:
+        ev = (0,) * (d.t1 + d.digits[-1] - 1)
         cls = Classification(d, affine=False, reason="tm_not_one", evidence=ev)
     else:
         prefix = d.digits[:-1]
@@ -475,16 +490,8 @@ def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
             cls = Classification(d, affine=False, reason="fractional_power", p=p)
     if oracle_n is not None:
         prof = complexity_profile(d, oracle_n)
-        excess = [i + 1 for i, dc in enumerate(prof.deltas) if dc != m - 1]
-        oracle_affine = not excess
-        cls.oracle = OracleCheck(
-            n_max=oracle_n,
-            prefix_length_used=prof.prefix_length_used,
-            affine=oracle_affine,
-            agrees=oracle_affine == cls.affine,
-            first_excess_n=excess[0] if excess else None,
-            profile=prof,
-        )
+        excess = next((i + 1 for i, dc in enumerate(prof.deltas) if dc != m - 1), None)
+        cls.oracle = OracleCheck((excess is None) == cls.affine, excess, prof)
     return cls
 
 
@@ -500,7 +507,6 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     prof = cls.oracle.profile if cls.oracle else None
     body["complexity"] = prof.values if prof else None
     body["deltas"] = prof.deltas if prof else None
-    body["stabilized"] = prof.stabilized if prof else None
     if cls.reason == "fractional_power":
         bundle = construct_witness(d)
         body["witness"] = {
@@ -626,10 +632,6 @@ class WitnessBundle:
     x1: Word
     x2: Word
 
-    @property
-    def j(self) -> int:
-        return len(self.p_prime)
-
     def to_json(self):
         return {
             "d": fmt(self.d.digits),
@@ -754,8 +756,7 @@ class WitnessVerification:
     x1_end: Word
     x2_end: Word
     pred_letters: tuple
-    succ_letter_z: int
-    match_k: int
+    succ_letter_z: int  # u[span], the match length of z
 
     def to_json(self):
         return {
@@ -766,7 +767,6 @@ class WitnessVerification:
             "x2_end": fmt(self.x2_end),
             "pred_letters": list(self.pred_letters),
             "succ_letter_z": self.succ_letter_z,
-            "match_k": self.match_k,
             "conditions": {"i": True, "ii": True, "iii": True, "iv": True},
         }
 
@@ -816,5 +816,4 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         x2_end=ends[1],
         pred_letters=(pred1, pred2),
         succ_letter_z=k,
-        match_k=k,
     )

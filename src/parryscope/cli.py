@@ -94,8 +94,8 @@ class CorpusSpec:
                 spec.power = tok
             else:
                 raise UsageError(f"unknown corpus token: {tok!r}")
-        if spec.m_min < 1 or spec.m_max < spec.m_min:
-            raise UsageError("corpus m range is empty")
+        if spec.m_min < 2 or spec.m_max < spec.m_min:
+            raise UsageError("corpus m range must be non-empty, with m at least 2")
         return spec
 
     def members(self):
@@ -126,7 +126,7 @@ class CorpusSpec:
                 except ParryscopeError:
                     skipped += 1
                     continue
-                if self.power != "any" and m >= 2:
+                if self.power != "any":
                     is_pow = satisfies_power_condition(t[:-1])
                     if self.power == "power" and not is_pow:
                         continue
@@ -226,7 +226,7 @@ def cmd_betaint(args):
             "count": count,
             "coding": fmt(numeration.coding_of_segment(d, start, count)),
         })
-    elif args.op == "expand":
+    else:  # expand
         if not args.args:
             raise UsageError("betaint expand needs an integer argument")
         n = int(args.args[0])
@@ -237,8 +237,6 @@ def cmd_betaint(args):
             e = exc.partial
             exact = False
         _emit({"d": fmt(d.digits), "n": n, "expansion": str(e), "exact": exact})
-    else:
-        raise UsageError(f"unknown betaint operation: {args.op}")
     return 0
 
 
@@ -259,15 +257,13 @@ def cmd_specials(args):
             "length_bound": bound,
             "maximal_left_special": [fmt(w) for w in found],
         })
-    elif args.kind == "tridents":
+    else:
         found = analysis.find_tridents(d, bound)
         _emit({
             "d": fmt(d.digits),
             "length_bound": bound,
             "tridents": [t.to_json() for t in found],
         })
-    else:
-        raise UsageError(f"unknown specials kind: {args.kind}")
     return 0
 
 
@@ -281,14 +277,12 @@ def _scan_row(d, oracle_n):
         "slope": cls.slope if cls.affine else "",
         "oracle_affine": "",
         "agrees": "",
-        "stabilized": "",
         "prefix_length": "",
     }
     if cls.oracle is not None:
         row["oracle_affine"] = cls.oracle.affine
         row["agrees"] = cls.oracle.agrees
-        row["stabilized"] = cls.oracle.stabilized
-        row["prefix_length"] = cls.oracle.prefix_length_used
+        row["prefix_length"] = cls.oracle.profile.prefix_length_used
     return row, cls
 
 
@@ -311,7 +305,7 @@ def cmd_scan(args):
         })
     else:
         cols = ["d", "m", "verdict", "reason", "slope", "oracle_affine",
-                "agrees", "stabilized", "prefix_length"]
+                "agrees", "prefix_length"]
         print("\t".join(cols))
         for row in rows:
             print("\t".join(str(row[c]) for c in cols))

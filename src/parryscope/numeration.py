@@ -516,10 +516,6 @@ class BetaExpansion:
         head = fmt(self.integer_digits) if self.integer_digits else "0"
         return f"{head}.{fmt(self.fractional_digits)}"
 
-    @property
-    def is_integer(self) -> bool:
-        return not self.fractional_digits
-
 
 def value_of(d: RenyiExpansion, e) -> ZBetaElement:
     """Value of a beta-integer expansion as an element of Z[beta]."""

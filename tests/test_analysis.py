@@ -45,19 +45,16 @@ W0_2121 = word("0010010200100100")
 
 def test_golden_complexity_is_minimal():
     prof = complexity_profile(GOLDEN, 30)
-    assert prof.stabilized
     assert prof.values == [n + 1 for n in range(1, 31)]
 
 
 def test_arnoux_rauzy_slope_two():
     prof = complexity_profile(validate_renyi("111"), 30)
-    assert prof.stabilized
     assert prof.values == [2 * n + 1 for n in range(1, 31)]
 
 
 def test_2121_exceeds_minimal_slope():
     prof = complexity_profile(D2121, 20)
-    assert prof.stabilized
     assert any(dc > 3 for dc in prof.deltas)
     # the first excess is where the non-prefix left special factor appears
     first = next(n for n, dc in enumerate(prof.deltas, start=1) if dc > 3)
@@ -68,7 +65,6 @@ def test_profile_invariants():
     for base in ("11", "2121", "22", "211"):
         d = validate_renyi(base)
         prof = complexity_profile(d, 25)
-        assert prof.stabilized
         m = d.m
         assert prof.c(1) == m
         assert all(dc >= m - 1 for dc in prof.deltas)
@@ -83,7 +79,6 @@ def test_dominant_first_digit_bounds():
     for base in ("11", "22", "211", "201", "2112"):
         d = validate_renyi(base)
         prof = complexity_profile(d, 30)
-        assert prof.stabilized
         m = d.m
         assert all((m - 1) * n + 1 <= prof.c(n) <= m * n for n in range(1, 31))
 
@@ -195,6 +190,25 @@ def test_oversized_request_fails_before_building():
         special_factors(D2121, 10**6)
 
 
+def test_stored_bytes_cap_is_exact(monkeypatch):
+    # 22 has C(20) = 25 against the lower bound (m-1) 20 + 1 = 21: a cap
+    # below the bound refuses before building, one below the bytes read
+    # refuses while scanning, and the bytes read fit the cap exactly
+    d = validate_renyi("22")
+    for cap, match in ((21 * 20 - 1, "need at least"), (25 * 20 - 1, "25 factors")):
+        clear_factor_cache()
+        monkeypatch.setattr(analysis, "FACTOR_BYTES_CAP", cap)
+        with pytest.raises(BudgetExceeded, match=match):
+            factor_library(d, 20)
+    monkeypatch.setattr(analysis, "FACTOR_BYTES_CAP", 25 * 20)
+    clear_factor_cache()
+    assert len(factor_library(d, 20).longest) == 25
+    # a warm rebuild extends to the certified length 45 only within the cap
+    clear_factor_cache()
+    factor_library(d, 19)
+    assert factor_library(d, 20).max_len == 20
+
+
 def _naive_prefix_counts(words, length):
     """Distinct n-prefixes, and n-prefixes followed by two or more letters."""
     complexity = [len({w[:n] for w in words}) for n in range(length + 1)]
@@ -290,7 +304,7 @@ def test_left_extension_balance():
         d = validate_renyi(base)
         for n in range(1, 26):
             rep = special_factors(d, n)
-            assert rep.lext_excess == rep.delta
+            assert rep.delta == sum(len(e) - 1 for e in rep.left_special.values())
 
 
 def test_prefix_left_extensions_are_full():
@@ -448,7 +462,7 @@ def test_classifier_examples():
 def test_classifier_oracle_agreement():
     for base, n in (("11", 30), ("2121", 20), ("21211", 40), ("111", 30), ("22", 20)):
         cls = classify_affine(validate_renyi(base), oracle_n=n)
-        assert cls.oracle.stabilized and cls.oracle.agrees, base
+        assert cls.oracle.agrees, base
         if not cls.affine:
             assert cls.oracle.first_excess_n is not None
 
@@ -513,7 +527,7 @@ def test_witness_2121_verification():
     v = verify_witness(D2121, b)
     assert v.span == 15
     assert v.pred_letters == (3, 2)
-    assert v.match_k == 2 and v.succ_letter_z == 2
+    assert v.succ_letter_z == 2
     assert v.coding == coding_of_segment(D2121, "", 15)
     assert v.w0 == W0_2121
 
@@ -523,7 +537,6 @@ def test_witness_word_is_left_special_but_not_a_prefix():
     v = verify_witness(D2121, b)
     n = len(v.w0)
     lib = factor_library(D2121, n + 1)
-    assert lib.stabilized
     exts = lib.extensions(n)[0].get(bytes(v.w0))
     assert exts is not None and len(exts) >= 2
     assert v.w0 != fixed_point_prefix(D2121, n)
@@ -553,7 +566,7 @@ def test_witness_walks_match_reference_successor(base):
             letters.append(radix_oracle.succ_match_length(d, y) % d.m)
             y = radix_oracle.next_admissible(d, y)
         assert tuple(letters) == v.coding and y == end
-    assert v.match_k == radix_oracle.succ_match_length(d, b.z)
+    assert v.succ_letter_z == radix_oracle.succ_match_length(d, b.z)
 
 
 def test_witness_is_the_shortest_non_prefix_left_special_factor():

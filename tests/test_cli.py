@@ -54,10 +54,8 @@ def test_classify_with_oracle(capsys):
     assert code == 0
     assert body["verdict"] == {"affine": True, "slope": 4, "intercept": 1}
     assert body["oracle"]["agrees"] is True
-    assert body["oracle"]["stabilized"] is True
     assert body["complexity"] == [4 * n + 1 for n in range(1, 41)]
     assert body["deltas"] == [4] * 39
-    assert body["stabilized"] is True
     assert body["witness"] is None
     assert body["specials"]["left_special_counts"] == [1] * 39
 
@@ -141,7 +139,7 @@ def test_specials_commands(capsys):
     code, body = run_json(capsys, "specials", "11", "left", "-n", "2")
     assert code == 0
     assert body["left_special"] == [{"word": "01", "lext": [0, 1]}]
-    assert body["delta"] == body["lext_excess"] == 1
+    assert body["delta"] == 1
     code, body = run_json(capsys, "specials", "2121", "maximal", "--length-bound", "20")
     assert code == 0
     assert body["maximal_left_special"] == ["0010010200100100"]
@@ -235,17 +233,54 @@ def test_oversized_oracle_range_exits_4_fast(capsys):
     assert code == 4 and body["error"]["type"] == "BudgetExceeded"
 
 
-# requests above a cap (letters of text, candidates of a corpus) fail before any work
+# requests above a cap (letters of text, stored factor bytes, candidates of a
+# corpus) fail before any work; the two factor requests fit the text cap
 @pytest.mark.parametrize("argv", [
     ("betaint", "2121", "coding", "0", "10000000000"),
     ("generate", "2121", "-L", "10000000000"),
+    ("specials", "11", "left", "-n", "100000"),
+    ("classify", "11", "--oracle-n", "121394"),
     ("scan", "--corpus", "m=2..40,digit<=9"),
-], ids=["coding", "generate", "corpus"])
+], ids=["coding", "generate", "specials-bytes", "classify-bytes", "corpus"])
 def test_oversized_text_request_exits_4_fast(capsys, argv):
     start = time.perf_counter()
     code, body = run_json(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 4 and body["error"]["type"] == "BudgetExceeded"
+
+
+def test_integer_base_is_refused(capsys):
+    # the analysis needs two letters: a single-digit base is a validation
+    # failure, and a corpus reaching m = 1 a usage error
+    for argv in (("classify", "2"), ("witness", "2")):
+        code, body = run_json(capsys, *argv)
+        assert code == 2 and body["error"]["type"] == "LetterRangeError"
+    for corpus in ("m=1..2", "m=1..2,digit<=2"):
+        assert main(["scan", "--corpus", corpus, "--oracle-n", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 2" in captured.err
+
+
+def test_report_keys_state_each_fact_once(capsys):
+    # no key is a constant or a copy of another key
+    _, body = run_json(capsys, "classify", "2121", "--oracle-n", "20")
+    assert list(body) == ["d", "m", "verdict", "evidence", "oracle", "complexity",
+                          "deltas", "witness", "specials"]
+    assert list(body["oracle"]) == ["n_max", "prefix_length_used", "affine", "agrees",
+                                    "first_excess_n"]
+    _, body = run_json(capsys, "witness", "2121")
+    assert list(body["verification"]) == ["span", "coding", "w0", "x1_end", "x2_end",
+                                          "pred_letters", "succ_letter_z", "conditions"]
+    _, body = run_json(capsys, "specials", "2121", "left", "-n", "3")
+    assert list(body) == ["d", "n", "left_special", "right_special", "bispecial", "delta",
+                          "prefix_length_used"]
+    columns = ["d", "m", "verdict", "reason", "slope", "oracle_affine", "agrees",
+               "prefix_length"]
+    _, out = run(capsys, "scan", "--corpus", "m=2,digit<=2", "--oracle-n", "15")
+    assert out.splitlines()[0].split("\t") == columns
+    _, body = run_json(capsys, "scan", "--corpus", "m=2,digit<=2", "--oracle-n", "15",
+                       "--format", "json")
+    assert all(list(row) == columns for row in body["rows"])
 
 
 def test_scan_keeps_one_factor_library(capsys):
