@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -73,6 +74,7 @@ class CorpusSpec:
     @classmethod
     def parse(cls, text: str) -> "CorpusSpec":
         spec = cls()
+        seen = {}  # field (m, digit, tm, power) -> the one token that sets it
         for raw in text.split(","):
             tok = raw.strip()
             if not tok:
@@ -94,6 +96,10 @@ class CorpusSpec:
                 spec.power = tok
             else:
                 raise UsageError(f"unknown corpus token: {tok!r}")
+            field = re.match("[a-z]*", tok)[0].removeprefix("non")
+            if field in seen:
+                raise UsageError(f"corpus sets {field} twice: {seen[field]!r} and {tok!r}")
+            seen[field] = tok
         if spec.m_min < 2 or spec.m_max < spec.m_min:
             raise UsageError("corpus m range must be non-empty, with m at least 2")
         return spec
@@ -191,8 +197,16 @@ def _zero_alias(text):
     return () if text in ("", "0") else word(text)
 
 
+# operands of each betaint op: (fewest, most, usage)
+_BETAINT_ARITY = {"succ": (0, 1, "[WORD]"), "pred": (1, 1, "WORD"),
+                  "coding": (2, 2, "START COUNT"), "expand": (1, 1, "N")}
+
+
 def cmd_betaint(args):
     d = _base(args)
+    fewest, most, operands = _BETAINT_ARITY[args.op]
+    if not fewest <= len(args.args) <= most:
+        raise UsageError(f"usage: betaint D {args.op} {operands}")
     if args.op == "succ":
         y = _zero_alias(args.args[0] if args.args else "")
         letter = numeration.succ_gap_letter(d, y)
@@ -205,8 +219,6 @@ def cmd_betaint(args):
             "gap_coords": numeration.t_orbit(d, letter).to_json()["coords"],
         })
     elif args.op == "pred":
-        if not args.args:
-            raise UsageError("betaint pred needs a word argument")
         y = _zero_alias(args.args[0])
         letter = numeration.pred_gap_letter(d, y)
         _emit({
@@ -216,8 +228,6 @@ def cmd_betaint(args):
             "gap_coords": numeration.t_orbit(d, letter).to_json()["coords"],
         })
     elif args.op == "coding":
-        if len(args.args) < 2:
-            raise UsageError("betaint coding needs START and COUNT")
         start = _zero_alias(args.args[0])
         count = int(args.args[1])
         _emit({
@@ -227,8 +237,6 @@ def cmd_betaint(args):
             "coding": fmt(numeration.coding_of_segment(d, start, count)),
         })
     else:  # expand
-        if not args.args:
-            raise UsageError("betaint expand needs an integer argument")
         n = int(args.args[0])
         try:
             e = numeration.greedy_expand_integer(d, n)

@@ -16,13 +16,14 @@ of beta.  That interval is dyadic, [lo/2^e, hi/2^e] with integers lo, hi, e;
 it is shared by every element of the base and only ever halved.  Splitting a
 polynomial into its positive and negative parts, both increasing for x > 0,
 bounds it by integer Horner evaluations at the two end points, so no division
-is made.  While the enclosure straddles 0 the interval is halved, up to a
-fixed precision; only then does a gcd with the base polynomial (which need
-not be irreducible) decide whether the value is exactly 0, and a nonzero
-value is bisected on until its sign shows.  One routine does all three
-steps, and the zero test asks it for sign 0.  Refinement terminates because
-the enclosure of a polynomial converges to its nonzero value as the interval
-shrinks onto beta.
+is made.  One loop decides every sign, and the zero test asks it for sign 0:
+while the enclosure straddles 0 the interval is halved.  The base polynomial
+P need not be irreducible, so nonzero coordinates may still be 0 at beta;
+once the interval is a fixed number of bits finer than the value's largest
+coordinate, the loop also encloses the cofactor P / gcd(value, P), which
+leaves 0 exactly when the value is 0.  So the gcd runs only for values that
+may be zero.  Refinement terminates because an enclosure converges to the
+value at beta as the interval shrinks onto it.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -81,10 +82,6 @@ def _ptrim(p):
     return p
 
 
-def _pdeg(p):
-    return len(p) - 1
-
-
 def _pdivmod(a, b):
     """Quotient and remainder over the rationals."""
     a = [Fraction(c) for c in a]
@@ -118,11 +115,9 @@ def _make_primitive(p):
 
 def _pgcd(a, b):
     """Primitive integer gcd of two integer polynomials (Euclid over Q)."""
-    a = [Fraction(c) for c in _ptrim(a)]
-    b = [Fraction(c) for c in _ptrim(b)]
+    a, b = _ptrim(a), _ptrim(b)
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
+        a, b = b, _pdivmod(a, b)[1]
     return _make_primitive(a)
 
 
@@ -374,55 +369,47 @@ def beta(d: RenyiExpansion) -> ZBetaElement:
     return _trusted(d, tuple(_times_beta(d, one(d).coords)))
 
 
-# bits of beta (the exponent e of the isolating interval) resolved before a
-# zero test falls back to the gcd: past it, a straddling enclosure almost
-# always means an exact zero
+# bits of beta (the exponent e of the isolating interval) beyond the largest
+# coordinate of a value before a straddling enclosure of it brings in the gcd:
+# past that depth, a straddling enclosure almost always means an exact zero
 _REFINE_BITS = 64
 
 
 def _sign(d: RenyiExpansion, v) -> int:
     """Exact sign (-1, 0, +1) of v(beta) for the coordinates v of an element.
 
-    The enclosure certifies a nonzero sign but never decides zero.  While it
-    straddles 0 the interval is halved, up to _REFINE_BITS; that decides
-    every value not within about 2^-_REFINE_BITS of 0.  The base polynomial
-    may be reducible, so nonzero coordinates can still evaluate to zero at
-    beta.  v(beta) == 0 iff gcd(v, base polynomial) has beta among its
-    roots; writing the base polynomial as g*h, exactly one of g, h vanishes
-    at beta (the positive root is simple), so refining the isolating
-    interval until one of them is bounded away from zero decides.  A
-    nonzero value is then bisected until its enclosure leaves 0.
+    One loop: enclose v on the isolating interval and return a nonzero sign;
+    otherwise halve the interval and go round again.  The enclosure never
+    decides zero.  Once the interval is _REFINE_BITS bits finer than the
+    largest coordinate of v (the cheap depth test goes first), the cofactor
+    h = P / gcd(v, P) of the base polynomial P is computed once and enclosed
+    on that turn and every later one.  P may be reducible, so v(beta) == 0
+    iff beta is a root of gcd(v, P); beta is a simple root of P, so that
+    holds iff h(beta) != 0, which the enclosure of h eventually shows.  A
+    constant gcd leaves h = P, which never leaves 0, and v shows its sign
+    instead.
     """
     v = _ptrim(v)
     if not v:
         return 0
     if len(v) == 1:
         return 1 if v[0] > 0 else -1
+    h = None
     while True:
         iv = d._iv[0]
         s = _enclosure_sign(v, *iv)
         if s:
             return s
-        if iv[2] >= _REFINE_BITS:
-            break
+        if h is None and iv[2] >= _REFINE_BITS and (
+                iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
+            P = list(parry_polynomial(d))
+            h, rem = _pdivmod(P, _pgcd(v, P))
+            if rem:
+                raise VerificationFailed("beta", "gcd must divide the base polynomial")
+            h = _make_primitive(h)
+        if h and _enclosure_sign(h, *iv):
+            return 0
         _bisect(d)
-    P = list(parry_polynomial(d))
-    g = _pgcd(v, P)
-    if _pdeg(g) > 0:
-        h, rem = _pdivmod(P, g)
-        if rem:
-            raise VerificationFailed("beta", "gcd must divide the base polynomial")
-        h = _make_primitive(h)
-        while True:
-            iv = d._iv[0]
-            if _enclosure_sign(g, *iv):
-                break
-            if _enclosure_sign(h, *iv):
-                return 0
-            _bisect(d)
-    while not s:
-        s = _enclosure_sign(v, *_bisect(d))
-    return s
 
 
 def _value_is_zero(a: ZBetaElement) -> bool:

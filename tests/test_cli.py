@@ -113,6 +113,15 @@ def test_betaint_commands(capsys):
     assert code == 0 and body["expansion"] == "10.01" and body["exact"] is True
 
 
+@pytest.mark.parametrize("argv", [("succ", "1", "2", "3"), ("pred",), ("pred", "10", "5"),
+                                  ("coding",), ("coding", "0"), ("coding", "0", "20", "7"),
+                                  ("expand",), ("expand", "5", "6")])
+def test_betaint_operand_count_is_checked(capsys, argv):
+    assert main(["betaint", "11", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"betaint D {argv[0]}" in captured.err
+
+
 def test_betaint_expand_budget_flag(capsys):
     code, body = run_json(capsys, "betaint", "2121", "expand", "29")
     assert code == 0
@@ -166,6 +175,15 @@ def test_corpus_spec_parsing():
     assert (spec.m_min, spec.m_max, spec.power) == (3, 3, "nonpower")
     with pytest.raises(UsageError):
         CorpusSpec.parse("bogus=1")
+
+
+@pytest.mark.parametrize("text", ["tm=1,tm>=2", "power,nonpower", "m=2..2,m=3..3",
+                                  "digit<=2,digit<=3"])
+def test_corpus_sets_each_field_once(capsys, text):
+    with pytest.raises(UsageError):
+        CorpusSpec.parse(text)
+    assert main(["scan", "--corpus", text]) == 1
+    assert "twice" in capsys.readouterr().err
 
 
 def test_corpus_members_are_valid_and_filtered():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import radix_oracle
 import zbeta_oracle
+from parryscope import numeration
 from parryscope.cli import CorpusSpec
 from parryscope.errors import (
     DigitRangeError,
@@ -27,7 +29,6 @@ from parryscope.numeration import (
     BetaExpansion,
     RenyiExpansion,
     ZBetaElement,
-    _pdivmod,
     _segment,
     beta,
     beta_integers,
@@ -597,34 +598,78 @@ def test_isolating_interval_brackets_beta(calls):
 
 def _polynomial_coords(d, s):
     """Coordinates of s_1 x^(k-1) + ... + s_k modulo the base polynomial,
-    divided over the rationals; the base polynomial is monic, so the
-    remainder is integral."""
-    _, r = _pdivmod(list(reversed(s)), parry_polynomial(d))
+    divided over the rationals by the reference engine; the base polynomial
+    is monic, so the remainder is integral."""
+    _, r = zbeta_oracle.divmod_poly(list(reversed(s)), parry_polynomial(d))
     assert all(c.denominator == 1 for c in r)
     return tuple(int(c) for c in r) + (0,) * (d.m - len(r))
+
+
+def _check_expansion(d, n):
+    """Check the greedy expansion of n against the polynomial oracle and the
+    reference sign engine."""
+    try:
+        e, exact = greedy_expand_integer(d, n), True
+    except FractionalBudgetExceeded as exc:
+        e, exact = exc.partial, False
+    ints, digits = e.integer_digits, e.integer_digits + e.fractional_digits
+    assert radix_oracle.is_admissible(d, ints), (n, ints)
+    for s in (ints, digits):
+        assert value_of(d, s).coords == _polynomial_coords(d, s), (n, s)
+    # n minus the integer part lies in [0, 1)
+    r = [-c for c in _polynomial_coords(d, ints)]
+    r[0] += n
+    assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) >= 0, n
+    r[0] -= 1
+    assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) < 0, n
+    # n beta^f minus all f + |ints| digits is 0 exactly when the expansion is
+    # exact, and lies in (0, 1) otherwise
+    f = len(e.fractional_digits)
+    r = [-c for c in _polynomial_coords(d, digits)]
+    scaled = _polynomial_coords(d, (n,) + (0,) * f)
+    tail = ZBetaElement(d, [a + b for a, b in zip(r, scaled)])
+    assert zbeta_oracle.zb_sign(tail) == (0 if exact else 1), n
+    assert zbeta_oracle.zb_sign(tail - 1) < 0, n
 
 
 @pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
 def test_greedy_expansion_matches_polynomial_oracle(d):
     for n in range(61):
-        try:
-            e, exact = greedy_expand_integer(d, n), True
-        except FractionalBudgetExceeded as exc:
-            e, exact = exc.partial, False
-        ints, digits = e.integer_digits, e.integer_digits + e.fractional_digits
-        assert radix_oracle.is_admissible(d, ints), (n, ints)
-        for s in (ints, digits):
-            assert value_of(d, s).coords == _polynomial_coords(d, s), (n, s)
-        # n minus the integer part lies in [0, 1)
-        r = [-c for c in _polynomial_coords(d, ints)]
-        r[0] += n
-        assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) >= 0, n
-        r[0] -= 1
-        assert zbeta_oracle.zb_sign(ZBetaElement(d, r)) < 0, n
-        # n beta^f minus all f + |ints| digits is 0 exactly when the
-        # expansion is exact, and positive otherwise
-        f = len(e.fractional_digits)
-        r = [-c for c in _polynomial_coords(d, digits)]
-        scaled = _polynomial_coords(d, (n,) + (0,) * f)
-        tail = ZBetaElement(d, [a + b for a, b in zip(r, scaled)])
-        assert zbeta_oracle.zb_sign(tail) == (0 if exact else 1), n
+        _check_expansion(d, n)
+
+
+# --- one refinement loop: the gcd only for values that may be zero ------------------
+
+
+def test_gcd_runs_only_for_values_that_may_be_zero(monkeypatch):
+    calls = []
+    real = numeration._pgcd
+    monkeypatch.setattr(numeration, "_pgcd", lambda a, b: calls.append(a) or real(a, b))
+    d = validate_renyi("21111111")
+    with pytest.raises(FractionalBudgetExceeded):
+        greedy_expand_integer(d, 10**100)
+    assert calls == []
+    # a zero with nonzero coordinates is certified by the gcd, once
+    d = validate_renyi("3202")
+    z = next(_vanishing_cofactors(d))
+    assert zb_sign(z) == 0 and len(calls) == 1
+
+
+def test_huge_expansion_is_fast_and_exact():
+    d = validate_renyi("21111111")
+    start = time.perf_counter()
+    with pytest.raises(FractionalBudgetExceeded):
+        greedy_expand_integer(d, 10**200)
+    assert time.perf_counter() - start < 2
+    _check_expansion(d, 10**200)
+
+
+@pytest.mark.parametrize("digits", ["330211001121", "33320222332031210203"])
+def test_exact_zeros_on_long_reducible_bases(digits):
+    # P(-1) = 0, so P / (x + 1) vanishes at beta with nonzero coordinates
+    d = validate_renyi(digits)
+    zeros = list(_vanishing_cofactors(d))
+    assert zeros
+    for z in zeros:
+        assert _agrees_with_reference(z) == 0
+        assert _agrees_with_reference(z + 1) == 1

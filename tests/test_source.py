@@ -1,11 +1,13 @@
 """Source guards: the package imports only the standard library, and holds
-no assert statement, whose check python -O would strip."""
+no assert statement, whose check python -O would strip; the test oracles
+import no private name of the package they check."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parryscope"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "parryscope"
 
 
 def test_package_is_stdlib_only_and_assert_free():
@@ -23,3 +25,22 @@ def test_package_is_stdlib_only_and_assert_free():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_oracles_import_no_private_name_of_the_package():
+    # an oracle that borrows the engine's helpers would share its bugs
+    oracles = sorted(TESTS.glob("*oracle*.py"))
+    assert oracles
+    for path in oracles:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] == "parryscope":
+                    assert not any(part.startswith("_") for part in parts), (path.name, name)

@@ -4,15 +4,45 @@ This is the direct definition over the rationals: the isolating interval of
 beta has Fraction end points, a polynomial is enclosed by interval Horner
 evaluation, and whenever the enclosure straddles 0 the polynomial gcd with
 the base polynomial decides whether the value is exactly 0.  It keeps its own
-interval per base, so it shares no state with the engine under test.
+interval per base and its own rational division and gcd, so it shares no
+state and no polynomial code with the engine under test.
 """
 
 from fractions import Fraction
 
 from parryscope.errors import VerificationFailed
-from parryscope.numeration import _pdeg, _pdivmod, _pgcd, _ptrim, parry_polynomial
+from parryscope.numeration import parry_polynomial
 
 _IV = {}  # digits of the base -> isolating interval (lo, hi) of beta
+
+
+def _trim(p):
+    """Coefficients (constant first) without trailing zeros, as Fractions."""
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        del p[-1]
+    return p
+
+
+def divmod_poly(a, b):
+    """Quotient and remainder of a by b != 0 over the rationals, by long
+    division from the leading term down."""
+    r, b = _trim(a), _trim(b)
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[shift] = c
+        r = _trim([x - c * b[i - shift] if i >= shift else x for i, x in enumerate(r)])
+    return _trim(q), r
+
+
+def _gcd(a, b):
+    """Monic gcd of two polynomials over the rationals (Euclid)."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def _peval(p, x):
@@ -50,7 +80,7 @@ def _bisect(d):
 def _value_is_zero(a):
     """a(beta) == 0: gcd with the base polynomial, then refine until exactly
     one of the two cofactors is bounded away from 0."""
-    v = _ptrim(a.coords)
+    v = _trim(a.coords)
     if not v:
         return True
     if len(v) == 1:
@@ -61,10 +91,10 @@ def _value_is_zero(a):
     if vlo > 0 or vhi < 0:
         return False
     P = list(parry_polynomial(d))
-    g = _pgcd(v, P)
-    if _pdeg(g) == 0:
+    g = _gcd(v, P)
+    if len(g) == 1:
         return False
-    h, rem = _pdivmod(P, g)
+    h, rem = divmod_poly(P, g)
     if rem:
         raise VerificationFailed("beta", "gcd must divide the base polynomial")
     while True:
@@ -79,7 +109,7 @@ def _value_is_zero(a):
 
 def zb_sign(a):
     """Sign (-1, 0, +1) of a(beta): interval test, zero test, then bisection."""
-    v = _ptrim(a.coords)
+    v = _trim(a.coords)
     if not v:
         return 0
     if len(v) == 1:
