@@ -60,6 +60,14 @@ def _base(args):
 
 CORPUS_CAP = 1 << 20  # candidate digit words in one corpus
 
+# one alternative per field; the outer group of the matched one names it
+_CORPUS_TOKEN = re.compile(
+    r"(?P<m>m=(?P<m_min>[0-9]+)(?:\.\.(?P<m_max>[0-9]+))?)"
+    r"|(?P<digit>digit<=(?P<bound>[0-9]+))"
+    r"|(?P<tm>tm(?P<tm_rule>=1|>=2))"
+    r"|(?P<power>(?:non)?power)"
+)
+
 
 @dataclass
 class CorpusSpec:
@@ -79,27 +87,22 @@ class CorpusSpec:
             tok = raw.strip()
             if not tok:
                 continue
-            if tok.startswith("m="):
-                rng = tok[2:]
-                if ".." in rng:
-                    a, b = rng.split("..")
-                    spec.m_min, spec.m_max = int(a), int(b)
-                else:
-                    spec.m_min = spec.m_max = int(rng)
-            elif tok.startswith("digit<="):
-                spec.digit_bound = int(tok[len("digit<="):])
-            elif tok == "tm=1":
-                spec.tm = "=1"
-            elif tok == "tm>=2":
-                spec.tm = ">=2"
-            elif tok in ("power", "nonpower"):
-                spec.power = tok
-            else:
+            match = _CORPUS_TOKEN.fullmatch(tok)
+            if match is None:
                 raise UsageError(f"unknown corpus token: {tok!r}")
-            field = re.match("[a-z]*", tok)[0].removeprefix("non")
+            field = match.lastgroup
             if field in seen:
                 raise UsageError(f"corpus sets {field} twice: {seen[field]!r} and {tok!r}")
             seen[field] = tok
+            if field == "m":
+                spec.m_min = int(match["m_min"])
+                spec.m_max = int(match["m_max"] or match["m_min"])
+            elif field == "digit":
+                spec.digit_bound = int(match["bound"])
+            elif field == "tm":
+                spec.tm = match["tm_rule"]
+            else:
+                spec.power = tok
         if spec.m_min < 2 or spec.m_max < spec.m_min:
             raise UsageError("corpus m range must be non-empty, with m at least 2")
         return spec
@@ -108,36 +111,31 @@ class CorpusSpec:
         """All valid expansions in the family, plus the count of rejected
         candidates, in deterministic enumeration order.  Raises
         BudgetExceeded, before enumerating, for more than CORPUS_CAP
-        candidates (each m counted as at least one)."""
+        candidates, counting all (K+1)^m digit words of each length m."""
+        k = self.digit_bound
         candidates = 0
         for m in range(self.m_min, self.m_max + 1):
-            candidates += max(self.digit_bound + 1, 1) ** m
+            candidates += (k + 1) ** m
             if candidates > CORPUS_CAP:
                 raise BudgetExceeded(
-                    f"corpus m={self.m_min}..{self.m_max}, digit<={self.digit_bound} "
+                    f"corpus m={self.m_min}..{self.m_max}, digit<={k} "
                     f"has more than {CORPUS_CAP} candidate digit words"
                 )
+        # t_1 and t_m are at least 1; the tm filter narrows t_m
+        last = {"any": range(1, k + 1), "=1": range(1, min(k, 1) + 1),
+                ">=2": range(2, k + 1)}[self.tm]
         out = []
         skipped = 0
         for m in range(self.m_min, self.m_max + 1):
-            for t in product(range(self.digit_bound + 1), repeat=m):
-                if t[0] < 1 or t[-1] < 1:
-                    continue
-                if self.tm == "=1" and t[-1] != 1:
-                    continue
-                if self.tm == ">=2" and t[-1] < 2:
-                    continue
+            for t in product(range(1, k + 1), *[range(k + 1)] * (m - 2), last):
                 try:
                     d = numeration.validate_renyi(t)
                 except ParryscopeError:
                     skipped += 1
                     continue
-                if self.power != "any":
-                    is_pow = satisfies_power_condition(t[:-1])
-                    if self.power == "power" and not is_pow:
-                        continue
-                    if self.power == "nonpower" and is_pow:
-                        continue
+                if self.power != "any" and (
+                        satisfies_power_condition(t[:-1]) != (self.power == "power")):
+                    continue
                 out.append(d)
         return out, skipped
 

@@ -22,8 +22,10 @@ P need not be irreducible, so nonzero coordinates may still be 0 at beta;
 once the interval is a fixed number of bits finer than the value's largest
 coordinate, the loop also encloses the cofactor P / gcd(value, P), which
 leaves 0 exactly when the value is 0.  So the gcd runs only for values that
-may be zero.  Refinement terminates because an enclosure converges to the
-value at beta as the interval shrinks onto it.
+may be zero.  It is a primitive remainder sequence over the integers, and
+the monic P divides by it exactly, so no rational number arises.
+Refinement terminates because an enclosure converges to the value at beta
+as the interval shrinks onto it.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -52,9 +54,9 @@ digits it changes.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
@@ -72,7 +74,7 @@ from .errors import (
 from .words import Word, fmt, word
 
 # ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (coefficients low degree first)
+# integer polynomial helpers (coefficients low degree first)
 
 
 def _ptrim(p):
@@ -82,43 +84,41 @@ def _ptrim(p):
     return p
 
 
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    p = _ptrim(p)
+    g = math.gcd(*p)
+    if p and p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
 def _pdivmod(a, b):
-    """Quotient and remainder over the rationals."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    """Pseudo-division over the integers: q, r with c^k a = q b + r and
+    deg r < deg b, where c is the leading coefficient of b and k the number
+    of reduction steps; an exact division when b is monic."""
+    r = _ptrim(a)
+    q = [0] * max(len(r) - len(b) + 1, 0)
     lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] / lead
-        q[k] = coef
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        top = r[-1]
+        r = [c * lead for c in r]
+        q = [c * lead for c in q]
+        q[shift] = top
         for i, c in enumerate(b):
-            a[k + i] -= coef * c
-    return _ptrim(q), _ptrim(a)
-
-
-def _make_primitive(p):
-    """Clear denominators and divide by the content; positive leading coefficient."""
-    from math import gcd
-
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+            r[shift + i] -= top * c
+        r = _ptrim(r)
+    return q, r
 
 
 def _pgcd(a, b):
-    """Primitive integer gcd of two integer polynomials (Euclid over Q)."""
-    a, b = _ptrim(a), _ptrim(b)
+    """Primitive gcd of two integer polynomials: the primitive remainder
+    sequence, content removed after each pseudo-remainder."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _make_primitive(a)
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return a
 
 
 def _enclosure_sign(p, lo, hi, e) -> int:
@@ -402,11 +402,12 @@ def _sign(d: RenyiExpansion, v) -> int:
             return s
         if h is None and iv[2] >= _REFINE_BITS and (
                 iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
-            P = list(parry_polynomial(d))
+            # a primitive divisor of the monic P is monic (Gauss's lemma),
+            # so h is an exact integer quotient
+            P = parry_polynomial(d)
             h, rem = _pdivmod(P, _pgcd(v, P))
             if rem:
                 raise VerificationFailed("beta", "gcd must divide the base polynomial")
-            h = _make_primitive(h)
         if h and _enclosure_sign(h, *iv):
             return 0
         _bisect(d)

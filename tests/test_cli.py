@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON round-trips, corpus scans."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 
 from parryscope import analysis
 from parryscope.cli import CorpusSpec, _build_parser, main
-from parryscope.errors import UsageError
+from parryscope.errors import ParryscopeError, UsageError
+from parryscope.numeration import validate_renyi
+from parryscope.words import satisfies_power_condition
 
 
 def run(capsys, *argv):
@@ -186,6 +189,49 @@ def test_corpus_sets_each_field_once(capsys, text):
     assert "twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tok", ["m=2..3..4", "m=..3", "m=2..", "digit<=x", "digit<=-1",
+                                 "digit<=+1", "digit<= 2", "digit<=1_0", "m=2_000", "m=\u0663"])
+def test_malformed_corpus_token_is_named_in_a_usage_error(capsys, tok):
+    # bounds are non-negative ASCII decimals; anything else is an unknown
+    # token (m=2 keeps a wrongly accepted digit bound to a small scan)
+    corpus = tok if tok.startswith("m=") else f"m=2,{tok}"
+    assert main(["scan", "--corpus", corpus]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown corpus token: {tok!r}" in captured.err
+
+
+def _filtered_product(text):
+    """Members and skipped count of a corpus by the definition: every digit
+    word of each length, filtered."""
+    spec = CorpusSpec.parse(text)
+    out, skipped = [], 0
+    for m in range(spec.m_min, spec.m_max + 1):
+        for t in itertools.product(range(spec.digit_bound + 1), repeat=m):
+            if t[0] < 1 or t[-1] < 1 or (spec.tm == "=1" and t[-1] != 1) or (
+                    spec.tm == ">=2" and t[-1] < 2):
+                continue
+            try:
+                validate_renyi(t)
+            except ParryscopeError:
+                skipped += 1
+                continue
+            if spec.power == "any" or satisfies_power_condition(t[:-1]) == (
+                    spec.power == "power"):
+                out.append(t)
+    return out, skipped
+
+
+@pytest.mark.parametrize("text", [
+    "m=2..5,digit<=3", "m=2..4,digit<=4,tm=1,nonpower", "m=2..5,digit<=3,tm>=2,power",
+    "m=2..6,digit<=2,power", "m=2,digit<=0", "m=3,digit<=1,tm>=2", "m=2..3,digit<=9",
+    "m=2..4,digit<=1,tm=1",
+])
+def test_corpus_members_are_the_filtered_product_in_order(text):
+    members, skipped = CorpusSpec.parse(text).members()
+    assert ([d.digits for d in members], skipped) == _filtered_product(text)
+
+
 def test_corpus_members_are_valid_and_filtered():
     members, skipped = CorpusSpec.parse("m=2..3,digit<=2,tm=1").members()
     assert members and skipped >= 0
@@ -277,6 +323,34 @@ def test_integer_base_is_refused(capsys):
         assert main(["scan", "--corpus", corpus, "--oracle-n", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "at least 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [("generate", "-L", "10"), ("classify", "--oracle-n", "5"),
+                                  ("specials", "left", "-n", "2")])
+def test_alphabet_above_255_letters_is_refused_fast(capsys, argv):
+    # 2 1^255 is a valid base whose substitution would need 256 letters
+    start = time.perf_counter()
+    code, body = run_json(capsys, argv[0], "2" + "1" * 255, *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and body["error"]["type"] == "LetterRangeError"
+
+
+def test_scan_disagreement_exits_4(capsys, monkeypatch):
+    # an oracle that disagrees on one base fails the scan and marks its row
+    real = analysis.classify_affine
+
+    def disagree_on_21(d, **kwargs):
+        cls = real(d, **kwargs)
+        if d.digits == (2, 1):
+            cls.oracle.agrees = False
+        return cls
+
+    monkeypatch.setattr(analysis, "classify_affine", disagree_on_21)
+    code, body = run_json(capsys, "scan", "--corpus", "m=2,digit<=2", "--oracle-n", "10",
+                          "--format", "json")
+    assert code == 4 and body["agreement"] is False
+    assert [(r["d"], r["agrees"]) for r in body["rows"]] == [
+        ("11", True), ("21", False), ("22", True)]
 
 
 def test_report_keys_state_each_fact_once(capsys):

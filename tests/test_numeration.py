@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -576,6 +577,31 @@ def test_sign_matches_reference_on_tiny_values(d, n, data):
         tiny = tiny * inverse
     _agrees_with_reference(tiny * _element(data, d))
     assert _agrees_with_reference(tiny - tiny * inverse) == 1
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from(SIGN_BASES), st.data(), st.integers(-50, 50))
+def test_mixed_int_arithmetic_matches_reference(d, data, k):
+    # negation and the reflected operators with an int, coordinate by
+    # coordinate and in sign; any other operand is refused
+    a = _element(data, d)
+    kk = (k,) + (0,) * (d.m - 1)
+    assert (-a).coords == tuple(-c for c in a.coords)
+    assert (k - a).coords == tuple(x - y for x, y in zip(kk, a.coords))
+    assert (a - k).coords == tuple(y - x for x, y in zip(kk, a.coords))
+    assert (k + a).coords == tuple(x + y for x, y in zip(kk, a.coords))
+    assert (k * a).coords == tuple(k * c for c in a.coords)
+    s = _agrees_with_reference(a)
+    assert _agrees_with_reference(-a) == -s
+    assert _agrees_with_reference(k - a) == -_agrees_with_reference(a - k)
+    assert _agrees_with_reference(k * a) == ((k > 0) - (k < 0)) * s
+    for x, y in ((a, 1.5), (1.5, a)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, y)
+    w = _admissible_word(data, d)
+    assert value_of(d, BetaExpansion(w)).coords == value_of(d, w).coords == (
+        _polynomial_coords(d, w))
 
 
 @SIGN_SETTINGS
