@@ -13,7 +13,8 @@ of each boundary once per pair.  Only the set of the longest length is
 built: u is right-infinite, so every factor is a prefix of a longer one.
 The inventories that print extension letters read one extension map per
 length n off the (n+1)-factors: the keys of the map one length up when it
-is built, else prefixes of the longest factors.
+is built, else prefixes of the longest factors.  A map is kept only when its
+n-suffixes are its n-prefixes, which certifies sum(#Lext - 1) = C(n+1) - C(n).
 
 C(n) and the special-factor counts of every length come from one sort of
 the longest factors: C(n) is one more than the number of neighbours whose
@@ -119,11 +120,14 @@ class FactorLibrary:
 
     def extensions(self, n: int) -> tuple:
         """(lext, rext): the left and right extension letters of the
-        n-factors (the keys of rext), n < max_len.  Read off the keys of the
-        right map at n + 1 when it is built, else off the (n+1)-prefixes of
-        ``longest``."""
+        n-factors, 0 <= n < max_len, read off the keys of the right map at
+        n + 1 when it is built, else off the (n+1)-prefixes of ``longest``.
+        Its key sets, the n-suffixes and n-prefixes of the (n+1)-factors, must
+        agree, which certifies sum(#Lext - 1) = C(n+1) - C(n)."""
         maps = self._extensions.get(n)
         if maps is None:
+            if not 0 <= n < self.max_len:
+                raise ValueError(f"extension maps need 0 <= n < {self.max_len}, not {n}")
             if n + 1 in self._extensions:
                 words = self._extensions[n + 1][1]
             elif n + 1 == self.max_len:
@@ -134,6 +138,9 @@ class FactorLibrary:
             for f in words:
                 lext.setdefault(f[1:], set()).add(f[0])
                 rext.setdefault(f[:-1], set()).add(f[-1])
+            if lext.keys() != rext.keys():
+                raise VerificationFailed("balance", f"the {n}-suffixes of the factors of "
+                                         f"length {n + 1} are not their {n}-prefixes")
             maps = self._extensions[n] = (lext, rext)
         return maps
 
@@ -276,8 +283,8 @@ def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
 
 @dataclass
 class SpecialFactorReport:
-    """Left/right special factors of one length, with the balance identity
-    sum(#Lext - 1) == C(n+1) - C(n) checked exactly."""
+    """Left/right special factors of one length, read off an extension map
+    certified to satisfy sum(#Lext - 1) == C(n+1) - C(n)."""
 
     d: RenyiExpansion
     n: int
@@ -317,15 +324,7 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     left = {tuple(w): tuple(sorted(e)) for w, e in lext.items() if len(e) >= 2}
     right = {tuple(w): tuple(sorted(e)) for w, e in rext.items() if len(e) >= 2}
     bis = sorted(set(left) & set(right))
-    # equals C(n+1) - C(n) exactly when every suffix of an (n+1)-factor is an
-    # n-factor: the n-prefixes are checked to be closed under suffixes
-    excess = sum(len(lext.get(f, ())) - 1 for f in rext)
     c_n1 = sum(len(e) for e in rext.values())
-    if excess != c_n1 - len(rext):
-        raise VerificationFailed(
-            "balance",
-            f"left-extension balance broken at n={n}: {excess} != {c_n1 - len(rext)}",
-        )
     return SpecialFactorReport(d, n, left, right, bis, len(rext), c_n1, lib.prefix_length)
 
 
@@ -333,7 +332,9 @@ def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     """All maximal left special factors of length <= bound.
 
     A left special factor is maximal when no one-letter right extension is
-    left special again; every one found is verified bispecial.
+    left special again.  It is right special: were a the only right letter
+    of w, then for each left letter b of w the factor bw would extend right
+    by a alone, so b would be a left letter of wa, and wa left special.
     """
     if bound < 1:
         raise ValueError("length bound must be at least 1")
@@ -344,15 +345,8 @@ def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     for n in range(bound, 0, -1):
         lext, rext = lib.extensions(n)
         for w, e in lext.items():
-            if len(e) < 2:
-                continue
-            if any(len(next_lext.get(w + bytes([a]), ())) >= 2 for a in range(d.m)):
-                continue
-            if len(rext.get(w, ())) < 2:
-                raise VerificationFailed(
-                    "bispecial", f"maximal left special factor {fmt(w)} is not right special"
-                )
-            out.append(tuple(w))
+            if len(e) >= 2 and all(len(next_lext[w + bytes([a])]) < 2 for a in rext[w]):
+                out.append(tuple(w))
         next_lext = lext
     return sorted(out, key=lambda w: (len(w), w))
 
@@ -390,11 +384,8 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
                 continue
             rooted = []
             plain = []
-            for a in range(d.m):
-                wa = w + bytes([a])
-                ext = lext_next.get(wa)
-                if ext is None:
-                    continue
+            for a in sorted(right):
+                ext = lext_next[w + bytes([a])]
                 if len(ext) >= 2:
                     rooted.append(a)
                 else:

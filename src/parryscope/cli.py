@@ -3,7 +3,8 @@
 Exit codes are stable contracts: 0 success, 1 usage or parse error,
 2 validation failure, 3 construction not applicable, 4 internal
 verification failure (including oracle disagreement in a scan), a
-factor request above the text cap or a corpus above the candidate cap.
+factor request above the text cap or a corpus above the candidate cap,
+141 when the reader closes the output pipe early.
 Each error class carries its code.
 Single-object commands emit JSON; corpus scans emit TSV by default.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -371,7 +373,13 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: end as a writer killed by SIGPIPE
+        # on devnull, the interpreter's last flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

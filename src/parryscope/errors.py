@@ -103,9 +103,8 @@ class VerificationFailed(ParryscopeError):
     * ``"admissible"``: a witness component z, x1 or x2, its leading zeros
       dropped, is not admissible, or a walk reached an inadmissible
       successor;
-    * ``"balance"``: the left extensions of the length-n factors do not
-      account for C(n+1) - C(n);
-    * ``"bispecial"``: a maximal left special factor is not right special;
+    * ``"balance"``: the n-suffixes of the (n+1)-factors are not their
+      n-prefixes, so C(n+1) - C(n) is not certified;
     * ``"beta"``: the exact arithmetic of the base found a rational root or
       a gcd that does not divide the base polynomial.
     """

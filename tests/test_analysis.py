@@ -277,6 +277,37 @@ def test_reversed_view_certifies_suffix_closure():
     assert lib.reversed_view.complexity == lib.sorted_view.complexity
 
 
+def test_every_consumer_refuses_a_library_not_closed_under_suffixes(monkeypatch):
+    # the tampered library of test_reversed_view_certifies_suffix_closure
+    clear_factor_cache()
+    lib = factor_library(D2121, 12)
+    lext, rext = lib.extensions(11)
+    w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
+    tampered = FactorLibrary(D2121, 12, lib.prefix_length, lib.longest - {w})
+    consumers = [lambda n=n: tampered.extensions(n) for n in (5, 10, 11)]
+    consumers += [lambda: special_factors(D2121, 11),
+                  lambda: maximal_left_special(D2121, 10),
+                  lambda: find_tridents(D2121, 9)]
+    monkeypatch.setitem(analysis._LIB_CACHE, D2121.digits, tampered)
+    for consume in consumers:
+        with pytest.raises(VerificationFailed) as err:
+            consume()
+        assert err.value.condition == "balance"
+    assert analysis._LIB_CACHE == {D2121.digits: tampered}
+    assert tampered._extensions == {}  # a map is cached only once it passes
+
+
+def test_extensions_reject_lengths_outside_the_library():
+    clear_factor_cache()
+    lib = factor_library(D2121, 5)
+    for n in (-1, 5, 6):
+        with pytest.raises(ValueError):
+            lib.extensions(n)
+    assert lib._extensions == {}
+    assert set(lib.extensions(4)[1]) == {f[:4] for f in lib.longest}
+    assert set(lib.extensions(0)[1]) == {b""}
+
+
 # --- special factors --------------------------------------------------------------
 
 
@@ -428,6 +459,33 @@ def test_tridents_match_brute_force_search():
         clear_factor_cache()
         got = find_tridents(d, 12)
         assert got == sorted(expected, key=lambda t: (len(t.word), t.word, t.rooted, t.teeth)), base
+        found += len(got)
+    assert found
+
+
+def test_maximal_left_specials_match_brute_force_search():
+    # a maximal left special factor has two left letters and no left
+    # special one-letter extension; each one found is right special too.
+    # On prefixes of 2^16 letters, every factor of length 14 of these bases
+    # occurs before letter 710 (before letter 35 for 22)
+    found = 0
+    for base in ("2121", "211", "201", "3202", "321", "21211", "22"):
+        d = validate_renyi(base)
+        sets = _prefix_scan(d.digits, 1 << 11, 14)
+
+        def lext(u):
+            return {a for a in range(d.m) if bytes([a]) + u in sets[len(u) + 1]}
+
+        expected = sorted(
+            (tuple(w) for n in range(13) for w in sets[n]
+             if len(lext(w)) >= 2
+             and all(len(lext(w + bytes([a]))) < 2 for a in range(d.m))),
+            key=lambda w: (len(w), w))
+        clear_factor_cache()
+        got = maximal_left_special(d, 12)
+        assert got == expected, base
+        for w in got:
+            assert sum(bytes(w) + bytes([a]) in sets[len(w) + 1] for a in range(d.m)) >= 2, (base, w)
         found += len(got)
     assert found
 

@@ -238,6 +238,27 @@ def test_corpus_members_are_valid_and_filtered():
     assert all(d.digits[-1] == 1 for d in members)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "2121", "--oracle-n", "0"), "n_max must be at least 1"),
+    (("specials", "2121", "left", "-n", "0"), "length must be at least 1"),
+    (("specials", "2121", "tridents", "--length-bound", "-1"),
+     "length bound must be non-negative"),
+    (("betaint", "11", "coding", "0", "-1"), "count must be non-negative"),
+    (("generate", "11", "-L", "-1"), "prefix length must be non-negative"),
+    (("betaint", "11", "expand", "-1"), "only non-negative integers are expanded"),
+    (("scan", "--corpus", "m=2,digit<=1", "--oracle-n", "0"), "n_max must be at least 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_out_of_range_operand_exits_1(capsys, argv, message):
+    code = main(list(argv))
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
+def test_empty_corpus_tokens_are_skipped(capsys):
+    plain = run(capsys, "scan", "--corpus", "m=2,digit<=1")
+    assert plain[0] == 0
+    assert run(capsys, "scan", "--corpus", "m=2,,digit<=1,") == plain
+
+
 def test_scan_tsv(capsys):
     code, out = run(capsys, "scan", "--corpus", "m=2,digit<=2", "--oracle-n", "15")
     assert code == 0
@@ -381,18 +402,35 @@ def test_scan_keeps_one_factor_library(capsys):
     assert len(analysis._LIB_CACHE) == 1
 
 
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def run_python(flags, *args):
     """A fresh interpreter started with ``flags`` and ``args``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run(
         [sys.executable, *flags, *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=python_env(), timeout=120,
     )
 
 
 def run_process(flags, *argv):
     """The CLI in a fresh interpreter started with ``flags``."""
     return run_python(flags, "-m", "parryscope.cli", *argv)
+
+
+def test_closed_pipe_ends_the_command_quietly():
+    # the reader stops after 60 bytes of a 10^6-letter prefix; the status
+    # is the one a shell reports for a writer killed by SIGPIPE
+    with subprocess.Popen(
+        [sys.executable, "-m", "parryscope.cli", "generate", "11", "-L", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(),
+    ) as proc:
+        assert len(proc.stdout.read(60)) == 60
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 # verifies the 2121 witness with x2 replaced by x1; prints the failed
@@ -433,8 +471,8 @@ def test_failed_invariant_exits_4_under_any_optimization(flags):
     pytest.param(("specials", "2121", "left", "-n", "5"), id="left-2121-5"),
     pytest.param(("specials", "21211", "tridents", "--length-bound", "12"),
                  id="tridents-21211-12"),
-    # the downward walks of the maximal and trident searches, and the
-    # bispecial check of a maximal left special factor
+    # the downward walks of the maximal and trident searches, each map
+    # checked for suffix closure as it is built
     pytest.param(("specials", "2121", "maximal", "--length-bound", "20"),
                  id="maximal-2121-20"),
     pytest.param(("specials", "2121", "tridents", "--length-bound", "20"),
