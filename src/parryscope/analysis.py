@@ -36,16 +36,14 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, LetterRangeError, NotApplicable, VerificationFailed
-from .numeration import (
-    TEXT_CAP,
-    RenyiExpansion,
-    _segment,
-    is_admissible,
-    pred_gap_letter,
-    radix_rank,
-    value_of,
+from .errors import (
+    BudgetExceeded,
+    InadmissibleInput,
+    LetterRangeError,
+    NotApplicable,
+    VerificationFailed,
 )
+from .numeration import TEXT_CAP, RenyiExpansion, _segment, radix_rank, value_of
 from .substitution import _image_bytes, fixed_point_prefix, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
@@ -256,15 +254,6 @@ class ComplexityProfile:
 
     def c(self, n: int) -> int:
         return self.values[n - 1]
-
-    def to_json(self):
-        return {
-            "d": fmt(self.d.digits),
-            "n_max": self.n_max,
-            "complexity": self.values,
-            "deltas": self.deltas,
-            "prefix_length_used": self.prefix_length_used,
-        }
 
 
 def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
@@ -546,18 +535,6 @@ class GapInventoryReport:
     def ok(self) -> bool:
         return self.expected == self.observed
 
-    def to_json(self):
-        return {
-            "d": fmt(self.d.digits),
-            "expected": sorted(fmt(w) for w in self.expected),
-            "observed": sorted(fmt(w) for w in self.observed),
-            "missing": sorted(fmt(w) for w in self.missing),
-            "extra": sorted(fmt(w) for w in self.extra),
-            "longest_zero_run": self.longest_zero_run,
-            "ok": self.ok,
-            "prefix_length_used": self.prefix_length_used,
-        }
-
 
 def expected_gap_inventory(d: RenyiExpansion) -> set:
     """The three families of X 0^r Y factors:
@@ -684,8 +661,8 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     shorter than it is a power of b: it has period |b| and starts and ends
     with b, and b, being unbordered, is primitive.  When w does not end with
     b b the rule picks p = b.  The remaining conditions are not derived
-    here: the admissibility of z, x1 and x2 is checked below, and
-    ``verify_witness`` checks conditions (i)-(iv).
+    here, and no point is read: ``verify_witness`` checks that z, x1 and x2
+    are admissible and that conditions (i)-(iv) hold.
     """
     cls = classify_affine(d)
     if cls.affine:
@@ -729,9 +706,6 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     z = _drop_leading_zeros(hc + w[:a_pad])  # w[:a_pad] == p^r p' q_1
     x1 = _drop_leading_zeros(_digitwise_sub(w[:len(w) - s], hc) + (0,) * a_pad)
     x2 = _drop_leading_zeros(_digitwise_sub(w, hc) + (0,) * a_pad)
-    for name, y in (("z", z), ("x1", x1), ("x2", x2)):
-        if not is_admissible(d, y):
-            raise VerificationFailed("admissible", f"witness component {name} must be admissible")
     return WitnessBundle(d, p, r, p_prime, q, c, h1, h2, h, a_pad, z, x1, x2)
 
 
@@ -773,15 +747,28 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
     gaps before x1 and x2 differ, so w0 has two left letters.  (iv):
     u[span], the match length of z, is not 0, so w0 is not a prefix.  All
     four are guaranteed; a failure raises VerificationFailed.
+
+    Each point is read once: z by its rank, and each x by its walk, whose
+    first step decides its admissibility; the gap before x is read off the
+    digits of x.  An inadmissible point raises VerificationFailed with
+    condition "admissible".
     """
     z, x1, x2 = bundle.z, bundle.x1, bundle.x2
-    span = radix_rank(d, z)
+    try:
+        span = radix_rank(d, z)
+    except InadmissibleInput as exc:
+        raise VerificationFailed("admissible", "witness component z must be admissible") from exc
     u = fixed_point_prefix(d, span + 1)
     coding = u[:span]
     zval = value_of(d, z)
-    ends = []
+    ends, preds = [], []
     for name, x in (("x1", x1), ("x2", x2)):
-        letters, end, state = _segment(d, x, span)
+        try:
+            letters, end, state = _segment(d, x, span)
+        except InadmissibleInput as exc:
+            raise VerificationFailed(
+                "admissible", f"witness component {name} must be admissible"
+            ) from exc
         if letters != coding:
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
@@ -789,8 +776,11 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         if state != 0:
             raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")
         ends.append(end)
-    pred1, pred2 = pred_gap_letter(d, x1), pred_gap_letter(d, x2)
-    if pred1 == pred2:
+        # the gap before x is coded by the trailing zero count of x, mod m;
+        # the point 0 has no such gap, but its walk ends in the state
+        # u[span], so it fails (iii) or (iv)
+        preds.append((len(x) - len(_drop_leading_zeros(x[::-1]))) % d.m)
+    if preds[0] == preds[1]:
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
     k = u[span]
     if k == 0:
@@ -805,6 +795,6 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         w0=coding + (0,),
         x1_end=ends[0],
         x2_end=ends[1],
-        pred_letters=(pred1, pred2),
+        pred_letters=tuple(preds),
         succ_letter_z=k,
     )

@@ -100,9 +100,8 @@ class VerificationFailed(ParryscopeError):
       below the next digit of p, p p' q equals p' q p, or their common
       suffix is too long), or the digit-wise subtraction that builds x1 and
       x2 would borrow;
-    * ``"admissible"``: a witness component z, x1 or x2, its leading zeros
-      dropped, is not admissible, or a walk reached an inadmissible
-      successor;
+    * ``"admissible"``: ``verify_witness`` found a witness point z, x1 or
+      x2 not admissible, or a walk reached an inadmissible successor;
     * ``"balance"``: the n-suffixes of the (n+1)-factors are not their
       n-prefixes, so C(n+1) - C(n) is not certified;
     * ``"beta"``: the exact arithmetic of the base found a rational root or
@@ -111,9 +110,9 @@ class VerificationFailed(ParryscopeError):
 
     exit_code = 4
 
-    def __init__(self, condition, message=None):
+    def __init__(self, condition, message):
         self.condition = condition
-        super().__init__(message or f"witness verification condition ({condition}) failed")
+        super().__init__(message)
 
 
 class UsageError(ParryscopeError):

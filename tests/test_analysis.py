@@ -1,5 +1,6 @@
 """Complexity profiles, special factors, tridents, affineness, witnesses."""
 
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import radix_oracle
-from parryscope import analysis
+from parryscope import analysis, numeration
 from parryscope.analysis import (
     TEXT_CAP,
     FactorLibrary,
@@ -26,7 +27,7 @@ from parryscope.analysis import (
     verify_gap_inventory,
     verify_witness,
 )
-from parryscope.cli import CorpusSpec
+from parryscope.cli import CorpusSpec, main
 from parryscope.errors import BudgetExceeded, NotApplicable, VerificationFailed
 from parryscope.numeration import coding_of_segment, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
@@ -625,6 +626,38 @@ def test_witness_walks_match_reference_successor(base):
             y = radix_oracle.next_admissible(d, y)
         assert tuple(letters) == v.coding and y == end
     assert v.succ_letter_z == radix_oracle.succ_match_length(d, b.z)
+
+
+# each replaced field breaks one condition; a point that is not admissible
+# (22 for 2121) is refused by verify_witness itself, with the same exit code
+@pytest.mark.parametrize("base, field, value, condition", [
+    *(pytest.param(base, field, value, condition, id=f"{base}-{condition}")
+      for base in ("2121", "221221", "3231")
+      for field, value, condition in (
+          ("x1", lambda b, d: b.z, "i"),
+          ("x2", lambda b, d: b.x1, "ii"),
+          ("x1", lambda b, d: (), "iii"),
+          ("a_pad", lambda b, d: b.a_pad + d.m, "iv"),
+      )),
+    pytest.param("2121", "z", lambda b, d: (2, 2), "admissible", id="2121-z-admissible"),
+    pytest.param("2121", "x1", lambda b, d: (2, 2), "admissible", id="2121-x1-admissible"),
+])
+def test_tampered_witness_fails_its_condition(base, field, value, condition):
+    d = validate_renyi(base)
+    b = construct_witness(d)
+    with pytest.raises(VerificationFailed) as err:
+        verify_witness(d, dataclasses.replace(b, **{field: value(b, d)}))
+    assert (err.value.condition, err.value.exit_code) == (condition, 4)
+
+
+def test_witness_reads_each_point_once(monkeypatch):
+    # z by its rank, x1 and x2 by their walks: one automaton pass per point
+    d = validate_renyi("221221")
+    b = construct_witness(d)
+    states, read = numeration._states, []
+    monkeypatch.setattr(numeration, "_states", lambda d, s: read.append(s) or states(d, s))
+    assert main(["witness", "221221"]) == 0
+    assert read == [b.z, b.x1, b.x2]
 
 
 def test_witness_is_the_shortest_non_prefix_left_special_factor():

@@ -433,16 +433,17 @@ def test_closed_pipe_ends_the_command_quietly():
         assert (proc.wait(timeout=120), err) == (141, b"")
 
 
-# verifies the 2121 witness with x2 replaced by x1; prints the failed
-# condition and exits with the error's CLI exit code
+# verifies the 2121 witness with the field argv[1] replaced by the value of
+# the expression argv[2] over the bundle b; prints the failed condition and
+# exits with the error's CLI exit code
 TAMPERED_WITNESS = """
 import dataclasses, sys
 from parryscope import analysis, numeration
 from parryscope.errors import VerificationFailed
 d = numeration.validate_renyi("2121")
-bundle = analysis.construct_witness(d)
+b = analysis.construct_witness(d)
 try:
-    analysis.verify_witness(d, dataclasses.replace(bundle, x2=bundle.x1))
+    analysis.verify_witness(d, dataclasses.replace(b, **{sys.argv[1]: eval(sys.argv[2])}))
 except VerificationFailed as exc:
     print(exc.condition)
     sys.exit(exc.exit_code)
@@ -451,11 +452,12 @@ except VerificationFailed as exc:
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_failed_invariant_exits_4_under_any_optimization(flags):
-    # a tampered witness has equal predecessor gaps at x1 and x2; the
-    # invariant check must hold with assertions stripped as well
-    proc = run_python(flags, "-c", TAMPERED_WITNESS)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout.split() == ["ii"]
+    # x2 = x1 gives equal predecessor gaps at x1 and x2, and z = 22 is not
+    # admissible; the invariant checks must hold with assertions stripped as well
+    for field, value, condition in (("x2", "b.x1", "ii"), ("z", "(2, 2)", "admissible")):
+        proc = run_python(flags, "-c", TAMPERED_WITNESS, field, value)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout.split() == [condition]
 
 
 @pytest.mark.parametrize("argv", [

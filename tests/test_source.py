@@ -1,6 +1,7 @@
 """Source guards: the package imports only the standard library, and holds
 no assert statement, whose check python -O would strip; the test oracles
-import no private name of the package they check."""
+import no private name of the package they check; the README's library
+example runs as written."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "parryscope"
+README = TESTS.parent / "README.md"
 
 
 def test_package_is_stdlib_only_and_assert_free():
@@ -44,3 +46,22 @@ def test_oracles_import_no_private_name_of_the_package():
                 parts = name.split(".")
                 if parts[0] == "parryscope":
                     assert not any(part.startswith("_") for part in parts), (path.name, name)
+
+
+def test_readme_library_example_runs_as_written():
+    # the lines of the "Library examples" block run in one namespace; where a
+    # line's comment, up to its first colon, is a Python literal, the line's
+    # value must equal it
+    text = README.read_text().split("## Library examples", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.split(":", 1)[0].strip())
+        except (SyntaxError, ValueError):
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked >= 3
