@@ -209,8 +209,7 @@ def cmd_betaint(args):
         raise UsageError(f"usage: betaint D {args.op} {operands}")
     if args.op == "succ":
         y = _zero_alias(args.args[0] if args.args else "")
-        letter = numeration.succ_gap_letter(d, y)
-        nxt = numeration.next_admissible(d, y)
+        (letter,), nxt, _ = numeration._segment(d, y, 1)
         _emit({
             "d": fmt(d.digits),
             "word": fmt(y),

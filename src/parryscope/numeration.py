@@ -46,10 +46,17 @@ admissibility; the final state is the letter of the gap to the successor;
 the successor raises the rightmost digit below its period digit and zeroes
 the tail.  The rank of a string in radix order is its value in the linear
 numeration system U_k = t_1 U_(k-1) + ... + t_m U_(k-m) (plus 1 for k < m),
-so it costs O(|s|) and no walk.  The gap coding of Z_beta+ read from 0 is the
-fixed point of the substitution; codings from other points are walks that
-keep the automaton state of every position, so each step re-reads only the
-digits it changes.
+U_k counting the admissible strings of length at most k: O(|s|), no walk.
+
+The gap coding read from 0 is the fixed point u (Fabre), and u[:U_i] =
+phi^i(0).  Codings from other points are walks that keep the automaton
+state of every position and take blocks of u.  From P 0^i, with state 0
+after P, the next U_i points are P v for the admissible v of length at most
+i, zero-padded: read from state 0, v reads as from scratch, so P v is
+admissible and its gap letter is that of v: these U_i letters are u[:U_i].
+The last v is at its period digit throughout, so the next step raises a
+digit of P, landing on succ(P) 0^i.  A walk of N gaps thus takes a few
+steps per digit instead of N, and each re-reads only the digits it changes.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .errors import (
     EmptyWordError,
     FractionalBudgetExceeded,
     InadmissibleInput,
+    LetterRangeError,
     MixedBaseError,
     NonIntegerExpansionError,
     ParryViolation,
@@ -438,6 +446,45 @@ def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
 
 
 TEXT_CAP = 1 << 20  # letters in one gap coding, fixed-point prefix or factor text
+MAX_ALPHABET = 255  # a fixed point holds its letters as bytes
+
+
+def _check_alphabet(d: RenyiExpansion):
+    """Raise LetterRangeError unless 2 <= m <= MAX_ALPHABET."""
+    if d.m < 2:
+        raise LetterRangeError("canonical substitution needs an alphabet of size >= 2")
+    if d.m > MAX_ALPHABET:
+        raise LetterRangeError(f"alphabet size {d.m} exceeds the supported maximum {MAX_ALPHABET}")
+
+
+def _fixed_point_blocks(d: RenyiExpansion):
+    """Yield phi^k(0) = u[:U_k], k = 0, 1, ..., as bytes (letters < 256):
+    unrolling phi^(k-1)(phi(0)) letter by letter, phi^k(0) is the product of
+    phi^(k-j)(0)^(t_j) over j <= min(k, m), then the letter k if k < m."""
+    t = d.digits
+    blocks = []
+    while True:
+        k = len(blocks)
+        block = b"".join([blocks[k - j] * t[j - 1] for j in range(1, min(k, len(t)) + 1)])
+        blocks.append(block + bytes((k,)) if k < len(t) else block)
+        yield blocks[-1]
+
+
+def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
+    """First ``length`` letters of the fixed point, as bytes (letters < 256).
+
+    Raises BudgetExceeded for a length above TEXT_CAP before building, and
+    LetterRangeError for a base of fewer than 2 or more than MAX_ALPHABET
+    letters.
+    """
+    if length < 0:
+        raise ValueError("prefix length must be non-negative")
+    if length > TEXT_CAP:
+        raise BudgetExceeded(f"a prefix of {length} letters exceeds the cap of {TEXT_CAP}")
+    if length == 0:
+        return b""
+    _check_alphabet(d)
+    return next(b for b in _fixed_point_blocks(d) if len(b) >= length)[:length]
 
 
 def _advance(per, s, states) -> bool:
@@ -582,7 +629,8 @@ def next_admissible(d: RenyiExpansion, s) -> Word:
     """Radix successor among admissible strings (length first, then lex).
 
     Radix order on admissible strings equals numerical order of the
-    beta-integers they denote; the step itself is described in ``_segment``.
+    beta-integers they denote.  This is a walk of one gap, so it takes no
+    block: the single step described in ``_segment``.
     """
     return _segment(d, s, 1)[1]
 
@@ -638,8 +686,13 @@ def _segment(d: RenyiExpansion, start, count: int):
     automaton state by one and zeroes the tail; when every digit equals its
     period digit the word rolls over to 1 followed by zeros.  The walk keeps
     the automaton state before every digit, so a step re-runs the automaton
-    only over the digits it changes (amortized O(1) per step), and every
-    string visited is checked admissible on the way.
+    only over the digits it changes, and every string it lands on is checked
+    admissible on the way.
+
+    A step from y = P 0^i, with state 0 after P, reads the letters u[:U_i]
+    of the points P v at once and lands on succ(P) 0^i (see the module
+    docstring), for the largest such i with U_i <= the gaps left; i = 0 is
+    the single step.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -649,17 +702,35 @@ def _segment(d: RenyiExpansion, start, count: int):
     per = quasi_greedy(d)
     y = list(y)
     letters = []
-    for _ in range(count):
-        letters.append(states[-1])
-        pos = len(y) - 1
+    fixed_point = _fixed_point_blocks(d)
+    blocks = []  # blocks[i] = phi^i(0) = u[:U_i], as zero runs need them
+    # the smallest block is U_1 = t_1 + 1 letters (t_1 for m = 1); a base of
+    # more letters than bytes hold takes none
+    least = d.t1 + (d.m > 1) if d.m <= MAX_ALPHABET else count + 1
+    left = count
+    while left:
+        n = len(y)
+        i = k = 0
+        while left >= least and k < n and y[n - 1 - k] == 0:
+            while len(blocks) < k + 2:
+                blocks.append(next(fixed_point))
+            if len(blocks[k + 1]) > left:
+                break
+            k += 1
+            if not states[n - k]:
+                i = k
+        block = blocks[i] if i else (states[-1],)
+        letters += block
+        left -= len(block)
+        pos = n - 1 - i
         while pos >= 0 and y[pos] == per[states[pos]]:
             pos -= 1
         if pos < 0:
-            y = [1] + [0] * len(y)
+            y = [1] + [0] * n
             del states[1:]
         else:
             y[pos] += 1
-            y[pos + 1:] = [0] * (len(y) - 1 - pos)
+            y[pos + 1:] = [0] * (n - 1 - pos)
             del states[pos + 1:]
         if not _advance(per, y, states):
             raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import BudgetExceeded, LetterRangeError
-from .numeration import TEXT_CAP, RenyiExpansion
+from .errors import LetterRangeError
+from .numeration import RenyiExpansion, _check_alphabet, fixed_point_prefix_bytes
 from .words import Word, fmt, word
-
-MAX_ALPHABET = 255
 
 
 @dataclass(frozen=True)
@@ -52,11 +50,8 @@ class Substitution:
 
 def build_substitution(d: RenyiExpansion) -> Substitution:
     """The canonical substitution for the base d."""
+    _check_alphabet(d)
     m = d.m
-    if m < 2:
-        raise LetterRangeError("canonical substitution needs an alphabet of size >= 2")
-    if m > MAX_ALPHABET:
-        raise LetterRangeError(f"alphabet size {m} exceeds the supported maximum {MAX_ALPHABET}")
     images = []
     for i in range(m - 1):
         images.append((0,) * d.digits[i] + (i + 1,))
@@ -67,24 +62,6 @@ def build_substitution(d: RenyiExpansion) -> Substitution:
 def _image_bytes(d: RenyiExpansion):
     s = build_substitution(d)
     return [bytes(im) for im in s.images]
-
-
-def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
-    """First ``length`` letters of the fixed point, as bytes (letters < 256).
-
-    Raises BudgetExceeded for a length above TEXT_CAP before building.
-    """
-    if length < 0:
-        raise ValueError("prefix length must be non-negative")
-    if length > TEXT_CAP:
-        raise BudgetExceeded(f"a prefix of {length} letters exceeds the cap of {TEXT_CAP}")
-    if length == 0:
-        return b""
-    images = _image_bytes(d)
-    buf = b"\x00"
-    while len(buf) < length:
-        buf = b"".join(images[a] for a in buf)
-    return buf[:length]
 
 
 def fixed_point_prefix(d: RenyiExpansion, length: int) -> Word:

@@ -36,9 +36,20 @@ def word(spec) -> Word:
     return letters
 
 
+_DIGITS = bytes(range(10))
+_DIGIT_TEXT = bytes.maketrans(_DIGITS, b"0123456789")
+
+
 def fmt(w) -> str:
     """Text form of a word: compact when every letter fits one digit."""
     w = tuple(w)
+    try:
+        text = bytes(w)
+    except (TypeError, ValueError):  # a letter outside 0..255
+        pass
+    else:
+        if not text.translate(None, _DIGITS):  # every letter in 0..9
+            return text.translate(_DIGIT_TEXT).decode()
     if all(a <= 9 for a in w):
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w)

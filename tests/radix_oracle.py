@@ -4,9 +4,11 @@ These are the direct definitions: admissibility compares every suffix with
 the expansion of 1, the successor tries every candidate bump from the right,
 the rank counts successors from 0, and the match length reads the string
 backwards.  They are quadratic or worse and are only run on small inputs.
+The gap-by-gap walk is the exception: it is the package's walk before it
+took blocks of the fixed point, one successor step per gap.
 """
 
-from parryscope.errors import DigitRangeError, InadmissibleInput
+from parryscope.errors import DigitRangeError, InadmissibleInput, VerificationFailed
 from parryscope.numeration import quasi_greedy
 from parryscope.words import fmt, word
 
@@ -82,3 +84,45 @@ def succ_match_length(d, y):
         if all(y[n - k + i] == per[i % m] for i in range(k)):
             return k
     return 0
+
+
+def _advance(per, s, states):
+    """Run the Parry automaton over s past the last state kept; False at
+    the first digit above the period digit of its state."""
+    m = len(per)
+    k = states[-1]
+    for a in s[len(states) - 1:]:
+        p = per[k]
+        if a < p:
+            k = 0
+        elif a == p:
+            k = k + 1 if k + 1 < m else 0
+        else:
+            return False
+        states.append(k)
+    return True
+
+
+def segment(d, start, count):
+    """Gap letters of count gaps from start, the point reached and its
+    automaton state, by one successor step per gap."""
+    y = list(_require(d, start))
+    per = quasi_greedy(d)
+    states = [0]
+    _advance(per, y, states)
+    letters = []
+    for _ in range(count):
+        letters.append(states[-1])
+        pos = len(y) - 1
+        while pos >= 0 and y[pos] == per[states[pos]]:
+            pos -= 1
+        if pos < 0:
+            y = [1] + [0] * len(y)
+            del states[1:]
+        else:
+            y[pos] += 1
+            y[pos + 1:] = [0] * (len(y) - 1 - pos)
+            del states[pos + 1:]
+        if not _advance(per, y, states):
+            raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")
+    return tuple(letters), tuple(y), states[-1]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from parryscope import analysis
+from parryscope import analysis, numeration
 from parryscope.cli import CorpusSpec, _build_parser, main
 from parryscope.errors import ParryscopeError, UsageError
 from parryscope.numeration import validate_renyi
@@ -114,6 +114,16 @@ def test_betaint_commands(capsys):
     assert code == 0 and body["coding"] == "01001"
     code, body = run_json(capsys, "betaint", "11", "expand", "2")
     assert code == 0 and body["expansion"] == "10.01" and body["exact"] is True
+
+
+def test_betaint_succ_reads_the_point_once(capsys, monkeypatch):
+    # the gap letter and the successor come from one walk of one gap
+    read = []
+    states = numeration._states
+    monkeypatch.setattr(numeration, "_states", lambda d, s: read.append(s) or states(d, s))
+    code, body = run_json(capsys, "betaint", "11", "succ", "101")
+    assert code == 0 and body["next"] == "1000" and body["gap_letter"] == 1
+    assert read == [(1, 0, 1)]
 
 
 @pytest.mark.parametrize("argv", [("succ", "1", "2", "3"), ("pred",), ("pred", "10", "5"),

@@ -473,6 +473,74 @@ def test_segment_walk_matches_repeated_successor(d):
             assert _segment(d, ys[i], count)[:2] == (tuple(letters[i:i + count]), ys[i + count])
 
 
+@st.composite
+def _walk_starts(draw):
+    """A base of AUTOMATON_BASES, an admissible start of length <= 25 drawn
+    digit by digit under the period bound of the automaton state, then a
+    run of trailing zeros, and a count of gaps."""
+    d = draw(st.sampled_from(AUTOMATON_BASES))
+    per = quasi_greedy(d)
+    y, k = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        a = draw(st.integers(0 if y else 1, per[k]))
+        y.append(a)
+        k = (k + 1) % d.m if a == per[k] else 0
+    if y:  # zero is the empty word
+        y += [0] * draw(st.integers(0, 25 - len(y)))
+    return d, tuple(y), draw(st.integers(0, 5000))
+
+
+@given(_walk_starts())
+@settings(max_examples=300, deadline=None)
+def test_block_walk_matches_gap_by_gap_walk(case):
+    d, start, count = case
+    assert _segment(d, start, count) == radix_oracle.segment(d, start, count)
+
+
+def test_block_walk_matches_gap_by_gap_walk_on_witness_points():
+    from parryscope.analysis import construct_witness
+
+    bases = CorpusSpec.parse("m=2..7,digit<=3,tm=1,nonpower").members()[0]
+    assert len(bases) == 279
+    for d in bases:
+        b = construct_witness(d)
+        span = radix_rank(d, b.z)
+        for x in (b.x1, b.x2):
+            assert _segment(d, x, span) == radix_oracle.segment(d, x, span), fmt(d.digits)
+
+
+@pytest.mark.parametrize("base, start", [("2", "1"), ("3", "2100"), ("9", "80000"),
+                                         ("2" + "1" * 255, "2"), ("1" + "0" * 254 + "1", "1")],
+                         ids=["2", "3", "9", "2-1^255", "1-0^254-1"])
+def test_walks_outside_the_byte_alphabet_match_gap_by_gap_walk(base, start):
+    # one letter takes blocks with no letter beyond 0; more than 255 letters,
+    # whose blocks would not fit bytes, take none
+    d = validate_renyi(base)
+    start = word(start) + (0,) * 300
+    for count in (0, 1, 2, 3, 10, 700):
+        assert _segment(d, start, count) == radix_oracle.segment(d, start, count), count
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    calls = []
+    advance = numeration._advance
+    monkeypatch.setattr(numeration, "_advance", lambda *a: calls.append(1) or advance(*a))
+    return calls
+
+
+def test_block_walk_takes_few_steps_per_digit(advance_calls):
+    # one automaton pass per point landed on, a few per digit of the end
+    for d in AUTOMATON_BASES:
+        advance_calls.clear()
+        end = _segment(d, (), 10**5)[1]
+        assert len(advance_calls) < 4 * (d.t1 + 1) * (len(end) + 1), fmt(d.digits)
+    for base in ("11", "2121", "3312331", "222222121"):
+        advance_calls.clear()
+        _segment(validate_renyi(base), (), 10**6)
+        assert len(advance_calls) < 200, base
+
+
 def test_segment_rejects_inadmissible_start():
     with pytest.raises(InadmissibleInput):
         _segment(GOLDEN, "11", 3)

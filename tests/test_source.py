@@ -1,7 +1,7 @@
-"""Source guards: the package imports only the standard library, and holds
-no assert statement, whose check python -O would strip; the test oracles
-import no private name of the package they check; the README's library
-example runs as written."""
+"""Source guards: the package imports only the standard library, at module
+level, and holds no assert statement, whose check python -O would strip;
+the test oracles import no private name of the package they check; the
+README's library example runs as written."""
 
 import ast
 import sys
@@ -27,6 +27,17 @@ def test_package_is_stdlib_only_and_assert_free():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function hides a module cycle and runs on every call
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        path.name, node.lineno)
 
 
 def test_oracles_import_no_private_name_of_the_package():

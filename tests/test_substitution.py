@@ -7,7 +7,7 @@ import pytest
 
 from parryscope.cli import CorpusSpec
 from parryscope.errors import LetterRangeError
-from parryscope.numeration import validate_renyi
+from parryscope.numeration import radix_rank, validate_renyi
 from parryscope.substitution import (
     Substitution,
     build_substitution,
@@ -70,6 +70,27 @@ def test_prefix_is_fixed_by_the_substitution():
         for L in (1, 10, 64, 257):
             p = fixed_point_prefix(d, L)
             assert s.apply(p)[:L] == p
+
+
+def test_prefixes_of_length_u_k_are_the_iterates():
+    # phi^k(0), by applying the substitution letter by letter, is the
+    # prefix of length U_k = rank(1 0^k), the count of strings of length <= k
+    for d in CorpusSpec.parse("m=2..5,digit<=3").members()[0]:
+        s = build_substitution(d)
+        it = (0,)
+        for k in range(12):
+            assert len(it) == radix_rank(d, (1,) + (0,) * k), (d.digits, k)
+            assert fixed_point_prefix(d, len(it)) == it, (d.digits, k)
+            if len(it) > 3000:
+                break
+            it = s.apply(it)
+
+
+@pytest.mark.parametrize("base", ["2", "9", "2" + "1" * 255])
+def test_prefix_needs_two_to_255_letters(base):
+    with pytest.raises(LetterRangeError):
+        fixed_point_prefix(validate_renyi(base), 1)
+    assert fixed_point_prefix(validate_renyi(base), 0) == ()
 
 
 def test_incidence_and_primitivity():

@@ -7,6 +7,8 @@ here with no shared machinery (direct slice comparisons, divisor scans).
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parryscope.errors import EmptyWordError
 from parryscope.words import (
@@ -50,6 +52,21 @@ def test_word_forms():
     assert fmt((2, 1, 2, 1)) == "2121"
     assert fmt((0, 10, 3)) == "0,10,3"
     assert fmt(()) == ""
+
+
+def _fmt_by_letters(w):
+    """fmt as defined letter by letter, without the byte table."""
+    w = tuple(w)
+    if all(a <= 9 for a in w):
+        return "".join(str(a) for a in w)
+    return ",".join(str(a) for a in w)
+
+
+@given(st.one_of(st.lists(st.integers(0, 9), max_size=60),
+                 st.lists(st.integers(-300, 300), max_size=8),
+                 st.lists(st.integers(), max_size=8)))
+def test_fmt_matches_letter_by_letter_definition(w):
+    assert fmt(w) == fmt(tuple(w)) == _fmt_by_letters(w)
 
 
 def test_word_rejects_garbage():
