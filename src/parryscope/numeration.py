@@ -457,17 +457,22 @@ def _check_alphabet(d: RenyiExpansion):
         raise LetterRangeError(f"alphabet size {d.m} exceeds the supported maximum {MAX_ALPHABET}")
 
 
-def _fixed_point_blocks(d: RenyiExpansion):
-    """Yield phi^k(0) = u[:U_k], k = 0, 1, ..., as bytes (letters < 256):
-    unrolling phi^(k-1)(phi(0)) letter by letter, phi^k(0) is the product of
+def _weight(t, u) -> int:
+    """U_k for k = len(u), from u = [U_0, ..., U_(k-1)]: the count of
+    admissible strings of length at most k, and the length of phi^k(0)."""
+    return sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t))
+
+
+def _block(t, blocks, k) -> bytes:
+    """phi^k(0) = u[:U_k] as bytes (letters < 256), extending the list
+    blocks = [phi^0(0), phi^1(0), ...] up to it.  Unrolling
+    phi^(k-1)(phi(0)) letter by letter, phi^k(0) is the product of
     phi^(k-j)(0)^(t_j) over j <= min(k, m), then the letter k if k < m."""
-    t = d.digits
-    blocks = []
-    while True:
-        k = len(blocks)
-        block = b"".join([blocks[k - j] * t[j - 1] for j in range(1, min(k, len(t)) + 1)])
-        blocks.append(block + bytes((k,)) if k < len(t) else block)
-        yield blocks[-1]
+    while len(blocks) <= k:
+        j = len(blocks)
+        block = b"".join([blocks[j - i] * t[i - 1] for i in range(1, min(j, len(t)) + 1)])
+        blocks.append(block + bytes((j,)) if j < len(t) else block)
+    return blocks[k]
 
 
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
@@ -484,7 +489,22 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
     if length == 0:
         return b""
     _check_alphabet(d)
-    return next(b for b in _fixed_point_blocks(d) if len(b) >= length)[:length]
+    t, u, blocks = d.digits, [1], []
+    while u[-1] < length:
+        u.append(_weight(t, u))
+    k = len(u) - 1
+    # the parts of phi^k(0) (see _block), with no more copies of a block
+    # than the length needs: no block built is longer than the length
+    parts, have = [], 0
+    for j in range(1, min(k, len(t)) + 1):
+        copies = min(t[j - 1], -((have - length) // u[k - j]))
+        parts.append(_block(t, blocks, k - j) * copies)
+        have += copies * u[k - j]
+        if have >= length:
+            break
+    else:
+        parts.append(bytes((k,)))
+    return b"".join(parts)[:length]
 
 
 def _advance(per, s, states) -> bool:
@@ -653,8 +673,8 @@ def radix_rank(d: RenyiExpansion, s) -> int:
     s, _ = _admissible_states(d, s)
     t = d.digits
     u = []
-    for k in range(len(s)):
-        u.append(sum(t[i] * u[k - 1 - i] for i in range(min(k, len(t)))) + (k < len(t)))
+    for _ in s:
+        u.append(_weight(t, u))
     return sum(a * w for a, w in zip(reversed(s), u))
 
 
@@ -701,25 +721,25 @@ def _segment(d: RenyiExpansion, start, count: int):
     y, states = _admissible_states(d, start)
     per = quasi_greedy(d)
     y = list(y)
+    t = d.digits
     letters = []
-    fixed_point = _fixed_point_blocks(d)
-    blocks = []  # blocks[i] = phi^i(0) = u[:U_i], as zero runs need them
-    # the smallest block is U_1 = t_1 + 1 letters (t_1 for m = 1); a base of
-    # more letters than bytes hold takes none
-    least = d.t1 + (d.m > 1) if d.m <= MAX_ALPHABET else count + 1
+    u = [1]  # U_0, U_1, ...: block lengths, as far as zero runs have asked
+    blocks = []  # phi^0(0), phi^1(0), ...: built up to the largest taken
     left = count
     while left:
         n = len(y)
         i = k = 0
-        while left >= least and k < n and y[n - 1 - k] == 0:
-            while len(blocks) < k + 2:
-                blocks.append(next(fixed_point))
-            if len(blocks[k + 1]) > left:
+        # a block holds its letters as bytes, so a run is read at most
+        # MAX_ALPHABET zeros deep
+        while k < n and k < MAX_ALPHABET and y[n - 1 - k] == 0:
+            if len(u) == k + 1:
+                u.append(_weight(t, u))
+            if u[k + 1] > left:
                 break
             k += 1
             if not states[n - k]:
                 i = k
-        block = blocks[i] if i else (states[-1],)
+        block = _block(t, blocks, i) if i else (states[-1],)
         letters += block
         left -= len(block)
         pos = n - 1 - i

@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -513,12 +514,27 @@ def test_block_walk_matches_gap_by_gap_walk_on_witness_points():
                                          ("2" + "1" * 255, "2"), ("1" + "0" * 254 + "1", "1")],
                          ids=["2", "3", "9", "2-1^255", "1-0^254-1"])
 def test_walks_outside_the_byte_alphabet_match_gap_by_gap_walk(base, start):
-    # one letter takes blocks with no letter beyond 0; more than 255 letters,
-    # whose blocks would not fit bytes, take none
+    # one letter takes blocks with no letter beyond 0; more than 255 letters
+    # take blocks of runs at most 255 zeros deep, whose letters fit bytes
     d = validate_renyi(base)
     start = word(start) + (0,) * 300
     for count in (0, 1, 2, 3, 10, 700):
         assert _segment(d, start, count) == radix_oracle.segment(d, start, count), count
+
+
+@pytest.mark.parametrize("base, start", [("1000,1", "1,0,0,0"), ("100,1", "1,0,0,0,0")])
+def test_block_walk_builds_nothing_longer_than_the_gaps_left(base, start):
+    # phi^(i+1)(0) of these zero runs has 10^8 letters or more, far above the
+    # count: the walk must learn that from U_(i+1) without building it
+    d, start = validate_renyi(base), word(start)
+    tracemalloc.start()
+    try:
+        walk = _segment(d, start, numeration.TEXT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * numeration.TEXT_CAP
+    assert walk == radix_oracle.segment(d, start, numeration.TEXT_CAP)
 
 
 @pytest.fixture

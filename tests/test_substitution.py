@@ -2,12 +2,13 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from parryscope.cli import CorpusSpec
 from parryscope.errors import LetterRangeError
-from parryscope.numeration import radix_rank, validate_renyi
+from parryscope.numeration import TEXT_CAP, coding_of_segment, radix_rank, validate_renyi
 from parryscope.substitution import (
     Substitution,
     build_substitution,
@@ -84,6 +85,32 @@ def test_prefixes_of_length_u_k_are_the_iterates():
             if len(it) > 3000:
                 break
             it = s.apply(it)
+
+
+def test_prefixes_of_every_length_are_prefixes_of_the_iterates():
+    # lengths between the U_k take part of the last block
+    for d in CorpusSpec.parse("m=2..4,digit<=3").members()[0]:
+        s, it = build_substitution(d), (0,)
+        while len(it) < 120:
+            it = s.apply(it)
+        for L in range(1, 121):
+            assert fixed_point_prefix(d, L) == it[:L], (d.digits, L)
+
+
+@pytest.mark.parametrize("base", ["1000,1", "100,1", "11"])
+def test_prefix_builds_under_twice_its_length(base):
+    # phi^3(0) of 1000,1 has about 10^9 letters; the prefix of 2^20 needs
+    # only a copy of phi^2(0) and part of phi^1(0)
+    d = validate_renyi(base)
+    tracemalloc.start()
+    try:
+        prefix = fixed_point_prefix(d, TEXT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * TEXT_CAP
+    # the gap coding read from 0 is the fixed point
+    assert prefix == coding_of_segment(d, (), TEXT_CAP)
 
 
 @pytest.mark.parametrize("base", ["2", "9", "2" + "1" * 255])
