@@ -11,18 +11,23 @@ integer letter counts.  A window of phi^k(a) phi^k(b) lies in one block or
 crosses the boundary, so the windows of each block are read once and those
 of each boundary once per pair.  Only the set of the longest length is
 built: u is right-infinite, so every factor is a prefix of a longer one.
-The inventories that print extension letters read one extension map per
-length n off the (n+1)-factors: the keys of the map one length up when it
-is built, else prefixes of the longest factors.  A map is kept only when its
-n-suffixes are its n-prefixes, which certifies sum(#Lext - 1) = C(n+1) - C(n).
+
+A library is certified once, when it is made: the (L-1)-suffixes of its
+L-factors must be their (L-1)-prefixes (see ``FactorLibrary``).  That one
+check makes the n-suffixes of the factors their n-prefixes at every n < L,
+so counts read off prefixes and counts read off suffixes agree, and it gives
+Cassaigne's balance sum(#Lext - 1) = C(n+1) - C(n) at every n.  Nothing
+that reads the library checks it again.  The inventories that print
+extension letters read one extension map per length n off the
+(n+1)-factors: the keys of the map one length up when it is built, else
+prefixes of the longest factors.
 
 C(n) and the special-factor counts of every length come from one sort of
 the longest factors: C(n) is one more than the number of neighbours whose
 longest common prefix is shorter than n, and the right special factors of
 length n are the branching nodes of depth n in the trie of the sorted
 words.  The same count on the sorted reversed factors gives the left special
-factors, provided the longest set is closed under suffixes; equal C(n) in
-both views certifies it, since the n-suffixes are among the n-factors.  A
+factors.  A
 request whose texts would exceed ``TEXT_CAP`` letters, or whose longest
 factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises BudgetExceeded
 before anything is built.  The structural classifier is the authority on
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -89,6 +95,20 @@ class FactorLibrary:
     first asked for.  Factors are kept as bytes; the public reports convert
     to tuples.  ``prefix_length`` is the total length of the texts
     phi^k(a) phi^k(b) the factors were read from.
+
+    The constructor raises VerificationFailed("balance") unless the
+    (L-1)-suffixes of the factors F of length L = ``max_len`` are their
+    (L-1)-prefixes, and that is all a reader needs.  When the two sets are
+    equal, every f in F has a successor f' in F with f'[:-1] = f[1:] and a
+    predecessor h in F with h[1:] = f[:-1].  Following successors L - n
+    times from f reaches a factor that starts with f[L-n:], and following
+    predecessors reaches one that ends with f[:n].  So for every n < L:
+
+    * the n-suffixes of F are its n-prefixes, and both sorted views count
+      the same C(n);
+    * the n-suffixes of the (n+1)-prefixes are the n-prefixes (f[1:n+1] =
+      f'[:n] and f[:n] = h[1:n+1]), so the key sets of every extension map
+      agree, which is sum(#Lext - 1) = C(n+1) - C(n).
     """
 
     d: RenyiExpansion
@@ -97,6 +117,18 @@ class FactorLibrary:
     longest: set  # the factors of length max_len (bytes)
     _extensions: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # one slice set alive at once: every suffix is a prefix, and taking
+        # the suffixes away leaves no prefix
+        heads, tails = itemgetter(slice(None, -1)), itemgetter(slice(1, None))
+        prefixes = set(map(heads, self.longest))
+        closed = prefixes.issuperset(map(tails, self.longest))
+        prefixes.difference_update(map(tails, self.longest))
+        if not closed or prefixes:
+            n = self.max_len - 1
+            raise VerificationFailed("balance", f"the {n}-suffixes of the factors of length "
+                                     f"{self.max_len} are not their {n}-prefixes")
+
     @cached_property
     def sorted_view(self) -> PrefixCounts:
         """C(n) and the right special counts, from the sorted factors."""
@@ -104,24 +136,13 @@ class FactorLibrary:
 
     @cached_property
     def reversed_view(self) -> PrefixCounts:
-        """C(n) and the left special counts, from the sorted reversed factors.
-        Raises VerificationFailed unless ``longest`` is closed under suffixes."""
-        view = _prefix_counts(self.longest, self.max_len, "little")
-        for n, (suffixes, prefixes) in enumerate(zip(view.complexity, self.sorted_view.complexity)):
-            if suffixes != prefixes:
-                raise VerificationFailed(
-                    "balance",
-                    f"factors of length {self.max_len} are not closed under suffixes: "
-                    f"{suffixes} suffixes of length {n} against {prefixes} factors",
-                )
-        return view
+        """C(n) and the left special counts, from the sorted reversed factors."""
+        return _prefix_counts(self.longest, self.max_len, "little")
 
     def extensions(self, n: int) -> tuple:
         """(lext, rext): the left and right extension letters of the
         n-factors, 0 <= n < max_len, read off the keys of the right map at
-        n + 1 when it is built, else off the (n+1)-prefixes of ``longest``.
-        Its key sets, the n-suffixes and n-prefixes of the (n+1)-factors, must
-        agree, which certifies sum(#Lext - 1) = C(n+1) - C(n)."""
+        n + 1 when it is built, else off the (n+1)-prefixes of ``longest``."""
         maps = self._extensions.get(n)
         if maps is None:
             if not 0 <= n < self.max_len:
@@ -136,9 +157,6 @@ class FactorLibrary:
             for f in words:
                 lext.setdefault(f[1:], set()).add(f[0])
                 rext.setdefault(f[:-1], set()).add(f[-1])
-            if lext.keys() != rext.keys():
-                raise VerificationFailed("balance", f"the {n}-suffixes of the factors of "
-                                         f"length {n + 1} are not their {n}-prefixes")
             maps = self._extensions[n] = (lext, rext)
         return maps
 

@@ -102,10 +102,10 @@ class VerificationFailed(ParryscopeError):
       x2 would borrow;
     * ``"admissible"``: ``verify_witness`` found a witness point z, x1 or
       x2 not admissible, or a walk reached an inadmissible successor;
-    * ``"balance"``: the n-suffixes of the (n+1)-factors are not their
-      n-prefixes, so C(n+1) - C(n) is not certified;
-    * ``"beta"``: the exact arithmetic of the base found a rational root or
-      a gcd that does not divide the base polynomial.
+    * ``"balance"``: the (L-1)-suffixes of a library's factors are not
+      its (L-1)-prefixes, so neither C(n) nor C(n+1) - C(n) is certified;
+    * ``"beta"``: the exact arithmetic of the base computed a gcd that does
+      not divide the base polynomial.
     """
 
     exit_code = 4

@@ -239,7 +239,10 @@ def _bisect(d: RenyiExpansion):
     """Halve the isolating interval of beta; returns the narrowed interval.
 
     The midpoint is (lo + hi) / 2^(e+1); the base polynomial is evaluated
-    there by integer Horner scaled by 2^((e+1) m).
+    there by integer Horner scaled by 2^((e+1) m).  It is never 0 there:
+    ``_sign`` bisects only for m >= 2, and a rational root of the monic P
+    would be an integer, the one positive root beta (Descartes), whose
+    Renyi expansion of 1 would then be one digit (Parry).
     """
     lo, hi, e = d._iv[0]
     mid = lo + hi
@@ -249,9 +252,6 @@ def _bisect(d: RenyiExpansion):
     for t in d.digits:
         shift += e
         v = v * mid - (t << shift)
-    # the base polynomial has a single positive root, irrational for m >= 2
-    if v == 0:
-        raise VerificationFailed("beta", "rational midpoint cannot be the base")
     iv = (mid, 2 * hi, e) if v < 0 else (2 * lo, mid, e)
     d._iv[0] = iv
     return iv
@@ -478,6 +478,15 @@ def _block(t, blocks, k) -> bytes:
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
     """First ``length`` letters of the fixed point, as bytes (letters < 256).
 
+    With d_(k-1) ... d_0 the greedy digits of the length in U_0, U_1, ...
+    (the admissible string of rank ``length``), the prefix is the product
+    of phi^i(0)^(d_i) over i = k-1 .. 0.  The points below that string run
+    through P c v, with P its digits left of position i, c < d_i and v of
+    length at most i; a digit c below its period digit resets the automaton
+    to state 0, so each of the d_i runs of U_i points reads u[:U_i] =
+    phi^i(0) (see the module docstring).  No block built is longer than the
+    length.
+
     Raises BudgetExceeded for a length above TEXT_CAP before building, and
     LetterRangeError for a base of fewer than 2 or more than MAX_ALPHABET
     letters.
@@ -490,21 +499,13 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
         return b""
     _check_alphabet(d)
     t, u, blocks = d.digits, [1], []
-    while u[-1] < length:
+    while u[-1] <= length:
         u.append(_weight(t, u))
-    k = len(u) - 1
-    # the parts of phi^k(0) (see _block), with no more copies of a block
-    # than the length needs: no block built is longer than the length
-    parts, have = [], 0
-    for j in range(1, min(k, len(t)) + 1):
-        copies = min(t[j - 1], -((have - length) // u[k - j]))
-        parts.append(_block(t, blocks, k - j) * copies)
-        have += copies * u[k - j]
-        if have >= length:
-            break
-    else:
-        parts.append(bytes((k,)))
-    return b"".join(parts)[:length]
+    parts = []
+    for i in reversed(range(len(u) - 1)):
+        q, length = divmod(length, u[i])
+        parts.append(_block(t, blocks, i) * q)
+    return b"".join(parts)
 
 
 def _advance(per, s, states) -> bool:

@@ -7,6 +7,8 @@ comparing smaller than any of its extensions.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import EmptyWordError
 
 Word = tuple  # tuple[int, ...]
@@ -16,21 +18,21 @@ def word(spec) -> Word:
     """Coerce ``spec`` to a word.
 
     Accepts compact digit strings ("2121", every digit one character),
-    comma-separated strings ("2,1,2,1"), and iterables of ints.  The empty
-    string and empty iterable give the empty word.
+    comma-separated strings ("2,1,2,1"), and iterables of ints.  In a string
+    every digit, or every comma-separated part once stripped of spaces, is
+    ASCII 0-9; anything else raises ValueError.  Each letter of an iterable
+    is coerced with ``operator.index``, so a float raises TypeError.  The
+    empty string and empty iterable give the empty word.
     """
     if isinstance(spec, str):
         s = spec.strip()
         if not s:
             return ()
-        if "," in s:
-            letters = tuple(int(part) for part in s.split(","))
-        elif s.isdigit():
-            letters = tuple(int(ch) for ch in s)
-        else:
+        parts = [part.strip() for part in s.split(",")] if "," in s else s
+        if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"not a digit word: {spec!r}")
-    else:
-        letters = tuple(int(a) for a in spec)
+        return tuple(map(int, parts))
+    letters = tuple(map(operator.index, spec))
     if any(a < 0 for a in letters):
         raise ValueError(f"letters must be non-negative: {spec!r}")
     return letters

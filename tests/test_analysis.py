@@ -264,38 +264,73 @@ def test_sorted_views_match_factor_sets_and_extension_maps():
     assert widest >= 3
 
 
-def test_reversed_view_certifies_suffix_closure():
+def _tampered_2121():
+    """The 12-factors of 2121 without one factor w whose 11-prefix is then
+    no longer a prefix of a factor while its 11-suffix still is one."""
     clear_factor_cache()
     lib = factor_library(D2121, 12)
     lext, rext = lib.extensions(11)
-    # without w, its 11-prefix is no longer a factor but its 11-suffix still is
     w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
-    tampered = FactorLibrary(D2121, 12, lib.prefix_length, lib.longest - {w})
-    assert tampered.sorted_view.complexity[11] == lib.sorted_view.complexity[11] - 1
+    return lib, lib.longest - {w}
+
+
+def test_the_constructor_certifies_suffix_closure():
+    lib, tampered = _tampered_2121()
     with pytest.raises(VerificationFailed) as err:
-        tampered.reversed_view
+        FactorLibrary(D2121, 12, lib.prefix_length, tampered)
     assert err.value.condition == "balance"
     assert lib.reversed_view.complexity == lib.sorted_view.complexity
 
 
-def test_every_consumer_refuses_a_library_not_closed_under_suffixes(monkeypatch):
-    # the tampered library of test_reversed_view_certifies_suffix_closure
-    clear_factor_cache()
-    lib = factor_library(D2121, 12)
-    lext, rext = lib.extensions(11)
-    w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
-    tampered = FactorLibrary(D2121, 12, lib.prefix_length, lib.longest - {w})
-    consumers = [lambda n=n: tampered.extensions(n) for n in (5, 10, 11)]
-    consumers += [lambda: special_factors(D2121, 11),
-                  lambda: maximal_left_special(D2121, 10),
-                  lambda: find_tridents(D2121, 9)]
-    monkeypatch.setitem(analysis._LIB_CACHE, D2121.digits, tampered)
-    for consume in consumers:
-        with pytest.raises(VerificationFailed) as err:
-            consume()
-        assert err.value.condition == "balance"
-    assert analysis._LIB_CACHE == {D2121.digits: tampered}
-    assert tampered._extensions == {}  # a map is cached only once it passes
+def test_no_consumer_sees_a_library_not_closed_under_suffixes():
+    # a tampered library is refused when it is made, so no consumer can be
+    # handed one; the cache keeps the certified library
+    lib, tampered = _tampered_2121()
+    with pytest.raises(VerificationFailed) as err:
+        FactorLibrary(D2121, 12, lib.prefix_length, tampered)
+    assert err.value.condition == "balance"
+    assert analysis._LIB_CACHE == {D2121.digits: lib}
+    for consume in (lambda: special_factors(D2121, 11),
+                    lambda: maximal_left_special(D2121, 10),
+                    lambda: find_tridents(D2121, 9)):
+        consume()
+    assert analysis._LIB_CACHE == {D2121.digits: lib}
+
+
+@st.composite
+def _cyclic_word(draw):
+    letters = draw(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+    return bytes(letters), draw(st.integers(1, 12))
+
+
+@given(_cyclic_word())
+def test_suffix_closure_lemma_on_cyclic_windows(case):
+    # the windows of a cyclic word are closed under suffixes, so they must
+    # construct and satisfy both claims of the lemma at every n < L; dropping
+    # one window must be refused exactly when it unbalances the (L-1) sets
+    text, length = case
+    cyclic = text * (length // len(text) + 2)
+    windows = {cyclic[i:i + length] for i in range(len(text))}
+    lib = FactorLibrary(D2121, length, 0, windows)
+    for n in range(length):
+        prefixes = {f[:n] for f in windows}
+        assert {f[length - n:] for f in windows} == prefixes
+        assert {f[1:n + 1] for f in windows} == prefixes
+    complexity = lib.reversed_view.complexity
+    assert complexity == lib.sorted_view.complexity
+    for n in range(length):
+        lext, rext = lib.extensions(n)
+        assert lext.keys() == rext.keys()
+        assert sum(len(e) - 1 for e in lext.values()) == complexity[n + 1] - complexity[n]
+    for w in windows:
+        rest = windows - {w}
+        balanced = {f[1:] for f in rest} == {f[:-1] for f in rest}
+        if balanced:
+            FactorLibrary(D2121, length, 0, rest)
+        else:
+            with pytest.raises(VerificationFailed) as err:
+                FactorLibrary(D2121, length, 0, rest)
+            assert err.value.condition == "balance"
 
 
 def test_extensions_reject_lengths_outside_the_library():

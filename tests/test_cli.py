@@ -263,6 +263,15 @@ def test_out_of_range_operand_exits_1(capsys, argv, message):
     assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("base", ["\u0662\u0661", "\uff12\uff11", "2_1,1", "12,", "\u00b21"],
+                         ids=["arabic-indic", "fullwidth", "underscore", "empty-part",
+                              "superscript"])
+def test_base_that_is_not_ascii_digits_exits_1(capsys, base):
+    # each comma-separated part, stripped of spaces, is ASCII 0-9
+    code = main(["validate", base])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: not a digit word: {base!r}\n")
+
+
 def test_empty_corpus_tokens_are_skipped(capsys):
     plain = run(capsys, "scan", "--corpus", "m=2,digit<=1")
     assert plain[0] == 0
@@ -483,8 +492,8 @@ def test_failed_invariant_exits_4_under_any_optimization(flags):
     pytest.param(("specials", "2121", "left", "-n", "5"), id="left-2121-5"),
     pytest.param(("specials", "21211", "tridents", "--length-bound", "12"),
                  id="tridents-21211-12"),
-    # the downward walks of the maximal and trident searches, each map
-    # checked for suffix closure as it is built
+    # the downward walks of the maximal and trident searches, on a library
+    # checked for suffix closure when it is built
     pytest.param(("specials", "2121", "maximal", "--length-bound", "20"),
                  id="maximal-2121-20"),
     pytest.param(("specials", "2121", "tridents", "--length-bound", "20"),

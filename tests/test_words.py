@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parryscope.errors import EmptyWordError
+from parryscope.numeration import validate_renyi
 from parryscope.words import (
     borders,
     fmt,
@@ -47,6 +48,7 @@ def naive_power_condition(w):
 def test_word_forms():
     assert word("2121") == (2, 1, 2, 1)
     assert word("2,1,2,1") == (2, 1, 2, 1)
+    assert word(" 2, 1 ") == word(" 21 ") == (2, 1)
     assert word("") == ()
     assert word([0, 10, 3]) == (0, 10, 3)
     assert fmt((2, 1, 2, 1)) == "2121"
@@ -74,6 +76,24 @@ def test_word_rejects_garbage():
         word("abc")
     with pytest.raises(ValueError):
         word([-1, 2])
+    # a letter that is not an integer is refused, not truncated
+    with pytest.raises(TypeError):
+        word([2.7, 1])
+    with pytest.raises(TypeError):
+        validate_renyi([2.7, 1])
+
+
+@pytest.mark.parametrize("text", [
+    "\u0662\u0661",  # Arabic-Indic digits two, one
+    "\uff12\uff11",  # fullwidth digits two, one
+    "2_1,1",  # int() would read 2_1 as 21
+    "12,",  # an empty part
+    "\u00b21",  # a superscript two
+], ids=["arabic-indic", "fullwidth", "underscore", "empty-part", "superscript"])
+def test_word_reads_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="^not a digit word: ") as err:
+        word(text)
+    assert repr(text) in str(err.value)
 
 
 # --- borders ----------------------------------------------------------------
