@@ -27,18 +27,17 @@ the longest factors: C(n) is one more than the number of neighbours whose
 longest common prefix is shorter than n, and the right special factors of
 length n are the branching nodes of depth n in the trie of the sorted
 words.  The same count on the sorted reversed factors gives the left special
-factors.  A
-request whose texts would exceed ``TEXT_CAP`` letters, or whose longest
-factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises BudgetExceeded
-before anything is built.  The structural classifier is the authority on
-affineness; enumeration is the cross-check.
+factors.  A request whose texts would exceed ``TEXT_CAP`` letters, or whose
+longest factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises
+BudgetExceeded before anything is built.  The structural classifier is the
+authority on affineness; enumeration is the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ from .errors import (
     VerificationFailed,
 )
 from .numeration import TEXT_CAP, RenyiExpansion, _segment, radix_rank, value_of
-from .substitution import _image_bytes, fixed_point_prefix, j_indices
+from .substitution import build_substitution, fixed_point_prefix, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
 
@@ -206,7 +205,7 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     cached = _LIB_CACHE.get(d.digits)
     if cached is not None and cached.max_len >= max_len:
         return cached
-    images = _image_bytes(d)
+    images = [bytes(im) for im in build_substitution(d).images]
     pairs = _two_letter_factors(images)
     # images are non-empty, so the text length never decreases with k: a
     # length over the cap at any k is over it at the k the request needs
@@ -397,14 +396,9 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
                     rooted.append(a)
                 else:
                     plain.append((a, next(iter(ext))))
-            if not rooted or len(plain) < 2:
-                continue
-            for x in rooted:
-                for i in range(len(plain)):
-                    for k in range(i + 1, len(plain)):
-                        (y, ly), (z, lz) = plain[i], plain[k]
-                        if ly != lz:
-                            out.append(Trident(tuple(w), x, (y, z), (ly, lz)))
+            for (y, ly), (z, lz) in combinations(plain, 2):
+                if ly != lz:
+                    out.extend(Trident(tuple(w), x, (y, z), (ly, lz)) for x in rooted)
     return sorted(out, key=lambda t: (len(t.word), t.word, t.rooted, t.teeth))
 
 
@@ -576,14 +570,15 @@ def verify_gap_inventory(d: RenyiExpansion) -> GapInventoryReport:
     lib = factor_library(d, need)
     observed = set()
     zero_run = 0
-    # every factor of length n <= need is an n-prefix of a longest factor
-    for f in lib.longest:
-        for n in range(1, need + 1):
-            g = f[:n]
-            if n >= 2 and g[0] and g[-1] and not any(g[1:-1]):
-                observed.add(tuple(g))
-            if not any(g):
-                zero_run = max(zero_run, n)
+    # every factor of length n <= need is an n-prefix of a longest factor,
+    # cut here to need letters (a cached library may hold longer ones); such
+    # an f has at most one X 0^r Y prefix: the one ending at its first
+    # nonzero letter after f[0]
+    for f in {f[:need] for f in lib.longest}:
+        zero_run = max(zero_run, need - len(f.lstrip(b"\0")))
+        tail = f[1:].lstrip(b"\0")
+        if f[0] and tail:
+            observed.add(tuple(f[:need + 1 - len(tail)]))
     return GapInventoryReport(d, expected_gap_inventory(d), observed, zero_run, lib.prefix_length)
 
 
@@ -619,21 +614,9 @@ class WitnessBundle:
     x2: Word
 
     def to_json(self):
-        return {
-            "d": fmt(self.d.digits),
-            "p": fmt(self.p),
-            "r": self.r,
-            "p_prime": fmt(self.p_prime),
-            "q": fmt(self.q),
-            "c": fmt(self.c),
-            "h1": self.h1,
-            "h2": self.h2,
-            "h": self.h,
-            "a_pad": self.a_pad,
-            "z": fmt(self.z),
-            "x1": fmt(self.x1),
-            "x2": fmt(self.x2),
-        }
+        # the fields in their order; d by its digits, and every tuple is a word
+        items = dict(vars(self), d=self.d.digits).items()
+        return {k: fmt(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def _digitwise_sub(u: Word, v: Word) -> Word:
@@ -683,10 +666,8 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     are admissible and that conditions (i)-(iv) hold.
     """
     cls = classify_affine(d)
-    if cls.affine:
-        raise NotApplicable("affine")
-    if cls.reason == "tm_not_one":
-        raise NotApplicable("tm_not_one")
+    if cls.reason != "fractional_power":
+        raise NotApplicable(cls.reason or "affine")
     w = d.digits[:-1]
     b = p = cls.p
     while w[-len(b + p):] == b + p:
@@ -707,17 +688,16 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
         raise VerificationFailed("decomposition", "q must be non-empty")
     if q[0] >= p[j]:
         raise VerificationFailed("decomposition", "q must start below the next border digit")
+    # u1 and u2 differ, and their common suffix c is shorter than |p| + |q|:
+    # their last |p| + |q| letters are p[j:] p' q and q p, whose first
+    # letters are p_(j+1) > q_1, so the loop stops inside both words
     u1 = p + p_prime + q
     u2 = p_prime + q + p
-    if u1 == u2:
-        raise VerificationFailed("decomposition", "a proper power would be classified affine")
     k = 0
     while u1[len(u1) - 1 - k] == u2[len(u2) - 1 - k]:
         k += 1
     c = u1[len(u1) - k:]
     h1, h2 = u1[len(u1) - 1 - k], u2[len(u2) - 1 - k]
-    if len(c) > len(p) + len(q) - 1:
-        raise VerificationFailed("decomposition", "common suffix too long")
     h = min(h1, h2)
     a_pad = r * s + j + 1
     hc = (h,) + c

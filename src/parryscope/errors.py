@@ -97,9 +97,8 @@ class VerificationFailed(ParryscopeError):
     * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions;
     * ``"decomposition"``: the digit prefix w does not factor as p^r p' q p
       as the witness construction requires (q is empty or does not start
-      below the next digit of p, p p' q equals p' q p, or their common
-      suffix is too long), or the digit-wise subtraction that builds x1 and
-      x2 would borrow;
+      below the next digit of p), or the digit-wise subtraction that builds
+      x1 and x2 would borrow;
     * ``"admissible"``: ``verify_witness`` found a witness point z, x1 or
       x2 not admissible, or a walk reached an inadmissible successor;
     * ``"balance"``: the (L-1)-suffixes of a library's factors are not

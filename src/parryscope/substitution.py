@@ -59,11 +59,6 @@ def build_substitution(d: RenyiExpansion) -> Substitution:
     return Substitution(d, tuple(images))
 
 
-def _image_bytes(d: RenyiExpansion):
-    s = build_substitution(d)
-    return [bytes(im) for im in s.images]
-
-
 def fixed_point_prefix(d: RenyiExpansion, length: int) -> Word:
     """First ``length`` letters of the fixed point u = lim phi^n(0)."""
     return tuple(fixed_point_prefix_bytes(d, length))

@@ -165,13 +165,12 @@ def test_growing_sweep_rebuilds_once_per_text(monkeypatch):
     # certify, so a growing sweep builds one library per text length, and
     # every report equals the one from a cold cache
     builds = []
-    image_bytes = analysis._image_bytes
 
     def counting(d):
         builds.append(d)
-        return image_bytes(d)
+        return build_substitution(d)
 
-    monkeypatch.setattr(analysis, "_image_bytes", counting)
+    monkeypatch.setattr(analysis, "build_substitution", counting)
     for base in SPECIALS_SESSION_BASES:
         d = validate_renyi(base)
         clear_factor_cache()
@@ -590,6 +589,27 @@ def test_longest_zero_run():
         assert rep.longest_zero_run == d.t1 + d.digits[-1]
 
 
+@pytest.mark.parametrize("base", ["11", "2121", "211", "201", "22", "3202"])
+def test_gap_inventory_reads_a_warm_library_like_a_cold_one(base):
+    # a cached library may hold factors longer than the inventory needs; only
+    # the prefix length read, that of the cached library, may differ
+    d = validate_renyi(base)
+    analysis.clear_factor_cache()
+    cold = verify_gap_inventory(d)
+    factor_library(d, 30)
+    warm = verify_gap_inventory(d)
+    assert warm.prefix_length_used > cold.prefix_length_used
+    assert dataclasses.replace(warm, prefix_length_used=cold.prefix_length_used) == cold
+    assert warm.ok and warm.longest_zero_run == d.t1 + d.digits[-1]
+
+
+def test_gap_inventory_names_what_is_missing_and_what_is_extra():
+    rep = verify_gap_inventory(D2121)
+    tampered = dataclasses.replace(rep, observed=rep.observed - {word("102")} | {word("1002")})
+    assert tampered.missing == {word("102")} and tampered.extra == {word("1002")}
+    assert not tampered.ok
+
+
 # --- the witness construction -----------------------------------------------------------------
 
 
@@ -614,6 +634,36 @@ def test_witness_2121_exact_bundle():
     assert b.z == word("121")
     assert b.x1 == word("2000")
     assert b.x2 == word("21100")
+
+
+def test_witness_bundle_json_keys_are_its_fields_in_order():
+    body = construct_witness(D2121).to_json()
+    assert list(body) == ["d", "p", "r", "p_prime", "q", "c", "h1", "h2", "h", "a_pad",
+                          "z", "x1", "x2"]
+    assert body["d"] == "2121" and body["p_prime"] == "" and body["h"] == 1
+
+
+# no Parry base reaches these checks; a classification that names a false
+# border of w = t_1 ... t_(m-1) does
+@pytest.mark.parametrize("base, p, message", [
+    ("11", (0,), "q must be non-empty"),
+    ("1101", (0,), "q must start below the next border digit"),
+    ("1101", (2,), "digit-wise borrow in 110 - 001"),
+])
+def test_a_false_border_fails_the_decomposition(monkeypatch, base, p, message):
+    d = validate_renyi(base)
+    monkeypatch.setattr(analysis, "classify_affine", lambda d: analysis.Classification(
+        d, affine=False, reason="fractional_power", p=p))
+    with pytest.raises(VerificationFailed) as err:
+        construct_witness(d)
+    assert (err.value.condition, str(err.value)) == ("decomposition", message)
+
+
+def test_digitwise_subtraction_refuses_a_longer_subtrahend_and_a_borrow():
+    for u, v in (((1,), (1, 0)), ((1, 0), (2,))):
+        with pytest.raises(VerificationFailed) as err:
+            analysis._digitwise_sub(u, v)
+        assert err.value.condition == "decomposition"
 
 
 def test_witness_2121_verification():
@@ -683,6 +733,30 @@ def test_tampered_witness_fails_its_condition(base, field, value, condition):
     with pytest.raises(VerificationFailed) as err:
         verify_witness(d, dataclasses.replace(b, **{field: value(b, d)}))
     assert (err.value.condition, err.value.exit_code) == (condition, 4)
+
+
+def test_a_walk_ending_off_x_plus_z_fails_condition_i(monkeypatch):
+    # a walk that reads the coding from 0 ends at x + z, so only a broken
+    # walk reaches this check
+    segment = analysis._segment
+
+    def shifted(d, x, count):
+        letters, end, state = segment(d, x, count)
+        return letters, end + (0,), state
+
+    monkeypatch.setattr(analysis, "_segment", shifted)
+    with pytest.raises(VerificationFailed, match="does not end at x1") as err:
+        verify_witness(D2121, construct_witness(D2121))
+    assert err.value.condition == "i"
+
+
+def test_a_gap_of_length_one_after_z_fails_condition_iv(monkeypatch):
+    # u[span] is the match length of z; a fixed point reading 0 there fails
+    prefix = analysis.fixed_point_prefix
+    monkeypatch.setattr(analysis, "fixed_point_prefix", lambda d, n: prefix(d, n)[:-1] + (0,))
+    with pytest.raises(VerificationFailed, match="successor gap at z is 1") as err:
+        verify_witness(D2121, construct_witness(D2121))
+    assert err.value.condition == "iv"
 
 
 def test_witness_reads_each_point_once(monkeypatch):

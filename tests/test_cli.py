@@ -12,7 +12,7 @@ import pytest
 
 from parryscope import analysis, numeration
 from parryscope.cli import CorpusSpec, _build_parser, main
-from parryscope.errors import ParryscopeError, UsageError
+from parryscope.errors import ParryscopeError, UsageError, VerificationFailed
 from parryscope.numeration import validate_renyi
 from parryscope.words import satisfies_power_condition
 
@@ -437,6 +437,18 @@ def run_python(flags, *args):
 def run_process(flags, *argv):
     """The CLI in a fresh interpreter started with ``flags``."""
     return run_python(flags, "-m", "parryscope.cli", *argv)
+
+
+def test_failed_invariant_names_its_condition(capsys, monkeypatch):
+    def failing(d, bundle):
+        raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
+
+    monkeypatch.setattr(analysis, "verify_witness", failing)
+    code, body = run_json(capsys, "witness", "2121")
+    assert code == 4
+    assert body["error"] == {"type": "VerificationFailed",
+                             "message": "x1 and x2 have equal predecessor gaps",
+                             "condition": "ii"}
 
 
 def test_closed_pipe_ends_the_command_quietly():

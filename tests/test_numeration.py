@@ -25,6 +25,7 @@ from parryscope.errors import (
     NonIntegerExpansionError,
     ParryViolation,
     TrailingZeroError,
+    VerificationFailed,
     ZeroHasNoPredecessor,
 )
 from parryscope.numeration import (
@@ -783,3 +784,36 @@ def test_exact_zeros_on_long_reducible_bases(digits):
     for z in zeros:
         assert _agrees_with_reference(z) == 0
         assert _agrees_with_reference(z + 1) == 1
+
+
+# --- guards that no valid input reaches -----------------------------------------------
+
+
+def test_elements_check_their_length_and_print_their_base():
+    with pytest.raises(ValueError):
+        ZBetaElement(D2121, (1, 2))
+    assert repr(D2121) == "RenyiExpansion('2121')"
+    assert repr(beta(GOLDEN)) == "ZBetaElement('11', (0, 1))"
+
+
+def test_orbit_index_outside_zero_to_m_is_refused():
+    for i in (-1, GOLDEN.m + 1):
+        with pytest.raises(ValueError):
+            t_orbit(GOLDEN, i)
+
+
+def test_a_gcd_that_does_not_divide_the_base_polynomial_is_refused(monkeypatch):
+    # x^2 + 1 does not divide x^4 - 3x^3 - 2x^2 - 2, the polynomial of 3202
+    monkeypatch.setattr(numeration, "_pgcd", lambda a, b: [1, 0, 1])
+    d = validate_renyi("3202")
+    with pytest.raises(VerificationFailed) as err:
+        zb_sign(ZBetaElement(d, (-2, 2, -4, 1)))
+    assert err.value.condition == "beta"
+
+
+def test_a_walk_landing_on_an_inadmissible_successor_is_refused(monkeypatch):
+    # the start, the empty word, is read as admissible; every step fails
+    monkeypatch.setattr(numeration, "_advance", lambda per, s, states: not s)
+    with pytest.raises(VerificationFailed) as err:
+        _segment(D2121, (), 3)
+    assert err.value.condition == "admissible"

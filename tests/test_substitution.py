@@ -198,3 +198,8 @@ def test_j_indices_examples():
     assert j_indices(D2121) == {2: 1, 3: 1, 4: 1}
     assert j_indices(validate_renyi("201")) == {2: 1, 3: 2}
     assert j_indices(GOLDEN) == {2: 1}
+
+
+def test_j_indices_need_two_letters():
+    with pytest.raises(ValueError):
+        j_indices(validate_renyi("2"))

@@ -150,3 +150,9 @@ def test_power_condition_exhaustive_against_naive():
     for n in range(1, 9):
         for w in product(range(4), repeat=n):
             assert satisfies_power_condition(w) == naive_power_condition(w), w
+
+
+def test_primitive_root_and_power_condition_refuse_the_empty_word():
+    for f in (primitive_root, satisfies_power_condition):
+        with pytest.raises(EmptyWordError):
+            f(())
