@@ -17,17 +17,16 @@ L-factors must be their (L-1)-prefixes (see ``FactorLibrary``).  That one
 check makes the n-suffixes of the factors their n-prefixes at every n < L,
 so counts read off prefixes and counts read off suffixes agree, and it gives
 Cassaigne's balance sum(#Lext - 1) = C(n+1) - C(n) at every n.  Nothing
-that reads the library checks it again.  The inventories that print
-extension letters read one extension map per length n off the
-(n+1)-factors: the keys of the map one length up when it is built, else
-prefixes of the longest factors.
+that reads the library checks it again.
 
-C(n) and the special-factor counts of every length come from one sort of
-the longest factors: C(n) is one more than the number of neighbours whose
-longest common prefix is shorter than n, and the right special factors of
-length n are the branching nodes of depth n in the trie of the sorted
-words.  The same count on the sorted reversed factors gives the left special
-factors.  A request whose texts would exceed ``TEXT_CAP`` letters, or whose
+C(n) and every special-factor inventory come from two sorts of the longest
+factors.  C(n) is one more than the number of neighbours whose longest
+common prefix is shorter than n.  The right special factors of length n,
+with their right letters, are the branching nodes of depth n in the trie of
+the sorted words; the same walk over the sorted reversed factors gives the
+left special factors with their left letters.  A node keeps one sorted key
+per letter, and becomes words only when an inventory asks for its length.
+A request whose texts would exceed ``TEXT_CAP`` letters, or whose
 longest factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises
 BudgetExceeded before anything is built.  The structural classifier is the
 authority on affineness; enumeration is the cross-check.
@@ -35,7 +34,8 @@ authority on affineness; enumeration is the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
@@ -58,42 +58,66 @@ from .words import Word, borders, fmt, satisfies_power_condition, word
 
 
 class PrefixCounts(NamedTuple):
-    """Counts read off a set of words of one length L, for n = 0 .. L."""
+    """The trie of a set of words of one length L, from one sort of their
+    keys: C(n) for n = 0 .. L and the branching nodes of every depth n < L."""
 
     complexity: list  # complexity[n] = number of distinct n-prefixes
-    special: list  # special[n] = n-prefixes with two or more next letters (n < L)
+    # nodes[n] = per n-prefix with two or more next letters (n < L), the
+    # sorted keys that meet there, one per next letter
+    nodes: list
+    keys: list  # the words as sorted integers
+    length: int
+    byteorder: str
+
+    def branches(self, n: int) -> dict:
+        """{n-prefix: its next letters, ascending} over the n-prefixes with
+        two or more, for 0 <= n < L.  Read little-endian, the words count as
+        reversed: {n-suffix: the letters before it}."""
+        if not 0 <= n < self.length:
+            raise ValueError(f"branches need 0 <= n < {self.length}, not {n}")
+        shift = 8 * (self.length - n)
+        return {(node[0] >> shift).to_bytes(n, self.byteorder):
+                tuple(key >> shift - 8 & 255 for key in node) for node in self.nodes[n]}
 
 
 def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
-    """Prefix counts of a non-empty set of distinct words of ``length`` bytes,
-    from one sort.  Read little-endian, the words count as reversed."""
-    keys = sorted(int.from_bytes(w, byteorder) for w in words)
+    """The trie of a non-empty set of distinct words of ``length`` bytes, from
+    one sort.  Read little-endian, the words count as reversed."""
+    keys = sorted([int.from_bytes(w, byteorder) for w in words])
     bits = 8 * length
     cuts = [0] * length  # neighbour pairs by the length of their common prefix
-    special = [0] * length
-    open_depths = []  # depths of the branching nodes on the current trie path
+    nodes = [[] for _ in range(length)]
+    # (depth, keys) of the branching nodes on the current trie path, below a
+    # sentinel shallower than the root
+    path = [(-1, None)]
     for x, y in zip(keys, keys[1:]):
         lcp = (bits - (x ^ y).bit_length()) >> 3
         cuts[lcp] += 1
         # neighbours meeting at the same depth share the node only when no
         # pair between them meets higher up
-        while open_depths and open_depths[-1] > lcp:
-            open_depths.pop()
-        if not open_depths or open_depths[-1] < lcp:
-            open_depths.append(lcp)
-            special[lcp] += 1
-    return PrefixCounts(list(accumulate(cuts, initial=1)), special)
+        while path[-1][0] > lcp:
+            path.pop()
+        depth, node = path[-1]
+        if depth == lcp:
+            node.append(y)
+        else:
+            node = [x, y]
+            nodes[lcp].append(node)
+            path.append((lcp, node))
+    return PrefixCounts(list(accumulate(cuts, initial=1)), nodes, keys, length, byteorder)
 
 
 @dataclass
 class FactorLibrary:
     """Factor sets of the fixed point for all lengths up to ``max_len``.
 
-    Only ``longest``, the factors of length ``max_len``, is stored; the
-    sorted views and the extension maps of shorter lengths are built when
-    first asked for.  Factors are kept as bytes; the public reports convert
-    to tuples.  ``prefix_length`` is the total length of the texts
-    phi^k(a) phi^k(b) the factors were read from.
+    Only ``longest``, the factors of length ``max_len``, is stored; its two
+    sorted views are built when first asked for.  The branching nodes of
+    depth n of ``sorted_view`` are the right special n-factors, and those of
+    ``reversed_view`` the left special ones, each with its extension
+    letters.  Factors are kept as bytes; the public reports convert to
+    tuples.  ``prefix_length`` is the total length of the texts phi^k(a)
+    phi^k(b) the factors were read from.
 
     The constructor raises VerificationFailed("balance") unless the
     (L-1)-suffixes of the factors F of length L = ``max_len`` are their
@@ -104,17 +128,16 @@ class FactorLibrary:
     predecessors reaches one that ends with f[:n].  So for every n < L:
 
     * the n-suffixes of F are its n-prefixes, and both sorted views count
-      the same C(n);
+      the same C(n) and branch over the n-factors;
     * the n-suffixes of the (n+1)-prefixes are the n-prefixes (f[1:n+1] =
-      f'[:n] and f[:n] = h[1:n+1]), so the key sets of every extension map
-      agree, which is sum(#Lext - 1) = C(n+1) - C(n).
+      f'[:n] and f[:n] = h[1:n+1]), so the left and the right extensions
+      count the same (n+1)-factors, which is sum(#Lext - 1) = C(n+1) - C(n).
     """
 
     d: RenyiExpansion
     max_len: int
     prefix_length: int
     longest: set  # the factors of length max_len (bytes)
-    _extensions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # one slice set alive at once: every suffix is a prefix, and taking
@@ -130,34 +153,13 @@ class FactorLibrary:
 
     @cached_property
     def sorted_view(self) -> PrefixCounts:
-        """C(n) and the right special counts, from the sorted factors."""
+        """C(n) and the right special factors, from the sorted factors."""
         return _prefix_counts(self.longest, self.max_len)
 
     @cached_property
     def reversed_view(self) -> PrefixCounts:
-        """C(n) and the left special counts, from the sorted reversed factors."""
+        """C(n) and the left special factors, from the sorted reversed factors."""
         return _prefix_counts(self.longest, self.max_len, "little")
-
-    def extensions(self, n: int) -> tuple:
-        """(lext, rext): the left and right extension letters of the
-        n-factors, 0 <= n < max_len, read off the keys of the right map at
-        n + 1 when it is built, else off the (n+1)-prefixes of ``longest``."""
-        maps = self._extensions.get(n)
-        if maps is None:
-            if not 0 <= n < self.max_len:
-                raise ValueError(f"extension maps need 0 <= n < {self.max_len}, not {n}")
-            if n + 1 in self._extensions:
-                words = self._extensions[n + 1][1]
-            elif n + 1 == self.max_len:
-                words = self.longest
-            else:
-                words = {f[:n + 1] for f in self.longest}
-            lext, rext = {}, {}
-            for f in words:
-                lext.setdefault(f[1:], set()).add(f[0])
-                rext.setdefault(f[:-1], set()).add(f[-1])
-            maps = self._extensions[n] = (lext, rext)
-        return maps
 
 
 _LIB_CACHE: dict = {}  # one slot: the library of the base used last
@@ -289,8 +291,9 @@ def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
 
 @dataclass
 class SpecialFactorReport:
-    """Left/right special factors of one length, read off an extension map
-    certified to satisfy sum(#Lext - 1) == C(n+1) - C(n)."""
+    """Left/right special factors of one length with their extension
+    letters, read off the branching nodes of the two sorted views of a
+    certified library, so that sum(#Lext - 1) == C(n+1) - C(n)."""
 
     d: RenyiExpansion
     n: int
@@ -326,35 +329,29 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     if n < 1:
         raise ValueError("length must be at least 1")
     lib = factor_library(d, n + 1)
-    lext, rext = lib.extensions(n)
-    left = {tuple(w): tuple(sorted(e)) for w, e in lext.items() if len(e) >= 2}
-    right = {tuple(w): tuple(sorted(e)) for w, e in rext.items() if len(e) >= 2}
-    bis = sorted(set(left) & set(right))
-    c_n1 = sum(len(e) for e in rext.values())
-    return SpecialFactorReport(d, n, left, right, bis, len(rext), c_n1, lib.prefix_length)
+    left = {tuple(w): e for w, e in lib.reversed_view.branches(n).items()}
+    right = {tuple(w): e for w, e in lib.sorted_view.branches(n).items()}
+    bis = sorted(left.keys() & right.keys())
+    c = lib.sorted_view.complexity
+    return SpecialFactorReport(d, n, left, right, bis, c[n], c[n + 1], lib.prefix_length)
 
 
 def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     """All maximal left special factors of length <= bound.
 
-    A left special factor is maximal when no one-letter right extension is
-    left special again.  It is right special: were a the only right letter
-    of w, then for each left letter b of w the factor bw would extend right
-    by a alone, so b would be a left letter of wa, and wa left special.
+    A left special factor w is maximal when no one-letter right extension
+    is left special again, that is, when no left special factor of length
+    |w| + 1 starts with w.  It is right special: were a the only right
+    letter of w, then for each left letter b of w the factor bw would extend
+    right by a alone, so b would be a left letter of wa, and wa left special.
     """
     if bound < 1:
         raise ValueError("length bound must be at least 1")
-    lib = factor_library(d, bound + 2)
-    out = []
-    # downwards, so that each extension map is read off the next longer one
-    next_lext = lib.extensions(bound + 1)[0]
-    for n in range(bound, 0, -1):
-        lext, rext = lib.extensions(n)
-        for w, e in lext.items():
-            if len(e) >= 2 and all(len(next_lext[w + bytes([a])]) < 2 for a in rext[w]):
-                out.append(tuple(w))
-        next_lext = lext
-    return sorted(out, key=lambda w: (len(w), w))
+    view = factor_library(d, bound + 2).reversed_view
+    left = [view.branches(n) for n in range(1, bound + 2)]
+    out = [w for shorter, longer in zip(left, left[1:])
+           for w in shorter.keys() - {v[:-1] for v in longer}]
+    return sorted(map(tuple, out), key=lambda w: (len(w), w))
 
 
 @dataclass(frozen=True)
@@ -381,21 +378,25 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
     if bound < 0:
         raise ValueError("length bound must be non-negative")
     lib = factor_library(d, bound + 2)
+    keys = lib.reversed_view.keys
     out = []
-    # downwards, so that each extension map is read off the next longer one
-    for n in range(bound, -1, -1):
-        lext_next = lib.extensions(n + 1)[0]
-        for w, right in lib.extensions(n)[1].items():
+    for n in range(bound + 1):
+        left = lib.reversed_view.branches(n + 1)
+        shift = 8 * (lib.max_len - n - 1)
+        for w, right in lib.sorted_view.branches(n).items():
             if len(right) < 3:  # one rooted tooth and two plain ones
                 continue
             rooted = []
             plain = []
-            for a in sorted(right):
-                ext = lext_next[w + bytes([a])]
-                if len(ext) >= 2:
+            for a in right:
+                v = w + bytes([a])
+                if v in left:
                     rooted.append(a)
                 else:
-                    plain.append((a, next(iter(ext))))
+                    # the reversed keys of the factors ending in v start at
+                    # the first one at or above v's, and share the letter before v
+                    key = keys[bisect_left(keys, int.from_bytes(v, "little") << shift)]
+                    plain.append((a, key >> shift - 8 & 255))
             for (y, ly), (z, lz) in combinations(plain, 2):
                 if ly != lz:
                     out.extend(Trident(tuple(w), x, (y, z), (ly, lz)) for x in rooted)
@@ -512,8 +513,8 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
         lib = factor_library(d, oracle_n)
         body["specials"] = {
             "lengths": list(range(1, oracle_n)),
-            "left_special_counts": lib.reversed_view.special[1:oracle_n],
-            "right_special_counts": lib.sorted_view.special[1:oracle_n],
+            "left_special_counts": [len(x) for x in lib.reversed_view.nodes[1:oracle_n]],
+            "right_special_counts": [len(x) for x in lib.sorted_view.nodes[1:oracle_n]],
         }
     else:
         body["specials"] = None

@@ -463,16 +463,25 @@ def _weight(t, u) -> int:
     return sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t))
 
 
-def _block(t, blocks, k) -> bytes:
-    """phi^k(0) = u[:U_k] as bytes (letters < 256), extending the list
-    blocks = [phi^0(0), phi^1(0), ...] up to it.  Unrolling
+def _block(t, u, top, k) -> bytes:
+    """phi^k(0) = u[:U_k] as bytes (letters < 256), from u = [U_0, ..., U_k]
+    and top = [K, phi^K(0)], the longest block built, which it extends to k.
+    Each block is a prefix of the next, so only the longest is kept and
+    phi^k(0) for k <= K is its first U_k letters.  Unrolling
     phi^(k-1)(phi(0)) letter by letter, phi^k(0) is the product of
     phi^(k-j)(0)^(t_j) over j <= min(k, m), then the letter k if k < m."""
-    while len(blocks) <= k:
-        j = len(blocks)
-        block = b"".join([blocks[j - i] * t[i - 1] for i in range(1, min(j, len(t)) + 1)])
-        blocks.append(block + bytes((j,)) if j < len(t) else block)
-    return blocks[k]
+    j, block = top
+    if j < k:
+        while j < k:
+            j += 1
+            # a slice is a copy, so a zero digit is skipped, not sliced
+            parts = [block[:u[j - i]] * t[i - 1] for i in range(1, min(j, len(t)) + 1)
+                     if t[i - 1]]
+            if j < len(t):
+                parts.append(bytes((j,)))
+            block = b"".join(parts)
+        top[:] = j, block
+    return block[:u[k]]
 
 
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
@@ -498,13 +507,13 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
     if length == 0:
         return b""
     _check_alphabet(d)
-    t, u, blocks = d.digits, [1], []
+    t, u, top = d.digits, [1], [0, b"\0"]
     while u[-1] <= length:
         u.append(_weight(t, u))
     parts = []
     for i in reversed(range(len(u) - 1)):
         q, length = divmod(length, u[i])
-        parts.append(_block(t, blocks, i) * q)
+        parts.append(_block(t, u, top, i) * q)
     return b"".join(parts)
 
 
@@ -725,7 +734,7 @@ def _segment(d: RenyiExpansion, start, count: int):
     t = d.digits
     letters = []
     u = [1]  # U_0, U_1, ...: block lengths, as far as zero runs have asked
-    blocks = []  # phi^0(0), phi^1(0), ...: built up to the largest taken
+    top = [0, b"\0"]  # the longest block phi^K(0) built so far, with K
     left = count
     while left:
         n = len(y)
@@ -740,7 +749,7 @@ def _segment(d: RenyiExpansion, start, count: int):
             k += 1
             if not states[n - k]:
                 i = k
-        block = _block(t, blocks, i) if i else (states[-1],)
+        block = _block(t, u, top, i) if i else (states[-1],)
         letters += block
         left -= len(block)
         pos = n - 1 - i

@@ -101,9 +101,9 @@ def _prefix_scan(digits, length, max_len):
 
 
 def _factor_sets(lib):
-    """The factor sets of lengths 0..max_len held by a library: the keys of
-    its right extension maps, then ``longest``."""
-    return [set(lib.extensions(n)[1]) for n in range(lib.max_len)] + [lib.longest]
+    """The factor sets of lengths 0..max_len held by a library: the prefixes
+    of its longest factors."""
+    return [{f[:n] for f in lib.longest} for n in range(lib.max_len + 1)]
 
 
 def test_factor_library_matches_long_prefix_scan():
@@ -139,7 +139,18 @@ def _extension_maps(sets, n, m):
     return lext, rext
 
 
-def test_extensions_match_prefix_scan():
+def _special(extensions):
+    """The entries of an extension map with two or more letters, ascending."""
+    return {w: tuple(sorted(e)) for w, e in extensions.items() if len(e) >= 2}
+
+
+def _left_letters(lib, w):
+    """The letters a with aw a factor, read off the (|w|+1)-prefixes of the
+    longest factors of a library."""
+    return {f[0] for f in lib.longest if f[1:len(w) + 1] == w}
+
+
+def test_branches_match_prefix_scan():
     # on prefixes of 2^16 letters, every factor of length 30 occurs before
     # letter 1,500 on m=2..4,digit<=3, before 6,600 on m=5..6,digit<=2 and
     # before 12,000 on 301002
@@ -148,13 +159,12 @@ def test_extensions_match_prefix_scan():
     cases.append((validate_renyi("301002"), 1 << 14))
     for d, length in cases:
         sets = _prefix_scan(d.digits, length, 30)
-        expected = [_extension_maps(sets, n, d.m) for n in range(30)]
-        # ascending calls read each map off longest, descending ones chain
-        for order in (range(30), range(29, -1, -1)):
-            clear_factor_cache()
-            lib = factor_library(d, 30)
-            got = {n: lib.extensions(n) for n in order}
-            assert [got[n] for n in range(30)] == expected, (fmt(d.digits), order)
+        clear_factor_cache()
+        lib = factor_library(d, 30)
+        for n in range(30):
+            lext, rext = _extension_maps(sets, n, d.m)
+            assert lib.reversed_view.branches(n) == _special(lext), (fmt(d.digits), n)
+            assert lib.sorted_view.branches(n) == _special(rext), (fmt(d.digits), n)
 
 
 SPECIALS_SESSION_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211")
@@ -180,6 +190,31 @@ def test_growing_sweep_rebuilds_once_per_text(monkeypatch):
         for n, report in enumerate(sweep, 1):
             clear_factor_cache()
             assert report == special_factors(d, n), (base, n)
+
+
+def test_a_session_sorts_each_library_at_most_twice(monkeypatch):
+    # every inventory reads the two sorted views of the library it is
+    # handed, so a session sorts each library it builds once per view
+    builds, sorts = [], []
+
+    def counting(d):
+        builds.append(d)
+        return build_substitution(d)
+
+    def sorting(*args):
+        sorts.append(1)
+        return _prefix_counts(*args)
+
+    monkeypatch.setattr(analysis, "build_substitution", counting)
+    monkeypatch.setattr(analysis, "_prefix_counts", sorting)
+    clear_factor_cache()
+    for n in range(1, 26):
+        special_factors(D2121, n)
+    maximal_left_special(D2121, 40)
+    find_tridents(D2121, 20)
+    for n in range(25, 0, -1):
+        special_factors(D2121, n)
+    assert builds and len(sorts) <= 2 * len(builds)
 
 
 def test_oversized_request_fails_before_building():
@@ -210,15 +245,16 @@ def test_stored_bytes_cap_is_exact(monkeypatch):
 
 
 def _naive_prefix_counts(words, length):
-    """Distinct n-prefixes, and n-prefixes followed by two or more letters."""
+    """Distinct n-prefixes, and the n-prefixes followed by two or more
+    letters, with those letters."""
     complexity = [len({w[:n] for w in words}) for n in range(length + 1)]
-    special = []
+    branches = []
     for n in range(length):
         following = {}
         for w in words:
             following.setdefault(w[:n], set()).add(w[n])
-        special.append(sum(len(e) >= 2 for e in following.values()))
-    return complexity, special
+        branches.append(_special(following))
+    return complexity, branches
 
 
 @st.composite
@@ -235,10 +271,17 @@ def _equal_length_words(draw):
 @given(_equal_length_words())
 def test_sorted_view_counts_match_naive_counts(case):
     words, length = case
-    assert tuple(_prefix_counts(words, length)) == _naive_prefix_counts(words, length)
-    reversed_words = {w[::-1] for w in words}
-    assert tuple(_prefix_counts(words, length, "little")) == _naive_prefix_counts(
-        reversed_words, length)
+    complexity, branches = _naive_prefix_counts(words, length)
+    view = _prefix_counts(words, length)
+    assert view.complexity == complexity
+    assert list(map(len, view.nodes)) == list(map(len, branches))
+    assert [view.branches(n) for n in range(length)] == branches
+    # read little-endian, the branches are suffixes with the letters before them
+    complexity, branches = _naive_prefix_counts({w[::-1] for w in words}, length)
+    view = _prefix_counts(words, length, "little")
+    assert view.complexity == complexity
+    assert list(map(len, view.nodes)) == list(map(len, branches))
+    assert [{w[::-1]: e for w, e in view.branches(n).items()} for n in range(length)] == branches
 
 
 def test_sorted_views_match_factor_sets_and_extension_maps():
@@ -249,11 +292,12 @@ def test_sorted_views_match_factor_sets_and_extension_maps():
         clear_factor_cache()
         values = complexity_profile(d, 30).values
         lib = factor_library(d, 30)
-        assert values == [len(f) for f in _factor_sets(lib)[1:31]], fmt(d.digits)
-        left = lib.reversed_view.special
-        right = lib.sorted_view.special
+        sets = _factor_sets(lib)
+        assert values == [len(f) for f in sets[1:31]], fmt(d.digits)
+        left = list(map(len, lib.reversed_view.nodes))
+        right = list(map(len, lib.sorted_view.nodes))
         for n in range(1, 30):
-            lext, rext = lib.extensions(n)
+            lext, rext = _extension_maps(sets, n, d.m)
             assert left[n] == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
             assert right[n] == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
             widest = max(widest, *map(len, lext.values()), *map(len, rext.values()))
@@ -268,7 +312,7 @@ def _tampered_2121():
     no longer a prefix of a factor while its 11-suffix still is one."""
     clear_factor_cache()
     lib = factor_library(D2121, 12)
-    lext, rext = lib.extensions(11)
+    lext, rext = _extension_maps(_factor_sets(lib), 11, D2121.m)
     w = min(f for f in lib.longest if len(rext[f[:-1]]) == 1 and len(lext[f[1:]]) >= 2)
     return lib, lib.longest - {w}
 
@@ -317,10 +361,14 @@ def test_suffix_closure_lemma_on_cyclic_windows(case):
         assert {f[1:n + 1] for f in windows} == prefixes
     complexity = lib.reversed_view.complexity
     assert complexity == lib.sorted_view.complexity
+    sets = _factor_sets(lib)
     for n in range(length):
-        lext, rext = lib.extensions(n)
+        lext, rext = _extension_maps(sets, n, 3)
         assert lext.keys() == rext.keys()
         assert sum(len(e) - 1 for e in lext.values()) == complexity[n + 1] - complexity[n]
+        for view in (lib.reversed_view, lib.sorted_view):
+            assert sum(len(e) - 1 for e in view.branches(n).values()) == (
+                complexity[n + 1] - complexity[n])
     for w in windows:
         rest = windows - {w}
         balanced = {f[1:] for f in rest} == {f[:-1] for f in rest}
@@ -332,15 +380,18 @@ def test_suffix_closure_lemma_on_cyclic_windows(case):
             assert err.value.condition == "balance"
 
 
-def test_extensions_reject_lengths_outside_the_library():
+def test_branches_reject_lengths_outside_the_library():
     clear_factor_cache()
     lib = factor_library(D2121, 5)
-    for n in (-1, 5, 6):
-        with pytest.raises(ValueError):
-            lib.extensions(n)
-    assert lib._extensions == {}
-    assert set(lib.extensions(4)[1]) == {f[:4] for f in lib.longest}
-    assert set(lib.extensions(0)[1]) == {b""}
+    for view in (lib.sorted_view, lib.reversed_view):
+        for n in (-1, 5, 6):
+            with pytest.raises(ValueError):
+                view.branches(n)
+        assert view.branches(0) == {b"": tuple(range(D2121.m))}
+    sets = _factor_sets(lib)
+    lext, rext = _extension_maps(sets, 4, D2121.m)
+    assert lib.reversed_view.branches(4) == _special(lext)
+    assert lib.sorted_view.branches(4) == _special(rext)
 
 
 # --- special factors --------------------------------------------------------------
@@ -418,11 +469,11 @@ def test_report_special_counts_match_extension_maps():
     for d in bases.values():
         clear_factor_cache()
         specials = full_report(d, oracle_n=30)["specials"]
-        lib = factor_library(d, 30)
+        sets = _factor_sets(factor_library(d, 30))
         assert specials["lengths"] == list(range(1, 30))
         for n, left, right in zip(range(1, 30), specials["left_special_counts"],
                                   specials["right_special_counts"]):
-            lext, rext = lib.extensions(n)
+            lext, rext = _extension_maps(sets, n, d.m)
             assert left == sum(len(e) >= 2 for e in lext.values()), (fmt(d.digits), n)
             assert right == sum(len(e) >= 2 for e in rext.values()), (fmt(d.digits), n)
 
@@ -680,9 +731,7 @@ def test_witness_word_is_left_special_but_not_a_prefix():
     b = construct_witness(D2121)
     v = verify_witness(D2121, b)
     n = len(v.w0)
-    lib = factor_library(D2121, n + 1)
-    exts = lib.extensions(n)[0].get(bytes(v.w0))
-    assert exts is not None and len(exts) >= 2
+    assert len(_left_letters(factor_library(D2121, n + 1), bytes(v.w0))) >= 2
     assert v.w0 != fixed_point_prefix(D2121, n)
 
 
@@ -778,7 +827,7 @@ def test_witness_is_the_shortest_non_prefix_left_special_factor():
         w0 = verify_witness(d, construct_witness(d)).w0
         n = len(w0)
         lib = factor_library(d, n + 1)
-        assert len(lib.extensions(n)[0].get(bytes(w0), ())) >= 2, fmt(d.digits)
+        assert len(_left_letters(lib, bytes(w0))) >= 2, fmt(d.digits)
         assert w0 != fixed_point_prefix(d, n), fmt(d.digits)
         c = lib.sorted_view.complexity
         excess = [k for k in range(1, n + 1) if c[k + 1] - c[k] > d.m - 1]

@@ -36,6 +36,7 @@ from parryscope.numeration import (
     beta,
     beta_integers,
     coding_of_segment,
+    fixed_point_prefix_bytes,
     from_int,
     greedy_expand_integer,
     is_admissible,
@@ -536,6 +537,26 @@ def test_block_walk_builds_nothing_longer_than_the_gaps_left(base, start):
         tracemalloc.stop()
     assert peak < 32 * numeration.TEXT_CAP
     assert walk == radix_oracle.segment(d, start, numeration.TEXT_CAP)
+
+
+@pytest.mark.parametrize("zeros", [253, 100])
+def test_prefix_keeps_only_the_longest_block(zeros):
+    # the prefix of 2^20 letters of 1 0^z 1 is made of hundreds of blocks
+    # phi^j(0); each is a prefix of the next, so holding them all would cost
+    # far more than the prefix itself
+    d = validate_renyi("1," + "0," * zeros + "1")
+    tracemalloc.start()
+    try:
+        prefix = fixed_point_prefix_bytes(d, numeration.TEXT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    assert prefix[:4000] == bytes(radix_oracle.segment(d, (), 4000)[0])
+    # a word that starts with 0 and begins its own image is a prefix of the
+    # fixed point
+    images = [b"\0\1"] + [bytes([a + 1]) for a in range(1, d.m - 1)] + [b"\0"]
+    assert b"".join(map(images.__getitem__, prefix)).startswith(prefix)
 
 
 @pytest.fixture

@@ -1,0 +1,92 @@
+"""Run one fixed set of CLI commands in this tree and in another, and compare
+their exit codes, standard output and standard error.
+
+Usage: python tools/same_outputs.py OTHER_SRC
+
+OTHER_SRC is the directory that holds the other tree's ``parryscope``
+package, e.g. ``../parent/src``.  Each tree runs the whole set in one child
+process, in order and in-process (``parryscope.cli.main``), so the factor
+cache carries from one command to the next as in a long-lived caller.  The
+set:
+
+* ``classify D --oracle-n 30`` on the 66 bases of m=2..4,digit<=2 and
+  m=2..4,digit<=3,tm>=2;
+* ``witness D`` on the 279 bases of m=2..7,digit<=3,tm=1,nonpower;
+* ``specials D left -n N`` for N = 1..40, ``specials D maximal
+  --length-bound 40`` and ``specials D tridents --length-bound 20`` on
+  twelve named bases.
+
+Prints the first difference, or ``identical: N commands``; exits 1 on a
+difference.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE_SRC = Path(__file__).resolve().parent.parent / "src"
+SPECIALS_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211",
+                  "301002", "3312331", "222222121")
+
+# runs in the child: read the commands from stdin, write [rc, out, err] per command
+CHILD = """
+import contextlib, io, json, sys
+import parryscope
+from parryscope import cli
+results = [parryscope.__file__]
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    results.append([rc, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def commands() -> list:
+    sys.path.insert(0, str(HERE_SRC))
+    from parryscope.cli import CorpusSpec
+    from parryscope.words import fmt
+
+    def corpus(*specs):
+        found = {d.digits for spec in specs for d in CorpusSpec.parse(spec).members()[0]}
+        return [fmt(t) for t in sorted(found, key=lambda t: (len(t), t))]
+
+    out = [["classify", s, "--oracle-n", "30"]
+           for s in corpus("m=2..4,digit<=2", "m=2..4,digit<=3,tm>=2")]
+    out += [["witness", s] for s in corpus("m=2..7,digit<=3,tm=1,nonpower")]
+    for s in SPECIALS_BASES:
+        out += [["specials", s, "left", "-n", str(n)] for n in range(1, 41)]
+        out.append(["specials", s, "maximal", "--length-bound", "40"])
+        out.append(["specials", s, "tridents", "--length-bound", "20"])
+    return out
+
+
+def run(src: Path, argvs: list) -> list:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, check=True)
+    package, *results = json.loads(proc.stdout)
+    if not Path(package).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"{src}: imported parryscope from {package}")
+    return results
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    argvs = commands()
+    here, there = run(HERE_SRC, argvs), run(Path(sys.argv[1]), argvs)
+    for argv, a, b in zip(argvs, here, there):
+        for name, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+            if x != y:
+                print(f"differ: {' '.join(argv)}: {name}\n  here:  {x!r:.300}\n  there: {y!r:.300}")
+                return 1
+    print(f"identical: {len(argvs)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
