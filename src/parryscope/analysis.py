@@ -445,6 +445,40 @@ class Classification:
     evidence: Word | None = None  # a known non-prefix left special factor
     oracle: OracleCheck | None = None
 
+    @property
+    def first_excess_n(self) -> int | None:
+        """The least n with C(n+1) - C(n) != m - 1, predicted; None when
+        the base is affine.
+
+        C(n+1) - C(n) is the sum of #Lext(w) - 1 over the left special
+        factors w of length n, and every prefix of u is left special with
+        all m letters, so the difference exceeds m - 1 exactly when a left
+        special factor of length n is not a prefix.
+
+        t_m >= 2: t_1 + 1, by the three gap families of
+        ``expected_gap_inventory``.  Let a factor of length n <= t_1 hold
+        a nonzero letter Y after i < t_1 zeros.  The zero run that ends at
+        Y has length t_Y when Y >= 2, and at least t_1 > i when Y = 1, so
+        the letter before the factor is 0 when the run is longer than i and
+        the one letter j_Y that the family puts before the run otherwise.
+        So 0^n, a prefix, is the only left special factor of length n, and
+        the difference is m - 1.  0^(t_1+1) extends left by 0 and by j_m,
+        inside j_m 0^(t_1+t_m) 1 with t_m >= 2, and it is not a prefix, as
+        u starts with 0^(t_1) 1.
+
+        Fractional power: radix_rank(z) + 1, the length of w0, for the
+        witness point z of ``construct_witness``.  This is checked, not
+        proved: it matched enumeration on all 17 such bases of
+        m=2..5,digit<=3, at n_max = 60 and, for the three whose excess lies
+        beyond (33031, 33131, 33231 at 61, 124, 189), one past it.  The
+        t_m >= 2 rule matched on all 169 bases there.
+        """
+        if self.affine:
+            return None
+        if self.reason == "tm_not_one":
+            return self.d.t1 + 1
+        return radix_rank(self.d, construct_witness(self.d).z) + 1
+
     def to_json(self):
         if self.affine:
             verdict = {"affine": True, "slope": self.slope, "intercept": self.intercept}
@@ -464,9 +498,11 @@ class Classification:
 def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
     """Affine iff t_m == 1 and t_1 ... t_(m-1) is borderless or a proper power.
 
-    With ``oracle_n`` the verdict is cross-checked against enumeration:
-    affine on the computed range means the first difference of complexity is
-    identically m - 1.  A one-letter alphabet raises LetterRangeError.
+    With ``oracle_n`` the verdict is cross-checked against enumeration.
+    The differences C(n+1) - C(n) are read for n = 1 .. oracle_n - 1; they
+    agree when the first that is not m - 1 sits at the predicted
+    ``first_excess_n``, or when there is none and the prediction is None or
+    beyond that range.  A one-letter alphabet raises LetterRangeError.
     """
     m = d.m
     if m < 2:
@@ -484,7 +520,10 @@ def classify_affine(d: RenyiExpansion, oracle_n=None) -> Classification:
     if oracle_n is not None:
         prof = complexity_profile(d, oracle_n)
         excess = next((i + 1 for i, dc in enumerate(prof.deltas) if dc != m - 1), None)
-        cls.oracle = OracleCheck((excess is None) == cls.affine, excess, prof)
+        want = cls.first_excess_n
+        if want is not None and want >= oracle_n:
+            want = None
+        cls.oracle = OracleCheck(excess == want, excess, prof)
     return cls
 
 
@@ -620,19 +659,6 @@ class WitnessBundle:
         return {k: fmt(v) if isinstance(v, tuple) else v for k, v in items}
 
 
-def _digitwise_sub(u: Word, v: Word) -> Word:
-    """Right-aligned digit-wise subtraction; no borrows may occur."""
-    if len(v) > len(u):
-        raise VerificationFailed("decomposition", "subtrahend longer than minuend")
-    v = (0,) * (len(u) - len(v)) + v
-    out = []
-    for a, b in zip(u, v):
-        if b > a:
-            raise VerificationFailed("decomposition", f"digit-wise borrow in {fmt(u)} - {fmt(v)}")
-        out.append(a - b)
-    return tuple(out)
-
-
 def _drop_leading_zeros(y: Word) -> Word:
     """The admissible spelling of the beta-integer with digits y."""
     return y[next((i for i, a in enumerate(y) if a), len(y)):]
@@ -662,9 +688,28 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     of b that w ends with.  It is a border because f <= e.  Every border
     shorter than it is a power of b: it has period |b| and starts and ends
     with b, and b, being unbordered, is primitive.  When w does not end with
-    b b the rule picks p = b.  The remaining conditions are not derived
-    here, and no point is read: ``verify_witness`` checks that z, x1 and x2
-    are admissible and that conditions (i)-(iv) hold.
+    b b the rule picks p = b.
+
+    The decomposition.  w is not b^e y (a proper power when y is empty, and
+    else y is a border of b), so the digit a exists.  p^r is the longest
+    power of p = b^f that w starts with, so r = floor(e/f), and the rest
+    w[r|p|:] = b^(e-rf) y a ... matches p on j = (e - rf)|b| + |y| < |p|
+    digits and then holds a < p_(j+1).  q = w[r|p|+j : |w|-|p|] starts with
+    that a, so q is non-empty and q_1 < p_(j+1), once the final p of w
+    starts after b^e y.  Say its first b starts at position i <= |b^e y|
+    instead.  Occurrences of the unbordered b never overlap, and b does not
+    occur at e|b|, so either i = k|b| with k < e, and then the final b^f,
+    which holds no b at e|b|, ends by e|b|, before a; or e|b| < i, and then
+    with g = i - e|b| the Parry condition at e|b| (b_1 ... b_g b against
+    w = b b_1 ... b_g ...) and at g (b_(g+1) ... b_|b| b_1 ... b_g against
+    b) makes b equal to its rotation by g, against primitivity.
+
+    The differences.  p^r p' q ends with u1 = p p' q and w with u2 = p' q p,
+    so they end with h1 c and h2 c, and |c| + 1 <= |p| + |q| digits of each
+    are replaced.  Subtracting h c leaves (h1 - h) 0^|c| and (h2 - h) 0^|c|,
+    with no borrow since h = min(h1, h2).  The remaining conditions are not
+    derived here, and no point is read: ``verify_witness`` checks that z, x1
+    and x2 are admissible and that conditions (i)-(iv) hold.
     """
     cls = classify_affine(d)
     if cls.reason != "fractional_power":
@@ -682,13 +727,8 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     while j < min(len(rest), s) and rest[j] == p[j]:
         j += 1
     p_prime = p[:j]
-    # p is a border, so w == p^r p' q p once q is non-empty; the rest of the
-    # structure comes from the Parry condition: check rather than trust
+    # non-empty and below p_(j+1) at its first digit (see the docstring)
     q = w[r * s + j:len(w) - s]
-    if not q:
-        raise VerificationFailed("decomposition", "q must be non-empty")
-    if q[0] >= p[j]:
-        raise VerificationFailed("decomposition", "q must start below the next border digit")
     # u1 and u2 differ, and their common suffix c is shorter than |p| + |q|:
     # their last |p| + |q| letters are p[j:] p' q and q p, whose first
     # letters are p_(j+1) > q_1, so the loop stops inside both words
@@ -701,10 +741,10 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     h1, h2 = u1[len(u1) - 1 - k], u2[len(u2) - 1 - k]
     h = min(h1, h2)
     a_pad = r * s + j + 1
-    hc = (h,) + c
-    z = _drop_leading_zeros(hc + w[:a_pad])  # w[:a_pad] == p^r p' q_1
-    x1 = _drop_leading_zeros(_digitwise_sub(w[:len(w) - s], hc) + (0,) * a_pad)
-    x2 = _drop_leading_zeros(_digitwise_sub(w, hc) + (0,) * a_pad)
+    z = _drop_leading_zeros((h,) + c + w[:a_pad])  # w[:a_pad] == p^r p' q_1
+    # v - h c for v ending with hi c, then a_pad zeros
+    x1, x2 = (_drop_leading_zeros(v[:len(v) - k - 1] + (hi - h,) + (0,) * (k + a_pad))
+              for v, hi in ((w[:len(w) - s], h1), (w, h2)))
     return WitnessBundle(d, p, r, p_prime, q, c, h1, h2, h, a_pad, z, x1, x2)
 
 

@@ -90,21 +90,18 @@ class NotApplicable(ParryscopeError):
 
 
 class VerificationFailed(ParryscopeError):
-    """An internal invariant failed (indicates a bug).
+    """A certificate failed (indicates a bug).
 
-    ``condition`` names the invariant:
+    Two certificates raise it, and nothing else does.  ``condition`` names
+    the failed one:
 
-    * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions;
-    * ``"decomposition"``: the digit prefix w does not factor as p^r p' q p
-      as the witness construction requires (q is empty or does not start
-      below the next digit of p), or the digit-wise subtraction that builds
-      x1 and x2 would borrow;
+    * ``"i"``, ``"ii"``, ``"iii"``, ``"iv"``: the four witness conditions,
+      checked by ``analysis.verify_witness``;
     * ``"admissible"``: ``verify_witness`` found a witness point z, x1 or
-      x2 not admissible, or a walk reached an inadmissible successor;
+      x2 not admissible;
     * ``"balance"``: the (L-1)-suffixes of a library's factors are not
-      its (L-1)-prefixes, so neither C(n) nor C(n+1) - C(n) is certified;
-    * ``"beta"``: the exact arithmetic of the base computed a gcd that does
-      not divide the base polynomial.
+      its (L-1)-prefixes, so neither C(n) nor C(n+1) - C(n) is certified
+      (``analysis.FactorLibrary``).
     """
 
     exit_code = 4

@@ -23,7 +23,8 @@ once the interval is a fixed number of bits finer than the value's largest
 coordinate, the loop also encloses the cofactor P / gcd(value, P), which
 leaves 0 exactly when the value is 0.  So the gcd runs only for values that
 may be zero.  It is a primitive remainder sequence over the integers, and
-the monic P divides by it exactly, so no rational number arises.
+the monic P divides by it exactly (Gauss's lemma), so no rational number
+arises and no remainder is checked.
 Refinement terminates because an enclosure converges to the value at beta
 as the interval shrinks onto it.
 
@@ -57,6 +58,9 @@ admissible and its gap letter is that of v: these U_i letters are u[:U_i].
 The last v is at its period digit throughout, so the next step raises a
 digit of P, landing on succ(P) 0^i.  A walk of N gaps thus takes a few
 steps per digit instead of N, and each re-reads only the digits it changes.
+
+Nothing here re-checks a theorem at run time: the errors raised are those
+of the input (an invalid base, an inadmissible string, a count over a cap).
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .errors import (
     NonIntegerExpansionError,
     ParryViolation,
     TrailingZeroError,
-    VerificationFailed,
     ZeroHasNoPredecessor,
 )
 from .words import Word, fmt, word
@@ -391,11 +394,12 @@ def _sign(d: RenyiExpansion, v) -> int:
     decides zero.  Once the interval is _REFINE_BITS bits finer than the
     largest coordinate of v (the cheap depth test goes first), the cofactor
     h = P / gcd(v, P) of the base polynomial P is computed once and enclosed
-    on that turn and every later one.  P may be reducible, so v(beta) == 0
-    iff beta is a root of gcd(v, P); beta is a simple root of P, so that
-    holds iff h(beta) != 0, which the enclosure of h eventually shows.  A
-    constant gcd leaves h = P, which never leaves 0, and v shows its sign
-    instead.
+    on that turn and every later one.  The division is exact: the gcd is
+    primitive, and by Gauss's lemma a primitive divisor of the monic P is
+    monic.  P may be reducible, so v(beta) == 0 iff beta is a root of
+    gcd(v, P); beta is a simple root of P, so that holds iff h(beta) != 0,
+    which the enclosure of h eventually shows.  A constant gcd leaves h = P,
+    which never leaves 0, and v shows its sign instead.
     """
     v = _ptrim(v)
     if not v:
@@ -411,11 +415,9 @@ def _sign(d: RenyiExpansion, v) -> int:
         if h is None and iv[2] >= _REFINE_BITS and (
                 iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
             # a primitive divisor of the monic P is monic (Gauss's lemma),
-            # so h is an exact integer quotient
+            # so h is an exact integer quotient and no remainder is left
             P = parry_polynomial(d)
-            h, rem = _pdivmod(P, _pgcd(v, P))
-            if rem:
-                raise VerificationFailed("beta", "gcd must divide the base polynomial")
+            h = _pdivmod(P, _pgcd(v, P))[0]
         if h and _enclosure_sign(h, *iv):
             return 0
         _bisect(d)
@@ -716,8 +718,11 @@ def _segment(d: RenyiExpansion, start, count: int):
     automaton state by one and zeroes the tail; when every digit equals its
     period digit the word rolls over to 1 followed by zeros.  The walk keeps
     the automaton state before every digit, so a step re-runs the automaton
-    only over the digits it changes, and every string it lands on is checked
-    admissible on the way.
+    only over the digits it changes.  Every string it lands on is
+    admissible, so that run never rejects: the raised digit stays at or
+    below its period digit, a zero is accepted from any state, and 1 0^n is
+    admissible because its 1 is at most the first period digit (t_1 >= 1,
+    and t_1 >= 2 when m = 1, where that digit is t_1 - 1).
 
     A step from y = P 0^i, with state 0 after P, reads the letters u[:U_i]
     of the points P v at once and lands on succ(P) 0^i (see the module
@@ -762,8 +767,7 @@ def _segment(d: RenyiExpansion, start, count: int):
             y[pos] += 1
             y[pos + 1:] = [0] * (n - 1 - pos)
             del states[pos + 1:]
-        if not _advance(per, y, states):
-            raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")
+        _advance(per, y, states)
     return tuple(letters), tuple(y), states[-1]
 
 

@@ -1,10 +1,10 @@
 """Complexity profiles, special factors, tridents, affineness, witnesses."""
 
 import dataclasses
-from itertools import combinations
+from itertools import combinations, dropwhile
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radix_oracle
@@ -29,7 +29,7 @@ from parryscope.analysis import (
 )
 from parryscope.cli import CorpusSpec, main
 from parryscope.errors import BudgetExceeded, NotApplicable, VerificationFailed
-from parryscope.numeration import coding_of_segment, validate_renyi
+from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import fmt, word
 
@@ -611,6 +611,34 @@ def test_classifier_oracle_agreement():
             assert cls.oracle.first_excess_n is not None
 
 
+@pytest.mark.parametrize("base, want", [
+    ("11", None), ("21211", None), ("22", 3), ("332", 4), ("3202", 4),
+    ("2121", 16), ("3231", 45), ("221221", 52), ("3312331", 186),
+])
+def test_first_excess_is_predicted(base, want):
+    assert classify_affine(validate_renyi(base)).first_excess_n == want
+
+
+@pytest.mark.parametrize("base", ["22", "332", "2121", "3231"])
+def test_the_oracle_checks_the_predicted_first_excess(monkeypatch, base):
+    d = validate_renyi(base)
+    want = classify_affine(d).first_excess_n
+    # the differences reach n = want + 1 on this range
+    cls = classify_affine(d, oracle_n=want + 2)
+    assert cls.oracle.agrees and cls.oracle.first_excess_n == want
+    # an excess beyond the range is not looked for
+    assert classify_affine(d, oracle_n=want).oracle.agrees
+    for shifted in (want - 1, want + 1):
+        monkeypatch.setattr(analysis.Classification, "first_excess_n", shifted)
+        assert not classify_affine(d, oracle_n=want + 2).oracle.agrees, shifted
+
+
+def test_scans_agree_where_the_first_excess_lies_beyond_the_range():
+    # 3231 has its first excess at 45, and 22, 202, 212, 222 theirs at 3
+    for corpus, n in (("m=2..4,digit<=3", "30"), ("m=2..3,digit<=2", "1")):
+        assert main(["scan", "--corpus", corpus, "--oracle-n", n]) == 0, corpus
+
+
 # --- the gap inventory ---------------------------------------------------------------------
 
 
@@ -694,27 +722,56 @@ def test_witness_bundle_json_keys_are_its_fields_in_order():
     assert body["d"] == "2121" and body["p_prime"] == "" and body["h"] == 1
 
 
-# no Parry base reaches these checks; a classification that names a false
-# border of w = t_1 ... t_(m-1) does
-@pytest.mark.parametrize("base, p, message", [
-    ("11", (0,), "q must be non-empty"),
-    ("1101", (0,), "q must start below the next border digit"),
-    ("1101", (2,), "digit-wise borrow in 110 - 001"),
-])
-def test_a_false_border_fails_the_decomposition(monkeypatch, base, p, message):
-    d = validate_renyi(base)
-    monkeypatch.setattr(analysis, "classify_affine", lambda d: analysis.Classification(
-        d, affine=False, reason="fractional_power", p=p))
-    with pytest.raises(VerificationFailed) as err:
-        construct_witness(d)
-    assert (err.value.condition, str(err.value)) == ("decomposition", message)
+@st.composite
+def _fractional_power_bases(draw):
+    """A base t_1 ... t_(m-1) 1 with m <= 12 and digits <= 5 whose prefix w
+    ends with its first l digits, l <= (m - 2) / 2, drawn digit by digit
+    under the Parry condition: a digit is at most the digit that follows
+    each prefix the word still ends with.  A forced digit above that bound,
+    or a w that is a proper power, is rejected."""
+    m = draw(st.integers(4, 12))
+    w = [draw(st.integers(1, 5))]
+    border = draw(st.integers(1, (m - 2) // 2))
+    for i in range(1, m):
+        bound = min(w[i - k] for k in range(1, i + 1) if w[k:i] == w[:i - k])
+        if i == m - 1:
+            a = 1
+        elif i >= m - 1 - border:
+            a = w[i - (m - 1 - border)]
+        else:
+            a = draw(st.integers(0, bound))
+        assume(a <= bound)
+        w.append(a)
+    d = validate_renyi(w)
+    assume(classify_affine(d).reason == "fractional_power")
+    return d
 
 
-def test_digitwise_subtraction_refuses_a_longer_subtrahend_and_a_borrow():
-    for u, v in (((1,), (1, 0)), ((1, 0), (2,))):
-        with pytest.raises(VerificationFailed) as err:
-            analysis._digitwise_sub(u, v)
-        assert err.value.condition == "decomposition"
+def _right_aligned_sub(u, v):
+    out = [a - b for a, b in zip(u, (0,) * (len(u) - len(v)) + v)]
+    assert len(v) <= len(u) and min(out) >= 0, (u, v)
+    return tuple(dropwhile(lambda a: a == 0, out))
+
+
+@given(_fractional_power_bases())
+@example(validate_renyi("221221"))  # p = 22, twice the shortest border
+@example(validate_renyi("5222252221"))  # a span over the text cap
+@settings(max_examples=200, deadline=None)
+def test_witness_decomposition_holds_as_proved(d):
+    b = construct_witness(d)
+    w, j = d.digits[:-1], len(b.p_prime)
+    assert b.q and b.q[0] < b.p[j]
+    assert w == b.p * b.r + b.p_prime + b.q + b.p
+    hc = (b.h,) + b.c
+    pad = (0,) * b.a_pad
+    assert b.x1 == _right_aligned_sub(w[:len(w) - len(b.p)], hc) + pad
+    assert b.x2 == _right_aligned_sub(w, hc) + pad
+    # a span over the text cap is refused before the fixed point is built
+    if radix_rank(d, b.z) > TEXT_CAP:
+        with pytest.raises(BudgetExceeded):
+            verify_witness(d, b)
+    else:
+        verify_witness(d, b)
 
 
 def test_witness_2121_verification():

@@ -25,7 +25,6 @@ from parryscope.errors import (
     NonIntegerExpansionError,
     ParryViolation,
     TrailingZeroError,
-    VerificationFailed,
     ZeroHasNoPredecessor,
 )
 from parryscope.numeration import (
@@ -233,6 +232,15 @@ def test_sign_with_reducible_base_polynomial():
     assert (cubic + 1).sign() == 1
     linear = ZBetaElement(d, (1, 1, 0, 0))  # beta + 1 > 0
     assert linear.sign() == 1 and not linear.is_zero()
+    for x in (cubic, cubic * 5, cubic + 1, linear):
+        _assert_exact_cofactor(x)
+
+
+def _assert_exact_cofactor(x):
+    """P / gcd(x, P) leaves no remainder: the gcd is primitive, and a
+    primitive divisor of the monic P is monic (Gauss's lemma)."""
+    P = parry_polynomial(x.d)
+    assert numeration._pdivmod(P, numeration._pgcd(x.coords, P))[1] == [], x
 
 
 def test_orbit_examples():
@@ -653,6 +661,8 @@ def test_sign_matches_reference_on_exact_zeros(d, data):
     for z in zeros:
         assert _agrees_with_reference(z) == 0
         assert _agrees_with_reference(z + 1) == 1
+        _assert_exact_cofactor(z)
+        _assert_exact_cofactor(z + 1)
         assert _agrees_with_reference(z - beta(d)) == -1
 
 
@@ -805,6 +815,8 @@ def test_exact_zeros_on_long_reducible_bases(digits):
     for z in zeros:
         assert _agrees_with_reference(z) == 0
         assert _agrees_with_reference(z + 1) == 1
+        _assert_exact_cofactor(z)
+        _assert_exact_cofactor(z + 1)
 
 
 # --- guards that no valid input reaches -----------------------------------------------
@@ -821,20 +833,3 @@ def test_orbit_index_outside_zero_to_m_is_refused():
     for i in (-1, GOLDEN.m + 1):
         with pytest.raises(ValueError):
             t_orbit(GOLDEN, i)
-
-
-def test_a_gcd_that_does_not_divide_the_base_polynomial_is_refused(monkeypatch):
-    # x^2 + 1 does not divide x^4 - 3x^3 - 2x^2 - 2, the polynomial of 3202
-    monkeypatch.setattr(numeration, "_pgcd", lambda a, b: [1, 0, 1])
-    d = validate_renyi("3202")
-    with pytest.raises(VerificationFailed) as err:
-        zb_sign(ZBetaElement(d, (-2, 2, -4, 1)))
-    assert err.value.condition == "beta"
-
-
-def test_a_walk_landing_on_an_inadmissible_successor_is_refused(monkeypatch):
-    # the start, the empty word, is read as admissible; every step fails
-    monkeypatch.setattr(numeration, "_advance", lambda per, s, states: not s)
-    with pytest.raises(VerificationFailed) as err:
-        _segment(D2121, (), 3)
-    assert err.value.condition == "admissible"

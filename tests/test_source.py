@@ -1,7 +1,8 @@
 """Source guards: the package imports only the standard library, at module
 level, and holds no assert statement, whose check python -O would strip;
-the test oracles import no private name of the package they check; the
-README's library example runs as written."""
+only its two certificates raise VerificationFailed; the test oracles import
+no private name of the package they check; the README's library example
+runs as written."""
 
 import ast
 import sys
@@ -57,6 +58,24 @@ def test_oracles_import_no_private_name_of_the_package():
                 parts = name.split(".")
                 if parts[0] == "parryscope":
                     assert not any(part.startswith("_") for part in parts), (path.name, name)
+
+
+def _verification_raisers(node, scope):
+    """Qualified names of the scopes that raise VerificationFailed."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                and getattr(child.exc.func, "id", None) == "VerificationFailed"):
+            yield scope
+        inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _verification_raisers(child, inner)
+
+
+def test_verification_failures_come_only_from_the_two_certificates():
+    # a fact the theory implies is proved in a comment, not checked at run time
+    raisers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        raisers.update(_verification_raisers(ast.parse(path.read_text()), path.stem))
+    assert raisers == {"analysis.FactorLibrary.__post_init__", "analysis.verify_witness"}
 
 
 def test_readme_library_example_runs_as_written():
