@@ -690,7 +690,7 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     with b, and b, being unbordered, is primitive.  When w does not end with
     b b the rule picks p = b.
 
-    The decomposition.  w is not b^e y (a proper power when y is empty, and
+    The factors of w.  w is not b^e y (a proper power when y is empty, and
     else y is a border of b), so the digit a exists.  p^r is the longest
     power of p = b^f that w starts with, so r = floor(e/f), and the rest
     w[r|p|:] = b^(e-rf) y a ... matches p on j = (e - rf)|b| + |y| < |p|

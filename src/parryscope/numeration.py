@@ -415,7 +415,7 @@ def _sign(d: RenyiExpansion, v) -> int:
         if h is None and iv[2] >= _REFINE_BITS and (
                 iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
             # a primitive divisor of the monic P is monic (Gauss's lemma),
-            # so h is an exact integer quotient and no remainder is left
+            # so h is an exact integer quotient
             P = parry_polynomial(d)
             h = _pdivmod(P, _pgcd(v, P))[0]
         if h and _enclosure_sign(h, *iv):

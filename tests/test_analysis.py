@@ -725,10 +725,10 @@ def test_witness_bundle_json_keys_are_its_fields_in_order():
 @st.composite
 def _fractional_power_bases(draw):
     """A base t_1 ... t_(m-1) 1 with m <= 12 and digits <= 5 whose prefix w
-    ends with its first l digits, l <= (m - 2) / 2, drawn digit by digit
-    under the Parry condition: a digit is at most the digit that follows
-    each prefix the word still ends with.  A forced digit above that bound,
-    or a w that is a proper power, is rejected."""
+    ends with its first ``border`` digits, at most (m - 2) / 2 of them,
+    drawn digit by digit under the Parry condition: a digit is at most the
+    digit that follows each prefix the word still ends with.  A forced digit
+    above that bound, or a w that the classifier calls affine, is rejected."""
     m = draw(st.integers(4, 12))
     w = [draw(st.integers(1, 5))]
     border = draw(st.integers(1, (m - 2) // 2))
