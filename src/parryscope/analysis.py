@@ -68,16 +68,25 @@ class PrefixCounts(NamedTuple):
     keys: list  # the words as sorted integers
     length: int
     byteorder: str
+    levels: dict  # n -> branches(n), kept once decoded
 
     def branches(self, n: int) -> dict:
         """{n-prefix: its next letters, ascending} over the n-prefixes with
         two or more, for 0 <= n < L.  Read little-endian, the words count as
-        reversed: {n-suffix: the letters before it}."""
-        if not 0 <= n < self.length:
-            raise ValueError(f"branches need 0 <= n < {self.length}, not {n}")
-        shift = 8 * (self.length - n)
-        return {(node[0] >> shift).to_bytes(n, self.byteorder):
+        reversed: {n-suffix: the letters before it}.
+
+        Each level is decoded once and kept, so the levels kept are at most
+        L and hold one entry per branching node: no more than the trie.
+        The dict returned is the one kept; callers must not mutate it."""
+        level = self.levels.get(n)
+        if level is None:
+            if not 0 <= n < self.length:
+                raise ValueError(f"branches need 0 <= n < {self.length}, not {n}")
+            shift = 8 * (self.length - n)
+            level = self.levels[n] = {
+                (node[0] >> shift).to_bytes(n, self.byteorder):
                 tuple(key >> shift - 8 & 255 for key in node) for node in self.nodes[n]}
+        return level
 
 
 def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
@@ -104,7 +113,7 @@ def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
             node = [x, y]
             nodes[lcp].append(node)
             path.append((lcp, node))
-    return PrefixCounts(list(accumulate(cuts, initial=1)), nodes, keys, length, byteorder)
+    return PrefixCounts(list(accumulate(cuts, initial=1)), nodes, keys, length, byteorder, {})
 
 
 @dataclass

@@ -9,24 +9,38 @@ The base beta is the largest real root of
 
     x^m - t_1 x^(m-1) - ... - t_m
 
-and is never represented approximately.  Comparisons are decided exactly:
-an element of Z[beta] is a degree-reduced integer polynomial in beta, and its
-sign at beta is read off an enclosure of its values on the isolating interval
-of beta.  That interval is dyadic, [lo/2^e, hi/2^e] with integers lo, hi, e;
-it is shared by every element of the base and only ever halved.  Splitting a
-polynomial into its positive and negative parts, both increasing for x > 0,
-bounds it by integer Horner evaluations at the two end points, so no division
-is made.  One loop decides every sign, and the zero test asks it for sign 0:
-while the enclosure straddles 0 the interval is halved.  The base polynomial
-P need not be irreducible, so nonzero coordinates may still be 0 at beta;
-once the interval is a fixed number of bits finer than the value's largest
-coordinate, the loop also encloses the cofactor P / gcd(value, P), which
-leaves 0 exactly when the value is 0.  So the gcd runs only for values that
-may be zero.  It is a primitive remainder sequence over the integers, and
-the monic P divides by it exactly (Gauss's lemma), so no rational number
-arises and no remainder is checked.
+and is never represented approximately: a float appears only as a guess
+that exact integer arithmetic certifies or refuses (below), never as a value.
+Comparisons are decided exactly: an element of Z[beta] is a degree-reduced
+integer polynomial in beta, and its sign at beta is read off an enclosure of
+its values on the isolating interval of beta.  That interval is dyadic,
+[lo/2^e, hi/2^e] with integers lo, hi, e; it is shared by every element of
+the base and only ever narrowed.  Splitting a polynomial into its positive
+and negative parts, both increasing for x > 0, bounds it by integer Horner
+evaluations at the two end points, so no division is made; the one routine
+that does this returns the bounds.  One loop decides every sign, and the
+zero test asks it for sign 0: while the enclosure straddles 0 the interval
+is halved.  The base polynomial P need not be irreducible, so nonzero
+coordinates may still be 0 at beta; once the interval is a fixed number of
+bits finer than the value's largest coordinate, the loop also encloses the
+cofactor P / gcd(value, P), which leaves 0 exactly when the value is 0.  So
+the gcd runs only for values that may be zero.  It is a primitive remainder
+sequence over the integers, and the monic P divides by it exactly (Gauss's
+lemma), so no rational number arises and no remainder is checked.
 Refinement terminates because an enclosure converges to the value at beta
 as the interval shrinks onto it.
+
+A greedy expansion finds its integer digits by trial subtraction, each trial
+one exact sign.  When its fractional digits start, the interval is narrowed
+once, to 80 + 4m log2(beta) bits beyond the remainder's largest coordinate:
+a float guess at beta from Newton's method is refined by integer Newton
+steps, and the result is kept only if P(lo) < 0 < P(hi), which certifies it,
+since P has one positive root (Descartes).  The remainder r in (0, 1) then
+carries an integer enclosure a <= 2^e r <= b through r <- beta r - x,
+rounded outward in O(1) a digit, and x is read off it whenever
+x < beta r < x + 1.  A digit it cannot decide, such as every exact zero, is
+found by trial subtraction as before, and the enclosure is read again off
+the coordinates, which stay exact throughout.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -132,14 +146,14 @@ def _pgcd(a, b):
     return a
 
 
-def _enclosure_sign(p, lo, hi, e) -> int:
-    """Sign shared by all values of p on [lo/2^e, hi/2^e] (0 < lo), or 0 when
-    the enclosure straddles 0.
+def _enclosure(p, lo, hi, e) -> tuple:
+    """Bounds (low, high) on 2^(e (len(p) - 1)) p(x) for all x in
+    [lo/2^e, hi/2^e] (0 < lo); zero top coefficients of p count in the scale.
 
     p = P+ - P- with P+ and P- of non-negative coefficients, both increasing
     for x > 0, so on the interval p lies between P+(lo/2^e) - P-(hi/2^e) and
     P+(hi/2^e) - P-(lo/2^e).  Each part is an integer Horner evaluation
-    scaled by 2^(e deg p).
+    scaled by 2^(e (len(p) - 1)).
     """
     pl = ph = nl = nh = 0
     shift = 0
@@ -157,11 +171,7 @@ def _enclosure_sign(p, lo, hi, e) -> int:
             nl += c
             nh += c
         shift += e
-    if pl > nh:
-        return 1
-    if ph < nl:
-        return -1
-    return 0
+    return pl - nh, ph - nl
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +268,95 @@ def _bisect(d: RenyiExpansion):
     iv = (mid, 2 * hi, e) if v < 0 else (2 * lo, mid, e)
     d._iv[0] = iv
     return iv
+
+
+def _beta_estimate(d: RenyiExpansion) -> float:
+    """A float guess at beta (m >= 2), for ``_narrow`` to refine and certify.
+
+    Newton's method on f(x) = 1 - t_1/x - ... - t_m/x^m, increasing and
+    concave for x > 0 with its one positive root at beta, started at the
+    positive root x_0 of x^2 - t_1 x - t_2: f(x_0) <= 1 - t_1/x_0 - t_2/x_0^2
+    = 0, so x_0 <= beta and the iterates rise to beta, and x^(-i) never
+    overflows.  For m = 2, x_0 is beta.  Raises OverflowError when t_1 is
+    beyond float range.
+    """
+    t = d.digits
+    x = (t[0] + math.sqrt(t[0] * t[0] + 4 * t[1])) / 2
+    for _ in range(200):
+        y = 1 / x
+        s = ds = 0.0  # s(y) = t_1 + t_2 y + ... + t_m y^(m-1) and s'(y)
+        for c in reversed(t):
+            ds = ds * y + s
+            s = s * y + c
+        step = (y * s - 1) / (y * y * (s + y * ds))  # -f(x) / f'(x)
+        x += step
+        if step <= x * 2.0**-50:
+            break
+    return x
+
+
+def _parry_at(d: RenyiExpansion, x: int, e: int) -> tuple:
+    """2^(e m) P(x/2^e) and 2^(e (m-1)) P'(x/2^e) for the base polynomial P,
+    by one integer Horner pass."""
+    v, dv = 1, 0
+    shift = 0
+    for t in d.digits:
+        shift += e
+        dv = dv * x + v
+        v = v * x - (t << shift)
+    return v, dv
+
+
+# bits of the isolating interval beyond what the fractional digits of a
+# greedy expansion spend (see ``_narrow``)
+_SPARE_BITS = 80
+
+
+def _narrow(d: RenyiExpansion, extra: int) -> bool:
+    """Narrow the isolating interval of beta to width 4/2^E, with
+    E = _SPARE_BITS + extra + 4 m log2(beta), by Newton's method in integers;
+    returns whether the interval is now at least that narrow.
+
+    The float guess of ``_beta_estimate`` is refined by integer Newton steps
+    at E bits, each of which must stay in [t_1, t_1 + 1], the interval that
+    holds beta, on a rising slope.  A step of s units of 2^-E leaves an
+    error of about s^2 / 2^E units, times a constant of the base, so the
+    steps stop once s^2 / 2^E is below 2^-8, and the result is taken two
+    units either side; each step doubles the correct bits, so a guess right
+    to 16 bits or more needs at most log2(E/16) + 1 of them, and no more
+    are made.  The result is kept only if P(lo/2^E) < 0 < P(hi/2^E) with
+    0 < lo: the base polynomial has one positive root (Descartes), so that
+    certifies that beta lies between, whatever the guess was.  It replaces
+    the shared interval only when it is narrower.  A guess that fails or is
+    refused leaves the interval as it was, to be halved by ``_sign``.
+    """
+    try:
+        x = _beta_estimate(d)
+    except ArithmeticError:
+        return False
+    if not d.t1 <= x <= d.t1 + 1:  # also refuses nan
+        return False
+    e = _SPARE_BITS + extra + math.ceil(4 * d.m * math.log2(x))
+    num, den = x.as_integer_ratio()
+    c = (num << e) // den
+    bottom, top = d.t1 << e, (d.t1 + 1) << e
+    for _ in range((e // 16).bit_length() + 1):
+        v, dv = _parry_at(d, c, e)
+        if dv <= 0:
+            return False
+        step = v // dv
+        c -= step
+        if not bottom <= c <= top:
+            return False
+        if step * step << 8 < 1 << e:
+            break
+    lo, hi = c - 2, c + 2  # 0 < lo, as c >= 2^e
+    if not _parry_at(d, lo, e)[0] < 0 < _parry_at(d, hi, e)[0]:
+        return False
+    old_lo, old_hi, old_e = d._iv[0]
+    if (hi - lo) << old_e < (old_hi - old_lo) << e:
+        d._iv[0] = (lo, hi, e)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +508,21 @@ def _sign(d: RenyiExpansion, v) -> int:
     h = None
     while True:
         iv = d._iv[0]
-        s = _enclosure_sign(v, *iv)
-        if s:
-            return s
+        low, high = _enclosure(v, *iv)
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
         if h is None and iv[2] >= _REFINE_BITS and (
                 iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
             # a primitive divisor of the monic P is monic (Gauss's lemma),
             # so h is an exact integer quotient
             P = parry_polynomial(d)
             h = _pdivmod(P, _pgcd(v, P))[0]
-        if h and _enclosure_sign(h, *iv):
-            return 0
+        if h:
+            low, high = _enclosure(h, *iv)
+            if low > 0 or high < 0:
+                return 0
         _bisect(d)
 
 
@@ -626,14 +729,44 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     ints = tuple(int_digits)
     if exact:
         return BetaExpansion(ints, ())
+    # r = rem(beta) lies in (0, 1).  With beta narrowed, an enclosure
+    # a <= 2^e r <= b is carried through r <- beta r - x in O(1) a step; it
+    # gives x whenever x < beta r < x + 1, which makes x the greedy digit,
+    # as beta r < beta.  It never decides an integer beta r, so every exact
+    # zero, and any digit it is too wide for, goes to _greedy_digit, and the
+    # enclosure is then read again off the coordinates.  The coordinates
+    # are updated exactly throughout.
     frac = []
+    carried = _carried(d, rem) if _narrow(d, max(map(abs, rem)).bit_length()) else None
     for _ in range(4 * d.m):
         rem = _times_beta(d, rem)
+        if carried:
+            a, b, lo, hi, e = carried
+            # r >= 0 and b >= 0, so these bound beta r, rounded outward
+            a, b = lo * a >> e, -(-hi * b >> e)
+            x = a >> e
+            if x << e < a and b < (x + 1) << e:
+                rem[0] -= x
+                frac.append(x)
+                carried = a - (x << e), b - (x << e), lo, hi, e
+                continue
         x, exact = _greedy_digit(d, rem, powers[0], md)  # powers[0] = 1
         frac.append(x)
         if exact:
             return BetaExpansion(ints, tuple(frac))
+        if carried:
+            carried = _carried(d, rem)
     raise FractionalBudgetExceeded(BetaExpansion(ints, tuple(frac)))
+
+
+def _carried(d: RenyiExpansion, v) -> tuple:
+    """(a, b, lo, hi, e) with a <= 2^e v(beta) <= b, from the enclosure of v
+    on the isolating interval [lo/2^e, hi/2^e] (m >= 2: an integer base
+    expands every integer exactly, with no fractional digit)."""
+    lo, hi, e = d._iv[0]
+    low, high = _enclosure(v, lo, hi, e)
+    s = e * (len(v) - 2)
+    return low >> s, -(-high >> s), lo, hi, e
 
 
 def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:

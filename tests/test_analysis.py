@@ -394,6 +394,19 @@ def test_branches_reject_lengths_outside_the_library():
     assert lib.sorted_view.branches(4) == _special(rext)
 
 
+def test_decoded_levels_are_kept_for_the_next_reader():
+    # find_tridents reads the left special levels that maximal_left_special
+    # has just decoded, and decodes none again
+    clear_factor_cache()
+    maximal_left_special(D2121, 20)
+    view = factor_library(D2121, 22).reversed_view
+    decoded = dict(view.levels)
+    assert sorted(decoded) == list(range(1, 22))
+    find_tridents(D2121, 20)
+    assert view.levels.keys() == decoded.keys()
+    assert all(view.branches(n) is level for n, level in decoded.items())
+
+
 # --- special factors --------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import radix_oracle
@@ -720,18 +720,29 @@ def test_mixed_int_arithmetic_matches_reference(d, data, k):
         _polynomial_coords(d, w))
 
 
+def _brackets_beta(d):
+    lo, hi, e = d._iv[0]
+    assert 0 < lo < hi and e >= 0
+    at_lo, at_hi = (sum(c * x**i for i, c in enumerate(parry_polynomial(d)))
+                    for x in (Fraction(lo, 2**e), Fraction(hi, 2**e)))
+    return at_lo < 0 < at_hi
+
+
 @SIGN_SETTINGS
-@given(st.lists(st.tuples(st.sampled_from(SIGN_BASES), st.lists(COORD, min_size=4, max_size=4)),
+@given(st.lists(st.tuples(st.sampled_from(SIGN_BASES), st.lists(COORD, min_size=4, max_size=4),
+                          st.one_of(st.none(), st.integers(1, 10**6))),
                 min_size=1, max_size=6))
 def test_isolating_interval_brackets_beta(calls):
-    # after any sequence of sign calls, P(lo/2^e) < 0 < P(hi/2^e)
-    for d, coords in calls:
+    # after any sequence of sign calls and expansions, P(lo/2^e) < 0 < P(hi/2^e);
+    # an expansion with fractional digits narrows the interval past 80 bits
+    for d, coords, n in calls:
         zb_sign(ZBetaElement(d, coords[:d.m]))
-        lo, hi, e = d._iv[0]
-        assert 0 < lo < hi and e >= 0
-        at_lo, at_hi = (sum(c * x**i for i, c in enumerate(parry_polynomial(d)))
-                        for x in (Fraction(lo, 2**e), Fraction(hi, 2**e)))
-        assert at_lo < 0 < at_hi
+        assert _brackets_beta(d)
+        if n is not None:
+            e = _expansion(d, n)[0]
+            assert _brackets_beta(d)
+            if e.fractional_digits:
+                assert d._iv[0][2] >= numeration._SPARE_BITS
 
 
 
@@ -747,13 +758,18 @@ def _polynomial_coords(d, s):
     return tuple(int(c) for c in r) + (0,) * (d.m - len(r))
 
 
+def _expansion(d, n):
+    """The greedy expansion of n, and whether it is exact (terminates)."""
+    try:
+        return greedy_expand_integer(d, n), True
+    except FractionalBudgetExceeded as exc:
+        return exc.partial, False
+
+
 def _check_expansion(d, n):
     """Check the greedy expansion of n against the polynomial oracle and the
     reference sign engine."""
-    try:
-        e, exact = greedy_expand_integer(d, n), True
-    except FractionalBudgetExceeded as exc:
-        e, exact = exc.partial, False
+    e, exact = _expansion(d, n)
     ints, digits = e.integer_digits, e.integer_digits + e.fractional_digits
     assert radix_oracle.is_admissible(d, ints), (n, ints)
     for s in (ints, digits):
@@ -804,6 +820,112 @@ def test_huge_expansion_is_fast_and_exact():
         greedy_expand_integer(d, 10**200)
     assert time.perf_counter() - start < 2
     _check_expansion(d, 10**200)
+
+
+# --- fractional digits from a carried enclosure ------------------------------------
+
+
+@st.composite
+def _parry_words(draw):
+    """A Parry word of length m <= 40 with digits <= 5, drawn digit by digit:
+    a digit is at most the one that follows each prefix the word still ends
+    with.  A word the Parry condition still refuses is rejected."""
+    m = draw(st.integers(2, 40))
+    w = [draw(st.integers(1, 5))]
+    for i in range(1, m):
+        bound = min(w[i - k] for k in range(1, i + 1) if w[k:i] == w[:i - k])
+        w.append(draw(st.integers(1 if i == m - 1 else 0, max(bound, 1))))
+    try:
+        return validate_renyi(w).digits
+    except ParryViolation:
+        assume(False)
+
+
+def _trial_subtraction_only(mp):
+    """Make every fractional digit take ``_greedy_digit``, as before the
+    enclosure: the interval is never narrowed, so nothing is carried."""
+    mp.setattr(numeration, "_narrow", lambda d, extra: False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_parry_words(), st.integers(0, 38).map(lambda k: (1,) + (0,) * k + (1,))),
+       st.one_of(st.integers(1, 60), st.integers(1, 10**6)), st.sampled_from([80, 0]))
+def test_carried_enclosure_gives_the_digits_of_trial_subtraction(digits, n, spare):
+    # with no spare bits the enclosure often runs too wide, so that digits
+    # fall back to trial subtraction and the enclosure is read again
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeration, "_SPARE_BITS", spare)
+        fast = _expansion(validate_renyi(digits), n)
+        _trial_subtraction_only(mp)
+        slow = _expansion(validate_renyi(digits), n)
+    assert fast == slow
+
+
+def test_an_undecided_digit_falls_back_and_the_enclosure_is_read_again(monkeypatch):
+    monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
+    reads = []
+    real = numeration._carried
+    monkeypatch.setattr(numeration, "_carried", lambda d, v: reads.append(v) or real(d, v))
+    assert str(_expansion(validate_renyi("2121"), 29)[0]) == "1102.0020120001020121"
+    assert len(reads) >= 2
+
+
+def test_the_enclosure_decides_every_digit_of_an_endless_expansion(monkeypatch):
+    # 29 in base 2121 has no finite expansion: trial subtraction finds the
+    # four integer digits, and the enclosure all sixteen fractional ones
+    calls = []
+    real = numeration._greedy_digit
+    monkeypatch.setattr(numeration, "_greedy_digit",
+                        lambda d, v, p, md: calls.append(p) or real(d, v, p, md))
+    e, exact = _expansion(validate_renyi("2121"), 29)
+    assert (str(e), exact) == ("1102.0020120001020121", False)
+    assert len(calls) == len(e.integer_digits) == 4
+
+
+@pytest.mark.parametrize("base, n, expansion", [
+    ("11", 2, "10.01"), ("211", 7, "100.102"), ("2121", 7, "21.11121021"),
+    ("3202", 13, "100.0021011202"), ("2101001", 25, "1111.011020000111010100001101001"),
+    ("3333332", 31, "133.000100200023220002112000132")])
+def test_terminating_expansions_stay_exact(base, n, expansion):
+    # each ends on an exact zero, which only trial subtraction decides
+    e, exact = _expansion(validate_renyi(base), n)
+    assert (str(e), exact) == (expansion, True)
+    _check_expansion(validate_renyi(base), n)
+
+
+def _beyond_float_range(d):
+    raise OverflowError("t_1 is beyond float range")
+
+
+@pytest.mark.parametrize("guess", [
+    pytest.param(lambda d: d.t1 + 0.999, id="wrong-in-range"),
+    pytest.param(lambda d: -1.5, id="negative"),
+    pytest.param(lambda d: float("nan"), id="nan"),
+    pytest.param(_beyond_float_range, id="raises")])
+@pytest.mark.parametrize("base, n", [("11", 1000), ("2121", 29), ("3202", 13), ("21111111", 10**6)])
+def test_a_bad_float_guess_is_refused_and_bisection_gives_the_digits(monkeypatch, guess, base, n):
+    # the in-range guess survives the Newton steps and fails the certificate
+    with pytest.MonkeyPatch.context() as mp:
+        _trial_subtraction_only(mp)
+        want = _expansion(validate_renyi(base), n)
+    monkeypatch.setattr(numeration, "_beta_estimate", guess)
+    d = validate_renyi(base)
+    assert numeration._narrow(d, 0) is False and d._iv[0] == (1, d.t1 + 1, 0)
+    narrowed = []
+    real = numeration._narrow
+    monkeypatch.setattr(numeration, "_narrow",
+                        lambda d, extra: narrowed.append(real(d, extra)) or narrowed[-1])
+    assert _expansion(d, n) == want
+    assert narrowed == [False] and _brackets_beta(d)
+
+
+def test_narrowing_is_certified_and_never_widens():
+    d = validate_renyi("2121")
+    assert numeration._narrow(d, 0) is True and _brackets_beta(d)
+    lo, hi, e = d._iv[0]
+    assert hi - lo == 4 and e >= numeration._SPARE_BITS
+    # a coarser request keeps the finer interval
+    assert numeration._narrow(d, -40) is True and d._iv[0] == (lo, hi, e)
 
 
 @pytest.mark.parametrize("digits", ["330211001121", "33320222332031210203"])

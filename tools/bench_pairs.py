@@ -2,14 +2,16 @@
 per workload and end-to-end metric, how the two compare.
 
 Usage: python tools/bench_pairs.py OTHER_ROOT [--pairs N] [--seconds S] [--seed K]
+                                  [--workload NAME [--workload NAME ...]]
 
 OTHER_ROOT is the root of the other checkout (the one holding its own
 ``perfbench/run.py``), e.g. ``../parent``; keep both trees under one
 directory so that both run from the same disk.  For each workload of
-``BENCHMARK.json``, each pair runs the benchmark command once in this tree
-and once in OTHER_ROOT, one process at a time, and the side that runs first
-alternates from pair to pair.  Each run is ``--trace 0`` with the same seed
-and seconds on both sides.
+``BENCHMARK.json``, or each one named by a ``--workload`` (repeatable; a
+name not in ``BENCHMARK.json`` is refused), each pair runs the benchmark
+command once in this tree and once in OTHER_ROOT, one process at a time,
+and the side that runs first alternates from pair to pair.  Each run is
+``--trace 0`` with the same seed and seconds on both sides.
 
 For each end-to-end metric it prints both medians, the other tree's
 quartiles and its IQR as a share of its median, the ratio of the medians
@@ -78,6 +80,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
+    names = [w["name"] for w in bench["workloads"]]
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="a workload to run (repeatable); all when absent")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -86,7 +91,7 @@ def main() -> int:
         parser.error(f"{other} holds no perfbench/run.py")
     print(f"here {HERE}, other {other}; {args.pairs} pairs, seed {args.seed}, "
           f"{args.seconds:g} s per run; ratio = here / other")
-    for workload in (w["name"] for w in bench["workloads"]):
+    for workload in args.workload or names:
         runs = {"here": [], "other": []}
         for i in range(args.pairs):
             sides = [("here", HERE), ("other", other)]

@@ -14,7 +14,12 @@ set:
 * ``witness D`` on the 279 bases of m=2..7,digit<=3,tm=1,nonpower;
 * ``specials D left -n N`` for N = 1..40, ``specials D maximal
   --length-bound 40`` and ``specials D tridents --length-bound 20`` on
-  twelve named bases.
+  twelve named bases;
+* ``betaint D expand N`` for N = 1..60 on the 77 bases of m=2..5,digit<=2,
+  and for N = 7 and 1000 on four long or wide bases written with commas:
+  2 0^60 1, 1 0^120 1, 3^24 and 1000 1.
+
+That is 5477 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -29,6 +34,7 @@ from pathlib import Path
 HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 SPECIALS_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211",
                   "301002", "3312331", "222222121")
+EXPAND_BASES = [(2,) + (0,) * 60 + (1,), (1,) + (0,) * 120 + (1,), (3,) * 24, (1000, 1)]
 
 # runs in the child: read the commands from stdin, write [rc, out, err] per command
 CHILD = """
@@ -61,6 +67,10 @@ def commands() -> list:
         out += [["specials", s, "left", "-n", str(n)] for n in range(1, 41)]
         out.append(["specials", s, "maximal", "--length-bound", "40"])
         out.append(["specials", s, "tridents", "--length-bound", "20"])
+    for s in corpus("m=2..5,digit<=2"):
+        out += [["betaint", s, "expand", str(n)] for n in range(1, 61)]
+    for t in EXPAND_BASES:
+        out += [["betaint", ",".join(map(str, t)), "expand", str(n)] for n in (7, 1000)]
     return out
 
 
