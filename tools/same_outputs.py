@@ -17,9 +17,14 @@ set:
   twelve named bases;
 * ``betaint D expand N`` for N = 1..60 on the 77 bases of m=2..5,digit<=2,
   and for N = 7 and 1000 on four long or wide bases written with commas:
-  2 0^60 1, 1 0^120 1, 3^24 and 1000 1.
+  2 0^60 1, 1 0^120 1, 3^24 and 1000 1;
+* on the twelve named bases: ``generate D -L N`` for N = 0, 1, 50 and 5000;
+  ``betaint D coding START COUNT`` from 0, 1, 10 and 100, with COUNT = 1, 37
+  and 1000; and ``betaint D succ W`` for the first 50 admissible W;
+* ``witness`` and ``classify`` on 5222252221, whose witness spans 2,122,757
+  gaps, and ``betaint 1000000,0,0,0,0,0,1 expand 1000000000``.
 
-That is 5477 commands.
+That is 6272 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -54,6 +59,7 @@ json.dump(results, sys.stdout)
 def commands() -> list:
     sys.path.insert(0, str(HERE_SRC))
     from parryscope.cli import CorpusSpec
+    from parryscope.numeration import beta_integers, validate_renyi
     from parryscope.words import fmt
 
     def corpus(*specs):
@@ -71,6 +77,14 @@ def commands() -> list:
         out += [["betaint", s, "expand", str(n)] for n in range(1, 61)]
     for t in EXPAND_BASES:
         out += [["betaint", ",".join(map(str, t)), "expand", str(n)] for n in (7, 1000)]
+    for s in SPECIALS_BASES:
+        out += [["generate", s, "-L", str(n)] for n in (0, 1, 50, 5000)]
+        out += [["betaint", s, "coding", start, str(count)]
+                for start in ("0", "1", "10", "100") for count in (1, 37, 1000)]
+        ws = beta_integers(validate_renyi(s))
+        out += [["betaint", s, "succ", fmt(next(ws)) or "0"] for _ in range(50)]
+    out += [["witness", "5222252221"], ["classify", "5222252221"],
+            ["betaint", "1000000,0,0,0,0,0,1", "expand", "1000000000"]]
     return out
 
 
