@@ -48,8 +48,9 @@ from .errors import (
     NotApplicable,
     VerificationFailed,
 )
-from .numeration import TEXT_CAP, RenyiExpansion, _segment, radix_rank, value_of
-from .substitution import build_substitution, fixed_point_prefix, j_indices
+from .numeration import TEXT_CAP, RenyiExpansion, _join, _rank_state, _segment, value_of
+from .numeration import fixed_point_prefix_bytes, radix_rank
+from .substitution import build_substitution, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
 
@@ -764,18 +765,24 @@ class WitnessVerification:
 
     bundle: WitnessBundle
     span: int  # number of gaps in [0, z]
-    coding: Word  # shared coding of [0,z], [x1,x1+z], [x2,x2+z]
-    w0: Word  # the non-prefix left special factor
     x1_end: Word
     x2_end: Word
     pred_letters: tuple
-    succ_letter_z: int  # u[span], the match length of z
+    succ_letter_z: int  # u[span], the final automaton state of z
+
+    @cached_property
+    def w0(self):
+        """The non-prefix left special factor u[:span] 0, spelt when first
+        read, or None when it has more than TEXT_CAP letters."""
+        if self.span < TEXT_CAP:
+            return tuple(fixed_point_prefix_bytes(self.bundle.d, self.span)) + (0,)
+        return None
 
     def to_json(self):
         return {
             "span": self.span,
-            "coding": fmt(self.coding),
-            "w0": fmt(self.w0),
+            "w0": self.w0 and fmt(self.w0),
+            "w0_length": self.span + 1,
             "x1_end": fmt(self.x1_end),
             "x2_end": fmt(self.x2_end),
             "pred_letters": list(self.pred_letters),
@@ -789,35 +796,45 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
     special factor of the fixed point u, with span = rank(z).
 
     u is the gap coding of Z_beta+ read from 0, so u[:span] codes [0, z] and
-    u[span] is the gap after z.  (i) and (iii): the walk of span gaps from
-    x1, and the one from x2, reads u[:span] and ends, exactly at x + z, in
-    the automaton state 0, so w0 is read after x1 and after x2.  (ii): the
-    gaps before x1 and x2 differ, so w0 has two left letters.  (iv):
-    u[span], the match length of z, is not 0, so w0 is not a prefix.  All
-    four are guaranteed; a failure raises VerificationFailed.
+    u[span] is the gap after z.  u[:span] is the product of the blocks
+    phi^i(0)^(z_i) over the digits of z, from the top: the runs of z (see
+    ``fixed_point_prefix_bytes``); and u[span] is the final automaton state
+    of z.  (i) and (iii): the walk of span gaps from x1, and the one from x2,
+    takes the runs of z and ends, exactly at x + z, in the automaton state
+    0, so w0 is read after x1 and after x2.  (ii): the gaps before x1 and x2
+    differ, so w0 has two left letters.  (iv): u[span] is not 0, so w0 is
+    not a prefix.  All four are guaranteed; a failure raises
+    VerificationFailed.
 
-    Each point is read once: z by its rank, and each x by its walk, whose
-    first step decides its admissibility; the gap before x is read off the
-    digits of x.  An inadmissible point raises VerificationFailed with
-    condition "admissible".
+    No letter is built while the runs agree, so the span has no cap.  Two
+    different run sequences can spell the same letters, so a walk whose runs
+    differ from those of z is compared with u[:span] letter by letter, which
+    raises BudgetExceeded above TEXT_CAP letters; no base is known to need
+    that.
+
+    Each point is read once: z by its rank and final state, and each x by
+    its walk, whose first step decides its admissibility; the gap before x
+    is read off the digits of x.  An inadmissible point raises
+    VerificationFailed with condition "admissible".
     """
     z, x1, x2 = bundle.z, bundle.x1, bundle.x2
     try:
-        span = radix_rank(d, z)
+        span, k = _rank_state(d, z)
     except InadmissibleInput as exc:
         raise VerificationFailed("admissible", "witness component z must be admissible") from exc
-    u = fixed_point_prefix(d, span + 1)
-    coding = u[:span]
+    # z_i blocks phi^i(0) for each digit z_i, from the top, one step each
+    runs = [(len(z) - 1 - j, 1) for j, a in enumerate(z) for _ in range(a)]
     zval = value_of(d, z)
     ends, preds = [], []
     for name, x in (("x1", x1), ("x2", x2)):
         try:
-            letters, end, state = _segment(d, x, span)
+            walk, end, state = _segment(d, x, span)
         except InadmissibleInput as exc:
             raise VerificationFailed(
                 "admissible", f"witness component {name} must be admissible"
             ) from exc
-        if letters != coding:
+        # the prefix is refused above TEXT_CAP before the walk's letters are built
+        if walk != runs and fixed_point_prefix_bytes(d, span) != _join(d, walk, [1]):
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
             raise VerificationFailed("i", f"segment from {name} does not end at {name}+z")
@@ -830,17 +847,13 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         preds.append((len(x) - len(_drop_leading_zeros(x[::-1]))) % d.m)
     if preds[0] == preds[1]:
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
-    k = u[span]
-    if k == 0:
-        raise VerificationFailed("iv", "successor gap at z is 1")
-    # the match of z covers its tail t_1 ... t_(a_pad) and stops before h
+    # the match of z covers its tail t_1 ... t_(a_pad) and stops before h;
+    # a_pad >= 1, so u[span] is not 0 (iv)
     if not (bundle.a_pad <= k <= bundle.a_pad + len(bundle.c) < d.m):
         raise VerificationFailed("iv", f"match length {k} violates the index bounds")
     return WitnessVerification(
         bundle=bundle,
         span=span,
-        coding=coding,
-        w0=coding + (0,),
         x1_end=ends[0],
         x2_end=ends[1],
         pred_letters=tuple(preds),

@@ -209,13 +209,14 @@ def cmd_betaint(args):
         raise UsageError(f"usage: betaint D {args.op} {operands}")
     if args.op == "succ":
         y = _zero_alias(args.args[0] if args.args else "")
-        (letter,), nxt, _ = numeration._segment(d, y, 1)
+        # one gap is one run of a single letter, keyed by minus the letter
+        [(key, _)], nxt, _ = numeration._segment(d, y, 1)
         _emit({
             "d": fmt(d.digits),
             "word": fmt(y),
             "next": fmt(nxt),
-            "gap_letter": letter,
-            "gap_coords": numeration.t_orbit(d, letter).to_json()["coords"],
+            "gap_letter": -key,
+            "gap_coords": numeration.t_orbit(d, -key).to_json()["coords"],
         })
     elif args.op == "pred":
         y = _zero_alias(args.args[0])

@@ -30,16 +30,18 @@ lemma), so no rational number arises and no remainder is checked.
 Refinement terminates because an enclosure converges to the value at beta
 as the interval shrinks onto it.
 
-A greedy expansion finds its integer digits by trial subtraction, each trial
-one exact sign.  When its fractional digits start, the interval is narrowed
-once, to 80 + 4m log2(beta) bits beyond the remainder's largest coordinate:
-a float guess at beta from Newton's method is refined by integer Newton
-steps, and the result is kept only if P(lo) < 0 < P(hi), which certifies it,
-since P has one positive root (Descartes).  The remainder r in (0, 1) then
+A greedy expansion finds each integer digit x by galloping search: it
+probes x = 1, 2, 4, ..., capped at the largest digit, until v - x p goes
+negative, then bisects, one exact sign a probe, so a digit near D takes
+about 2 log2(D) signs.  When its fractional digits start, the interval is
+narrowed once, to 80 + 4m log2(beta) bits beyond the remainder's largest
+coordinate: a float guess at beta from Newton's method is refined by
+integer Newton steps, and the result is kept only if P(lo) < 0 < P(hi),
+which certifies it, since P has one positive root (Descartes).  The remainder r in (0, 1) then
 carries an integer enclosure a <= 2^e r <= b through r <- beta r - x,
 rounded outward in O(1) a digit, and x is read off it whenever
 x < beta r < x + 1.  A digit it cannot decide, such as every exact zero, is
-found by trial subtraction as before, and the enclosure is read again off
+found by the search with exact signs, and the enclosure is read again off
 the coordinates, which stay exact throughout.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
@@ -64,14 +66,19 @@ numeration system U_k = t_1 U_(k-1) + ... + t_m U_(k-m) (plus 1 for k < m),
 U_k counting the admissible strings of length at most k: O(|s|), no walk.
 
 The gap coding read from 0 is the fixed point u (Fabre), and u[:U_i] =
-phi^i(0).  Codings from other points are walks that keep the automaton
-state of every position and take blocks of u.  From P 0^i, with state 0
-after P, the next U_i points are P v for the admissible v of length at most
-i, zero-padded: read from state 0, v reads as from scratch, so P v is
+phi^i(0).  Gap codings are held as runs: c copies of a block phi^i(0), or
+of one letter.  The prefix u[:N] is the runs of the greedy digits of N in
+U_0, U_1, ..., d_i blocks phi^i(0) for each digit d_i from the top.
+Codings from other points are walks that keep the automaton state of every
+position and step by blocks of u.  From P 0^i, with state 0 after P, the
+next U_i points are P v for the admissible v of length at most i,
+zero-padded: read from state 0, v reads as from scratch, so P v is
 admissible and its gap letter is that of v: these U_i letters are u[:U_i].
 The last v is at its period digit throughout, so the next step raises a
 digit of P, landing on succ(P) 0^i.  A walk of N gaps thus takes a few
-steps per digit instead of N, and each re-reads only the digits it changes.
+steps per digit instead of N, each one run; each step re-reads only the
+digits it changes, and no letter is built.  One joiner spells runs as
+bytes, for prefixes and codings alike, under TEXT_CAP letters.
 
 Nothing here re-checks a theorem at run time: the errors raised are those
 of the input (an invalid base, an inadmissible string, a count over a cap).
@@ -568,25 +575,38 @@ def _weight(t, u) -> int:
     return sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t))
 
 
-def _block(t, u, top, k) -> bytes:
-    """phi^k(0) = u[:U_k] as bytes (letters < 256), from u = [U_0, ..., U_k]
-    and top = [K, phi^K(0)], the longest block built, which it extends to k.
-    Each block is a prefix of the next, so only the longest is kept and
-    phi^k(0) for k <= K is its first U_k letters.  Unrolling
-    phi^(k-1)(phi(0)) letter by letter, phi^k(0) is the product of
-    phi^(k-j)(0)^(t_j) over j <= min(k, m), then the letter k if k < m."""
-    j, block = top
-    if j < k:
+def _join(d: RenyiExpansion, runs, u) -> bytes:
+    """The letters of runs, as bytes.  A run (k, c) is c copies of the block
+    phi^k(0) = u[:U_k] when k >= 0, and of the single letter -k when k < 0
+    (the letter 0 is the block phi^0(0)).  u = [U_0, U_1, ...] as far as the
+    caller knows them; it is extended as needed.  Callers cap the length.
+    phi^k(0) holds the letters up to min(k, m - 1), so every block asked for
+    fits bytes: a prefix needs m <= MAX_ALPHABET, and a walk reads at most
+    MAX_ALPHABET zeros deep.  A single letter above 255 raises
+    LetterRangeError.
+
+    Each block is a prefix of the next, so only the longest block built is
+    kept, and phi^k(0) is its first U_k letters.  Unrolling
+    phi^(j-1)(phi(0)) letter by letter, phi^j(0) is the product of
+    phi^(j-i)(0)^(t_i) over i <= min(j, m), then the letter j if j < m.
+    """
+    t, j, block = d.digits, 0, b"\0"  # block = phi^j(0), the longest built
+    parts = []
+    for k, c in runs:
+        if k < -255:
+            raise LetterRangeError(f"letter {-k} does not fit a byte")
+        while len(u) <= k:
+            u.append(_weight(t, u))
         while j < k:
             j += 1
             # a slice is a copy, so a zero digit is skipped, not sliced
-            parts = [block[:u[j - i]] * t[i - 1] for i in range(1, min(j, len(t)) + 1)
-                     if t[i - 1]]
+            factors = [block[:u[j - i]] * t[i - 1] for i in range(1, min(j, len(t)) + 1)
+                       if t[i - 1]]
             if j < len(t):
-                parts.append(bytes((j,)))
-            block = b"".join(parts)
-        top[:] = j, block
-    return block[:u[k]]
+                factors.append(bytes((j,)))
+            block = b"".join(factors)
+        parts.append((block[:u[k]] if k >= 0 else bytes((-k,))) * c)
+    return b"".join(parts)
 
 
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
@@ -594,12 +614,12 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
 
     With d_(k-1) ... d_0 the greedy digits of the length in U_0, U_1, ...
     (the admissible string of rank ``length``), the prefix is the product
-    of phi^i(0)^(d_i) over i = k-1 .. 0.  The points below that string run
-    through P c v, with P its digits left of position i, c < d_i and v of
-    length at most i; a digit c below its period digit resets the automaton
-    to state 0, so each of the d_i runs of U_i points reads u[:U_i] =
-    phi^i(0) (see the module docstring).  No block built is longer than the
-    length.
+    of phi^i(0)^(d_i) over i = k-1 .. 0: the runs (i, d_i), joined by
+    ``_join``.  The points below that string run through P c v, with P its
+    digits left of position i, c < d_i and v of length at most i; a digit c
+    below its period digit resets the automaton to state 0, so each of the
+    d_i runs of U_i points reads u[:U_i] = phi^i(0) (see the module
+    docstring).  No block built is longer than the length.
 
     Raises BudgetExceeded for a length above TEXT_CAP before building, and
     LetterRangeError for a base of fewer than 2 or more than MAX_ALPHABET
@@ -609,17 +629,16 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
         raise ValueError("prefix length must be non-negative")
     if length > TEXT_CAP:
         raise BudgetExceeded(f"a prefix of {length} letters exceeds the cap of {TEXT_CAP}")
-    if length == 0:
-        return b""
-    _check_alphabet(d)
-    t, u, top = d.digits, [1], [0, b"\0"]
+    if length:  # the empty prefix needs no alphabet
+        _check_alphabet(d)
+    t, u = d.digits, [1]
     while u[-1] <= length:
         u.append(_weight(t, u))
-    parts = []
+    runs = []
     for i in reversed(range(len(u) - 1)):
         q, length = divmod(length, u[i])
-        parts.append(_block(t, u, top, i) * q)
-    return b"".join(parts)
+        runs.append((i, q))
+    return _join(d, runs, u)
 
 
 def _advance(per, s, states) -> bool:
@@ -770,24 +789,25 @@ def _carried(d: RenyiExpansion, v) -> tuple:
 
 
 def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:
-    """The largest x <= md with v - x p >= 0 (p > 0), leaving v - x p in v:
-    p is subtracted in place one trial at a time, and added back after the
-    trial that goes negative.  Also returns whether the sign decision that
-    raised x found v - x p to be 0.  For v != 0 that is exactly when
-    v - x p is 0, so each exact zero is decided once."""
-    x = 0
-    while x < md:
+    """The largest x <= md with v - x p >= 0 (p > 0), leaving v - x p in v,
+    by galloping search: probes x = 1, 2, 4, ..., capped at md, until one
+    goes negative, then bisection, one exact sign of v - x p a probe.  p is
+    subtracted in place, and added back after a probe that goes negative.
+    Also returns whether a probe found v - x p to be 0; that x is the
+    digit, so the search stops there and each exact zero is decided once."""
+    lo, hi, x, zero = 0, md + 1, 1, False  # v holds v - lo p; hi = md + 1 is never probed
+    while lo + 1 < hi and not zero:
         for i, c in enumerate(p):
-            v[i] -= c
+            v[i] -= (x - lo) * c
         sign = _sign(d, v)
         if sign < 0:
             for i, c in enumerate(p):
-                v[i] += c
-            break
-        x += 1
-        if sign == 0:
-            return x, True
-    return x, False
+                v[i] += (x - lo) * c
+            hi = x
+        else:
+            lo, zero = x, sign == 0
+        x = min(2 * x, md) if hi > md else (lo + hi) // 2
+    return lo, zero
 
 
 def next_admissible(d: RenyiExpansion, s) -> Word:
@@ -815,12 +835,17 @@ def radix_rank(d: RenyiExpansion, s) -> int:
     counts the admissible strings of length at most k:
     U_k = t_1 U_(k-1) + ... + t_m U_(k-m), plus 1 while k < m.
     """
-    s, _ = _admissible_states(d, s)
-    t = d.digits
+    return _rank_state(d, s)[0]
+
+
+def _rank_state(d: RenyiExpansion, s) -> tuple:
+    """The rank of s (see ``radix_rank``) and its final automaton state, the
+    letter of the gap after s, from one automaton pass."""
+    s, states = _admissible_states(d, s)
     u = []
     for _ in s:
-        u.append(_weight(t, u))
-    return sum(a * w for a, w in zip(reversed(s), u))
+        u.append(_weight(d.digits, u))
+    return sum(a * w for a, w in zip(reversed(s), u)), states[-1]
 
 
 def succ_gap_letter(d: RenyiExpansion, y) -> int:
@@ -843,9 +868,9 @@ def pred_gap_letter(d: RenyiExpansion, y) -> int:
 
 
 def _segment(d: RenyiExpansion, start, count: int):
-    """Gap letters of the count gaps of Z_beta+ from start, the beta-integer
-    count steps after start, and its automaton state: the letter of the gap
-    that follows it.
+    """The runs of the count gaps of Z_beta+ from start (see ``_join``), the
+    beta-integer count steps after start, and its automaton state: the
+    letter of the gap that follows it.
 
     A step raises the rightmost digit below the period digit of its
     automaton state by one and zeroes the tail; when every digit equals its
@@ -857,39 +882,34 @@ def _segment(d: RenyiExpansion, start, count: int):
     admissible because its 1 is at most the first period digit (t_1 >= 1,
     and t_1 >= 2 when m = 1, where that digit is t_1 - 1).
 
-    A step from y = P 0^i, with state 0 after P, reads the letters u[:U_i]
-    of the points P v at once and lands on succ(P) 0^i (see the module
-    docstring), for the largest such i with U_i <= the gaps left; i = 0 is
-    the single step.
+    A step from y = P 0^i, with state 0 after P, reads the block
+    phi^i(0) = u[:U_i] of the points P v at once and lands on succ(P) 0^i
+    (see the module docstring), for the largest such i with U_i <= the gaps
+    left; i = 0 is the single step, which reads the gap letter of y.  Each
+    step is one run.  No letter is built, so the count has no cap.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count > TEXT_CAP:
-        raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
     y, states = _admissible_states(d, start)
     per = quasi_greedy(d)
     y = list(y)
-    t = d.digits
-    letters = []
+    runs = []
     u = [1]  # U_0, U_1, ...: block lengths, as far as zero runs have asked
-    top = [0, b"\0"]  # the longest block phi^K(0) built so far, with K
-    left = count
-    while left:
+    while count:  # the gaps left
         n = len(y)
         i = k = 0
-        # a block holds its letters as bytes, so a run is read at most
-        # MAX_ALPHABET zeros deep
+        # phi^i(0) holds the letters up to i and _join holds letters as
+        # bytes, so a run is read at most MAX_ALPHABET zeros deep
         while k < n and k < MAX_ALPHABET and y[n - 1 - k] == 0:
             if len(u) == k + 1:
-                u.append(_weight(t, u))
-            if u[k + 1] > left:
+                u.append(_weight(d.digits, u))
+            if u[k + 1] > count:
                 break
             k += 1
             if not states[n - k]:
                 i = k
-        block = _block(t, u, top, i) if i else (states[-1],)
-        letters += block
-        left -= len(block)
+        runs.append((i or -states[-1], 1))
+        count -= u[i]
         pos = n - 1 - i
         while pos >= 0 and y[pos] == per[states[pos]]:
             pos -= 1
@@ -901,12 +921,15 @@ def _segment(d: RenyiExpansion, start, count: int):
             y[pos + 1:] = [0] * (n - 1 - pos)
             del states[pos + 1:]
         _advance(per, y, states)
-    return tuple(letters), tuple(y), states[-1]
+    return runs, tuple(y), states[-1]
 
 
 def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:
     """Gap letters of the count consecutive gaps of Z_beta+ starting at start.
 
-    Raises BudgetExceeded for a count above TEXT_CAP before walking.
+    Raises BudgetExceeded for a count above TEXT_CAP before walking, and
+    LetterRangeError for a letter above 255 (see ``_join``).
     """
-    return _segment(d, start, count)[0]
+    if count > TEXT_CAP:
+        raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
+    return tuple(_join(d, _segment(d, start, count)[0], [1]))

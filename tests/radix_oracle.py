@@ -126,3 +126,29 @@ def segment(d, start, count):
         if not _advance(per, y, states):
             raise VerificationFailed("admissible", f"successor {fmt(y)} is not admissible")
     return tuple(letters), tuple(y), states[-1]
+
+
+def witness_by_letters(d, bundle):
+    """The witness check by whole letter strings, as the package made it
+    before it compared runs of blocks.  The span gaps from 0 spell u[:span]
+    and end on z, in the state u[span]; the walks of span gaps from x1 and
+    x2 must spell the same letters, so each ends at x + z, one successor
+    step per gap.  Returns (span, w0, x1_end, x2_end, pred_letters, u[span]),
+    or the name of the first condition that fails."""
+    span = radix_rank(d, bundle.z)
+    coding, end, k = segment(d, (), span)
+    assert end == bundle.z
+    ends, preds = [], []
+    for x in (bundle.x1, bundle.x2):
+        letters, end, state = segment(d, x, span)
+        if letters != coding:
+            return "i"
+        if state != 0:
+            return "iii"
+        ends.append(end)
+        preds.append(next(i for i, a in enumerate(reversed(x)) if a) % d.m)
+    if preds[0] == preds[1]:
+        return "ii"
+    if k == 0 or not bundle.a_pad <= k <= bundle.a_pad + len(bundle.c) < d.m:
+        return "iv"
+    return span, coding + (0,), ends[0], ends[1], tuple(preds), k

@@ -28,7 +28,7 @@ from parryscope.analysis import (
     verify_witness,
 )
 from parryscope.cli import CorpusSpec, main
-from parryscope.errors import BudgetExceeded, NotApplicable, VerificationFailed
+from parryscope.errors import BudgetExceeded, NotApplicable, ParryViolation, VerificationFailed
 from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import fmt, word
@@ -779,12 +779,10 @@ def test_witness_decomposition_holds_as_proved(d):
     pad = (0,) * b.a_pad
     assert b.x1 == _right_aligned_sub(w[:len(w) - len(b.p)], hc) + pad
     assert b.x2 == _right_aligned_sub(w, hc) + pad
-    # a span over the text cap is refused before the fixed point is built
-    if radix_rank(d, b.z) > TEXT_CAP:
-        with pytest.raises(BudgetExceeded):
-            verify_witness(d, b)
-    else:
-        verify_witness(d, b)
+    # a span over the text cap is verified all the same, and w0 is not spelt
+    v = verify_witness(d, b)
+    assert v.span == radix_rank(d, b.z)
+    assert (v.w0 is None) == (v.span >= TEXT_CAP)
 
 
 def test_witness_2121_verification():
@@ -793,8 +791,7 @@ def test_witness_2121_verification():
     assert v.span == 15
     assert v.pred_letters == (3, 2)
     assert v.succ_letter_z == 2
-    assert v.coding == coding_of_segment(D2121, "", 15)
-    assert v.w0 == W0_2121
+    assert v.w0 == coding_of_segment(D2121, "", 15) + (0,) == W0_2121
 
 
 def test_witness_word_is_left_special_but_not_a_prefix():
@@ -812,7 +809,7 @@ def test_witness_second_base():
     assert b.x1 == word("212000") and b.x2 == word("2121100")
     v = verify_witness(d, b)
     assert v.pred_letters == (3, 2)
-    assert v.w0 == v.coding + (0,)
+    assert v.w0 == coding_of_segment(d, "", v.span) + (0,)
 
 
 # 11011 drops a leading zero of z; 221221 needs the border 22, not 2
@@ -828,7 +825,7 @@ def test_witness_walks_match_reference_successor(base):
         for _ in range(v.span):
             letters.append(radix_oracle.succ_match_length(d, y) % d.m)
             y = radix_oracle.next_admissible(d, y)
-        assert tuple(letters) == v.coding and y == end
+        assert tuple(letters) + (0,) == v.w0 and y == end
     assert v.succ_letter_z == radix_oracle.succ_match_length(d, b.z)
 
 
@@ -870,10 +867,10 @@ def test_a_walk_ending_off_x_plus_z_fails_condition_i(monkeypatch):
 
 
 def test_a_gap_of_length_one_after_z_fails_condition_iv(monkeypatch):
-    # u[span] is the match length of z; a fixed point reading 0 there fails
-    prefix = analysis.fixed_point_prefix
-    monkeypatch.setattr(analysis, "fixed_point_prefix", lambda d, n: prefix(d, n)[:-1] + (0,))
-    with pytest.raises(VerificationFailed, match="successor gap at z is 1") as err:
+    # u[span] is the final automaton state of z; a z ending in state 0 fails
+    rank_state = analysis._rank_state
+    monkeypatch.setattr(analysis, "_rank_state", lambda d, z: (rank_state(d, z)[0], 0))
+    with pytest.raises(VerificationFailed, match="match length 0 violates") as err:
         verify_witness(D2121, construct_witness(D2121))
     assert err.value.condition == "iv"
 
@@ -886,6 +883,122 @@ def test_witness_reads_each_point_once(monkeypatch):
     monkeypatch.setattr(numeration, "_states", lambda d, s: read.append(s) or states(d, s))
     assert main(["witness", "221221"]) == 0
     assert read == [b.z, b.x1, b.x2]
+
+
+def _count_text(mp):
+    """Record every call through which verify_witness could build letters:
+    the prefix u[:span] and the joiner of a walk's runs."""
+    calls = []
+    for name in ("fixed_point_prefix_bytes", "_join"):
+        real = getattr(analysis, name)
+        mp.setattr(analysis, name, lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
+def test_runs_agree_with_the_letter_oracle_on_the_witness_corpus(monkeypatch):
+    # every walk takes the runs of z, so no letter is built to verify
+    bases = CorpusSpec.parse("m=2..7,digit<=3,tm=1,nonpower").members()[0]
+    assert len(bases) == 279
+    built = _count_text(monkeypatch)
+    for d in bases:
+        b = construct_witness(d)
+        v = verify_witness(d, b)
+        assert built == [], fmt(d.digits)
+        got = (v.span, v.w0, v.x1_end, v.x2_end, v.pred_letters, v.succ_letter_z)
+        assert got == radix_oracle.witness_by_letters(d, b), fmt(d.digits)
+        built.clear()  # reading w0 spells the prefix
+
+
+def _unrolled(d, runs):
+    """The runs with each block phi^k(0), k >= 1, written as its factors
+    phi^(k-i)(0)^(t_i) for i <= min(k, m), then the letter k if k < m: other
+    runs that spell the same letters."""
+    out = []
+    for k, c in runs:
+        if k < 1:
+            out.append((k, c))
+        else:
+            out += ([(k - i, t) for i, t in enumerate(d.digits[:k], 1) if t]
+                    + [(-k, 1)] * (k < d.m)) * c
+    return out
+
+
+@pytest.mark.parametrize("base", ["2121", "221221", "3231", "11011"])
+def test_a_walk_whose_runs_differ_is_compared_by_letters(monkeypatch, base):
+    d = validate_renyi(base)
+    b = construct_witness(d)
+    segment = analysis._segment
+
+    def split(d, x, count):
+        runs, end, state = segment(d, x, count)
+        return (_unrolled(d, runs) if x == b.x1 else runs), end, state
+
+    monkeypatch.setattr(analysis, "_segment", split)
+    built = _count_text(monkeypatch)
+    v = verify_witness(d, b)
+    # the prefix and the letters of the split walk, once each
+    assert [len(a) for a in built] == [2, 3]
+    assert v.w0 == radix_oracle.witness_by_letters(d, b)[1]
+
+
+@pytest.mark.parametrize("base", ["2121", "221221", "3231", "212121"])
+def test_an_x1_with_one_digit_changed_is_refused(base):
+    # most changes leave the runs of z, and the letters then differ (i) or
+    # the string is not admissible; a change whose walk still spells
+    # u[:span] ends in a state other than 0 (iii)
+    d = validate_renyi(base)
+    b = construct_witness(d)
+    seen = set()
+    for i, a in enumerate(b.x1):
+        for other in range(d.max_digit + 1):
+            if other != a:
+                x1 = b.x1[:i] + (other,) + b.x1[i + 1:]
+                with pytest.raises(VerificationFailed) as err:
+                    verify_witness(d, dataclasses.replace(b, x1=x1))
+                seen.add(err.value.condition)
+    assert {"i", "admissible"} <= seen <= {"i", "iii", "admissible"}
+
+
+# structured words whose witness spans pass 10^20: 2.2e31 and 4.6e28
+LONG_SPAN_WORDS = ("551323405513234055132340551323405513230551323401",
+                   "5535123155351231553512315535123155350553512311")
+
+
+@st.composite
+def _structured_words(draw):
+    """p^r p' q p 1 with |p| <= 8, r <= 4, p' = p[:j] for a j < |p| with
+    p_(j+1) > 0, and |q| <= 7 with q_1 < p_(j+1).  A word that the Parry
+    condition refuses, or that the classifier does not call a fractional
+    power, is rejected."""
+    p = [draw(st.integers(1, 5))] + draw(st.lists(st.integers(0, 5), max_size=7))
+    r = draw(st.integers(1, 4))
+    j = draw(st.integers(0, len(p) - 1))
+    assume(p[j] > 0)
+    q = [draw(st.integers(0, p[j] - 1))] + draw(st.lists(st.integers(0, 5), max_size=6))
+    w = p * r + p[:j] + q + p + [1]
+    try:
+        d = validate_renyi(w)
+    except ParryViolation:
+        assume(False)
+    assume(classify_affine(d).reason == "fractional_power")
+    return fmt(w)
+
+
+@given(_structured_words())
+@example(LONG_SPAN_WORDS[0])
+@example(LONG_SPAN_WORDS[1])
+@example("5222252221")  # a span of 2,122,757, over the text cap
+@settings(max_examples=150, deadline=None)
+def test_witness_of_a_structured_word_verifies_without_text(w):
+    d = validate_renyi(w)
+    b = construct_witness(d)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _count_text(mp)
+        v = verify_witness(d, b)
+    assert built == []
+    assert v.span == radix_rank(d, b.z)
+    assert v.span > 10**20 or w not in LONG_SPAN_WORDS
+    assert v.to_json()["w0_length"] == v.span + 1
 
 
 def test_witness_is_the_shortest_non_prefix_left_special_factor():

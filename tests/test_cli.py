@@ -401,7 +401,7 @@ def test_report_keys_state_each_fact_once(capsys):
     assert list(body["oracle"]) == ["n_max", "prefix_length_used", "affine", "agrees",
                                     "first_excess_n"]
     _, body = run_json(capsys, "witness", "2121")
-    assert list(body["verification"]) == ["span", "coding", "w0", "x1_end", "x2_end",
+    assert list(body["verification"]) == ["span", "w0", "w0_length", "x1_end", "x2_end",
                                           "pred_letters", "succ_letter_z", "conditions"]
     _, body = run_json(capsys, "specials", "2121", "left", "-n", "3")
     assert list(body) == ["d", "n", "left_special", "right_special", "bispecial", "delta",

@@ -475,13 +475,20 @@ def test_coding_from_zero_is_the_fixed_point(d):
         assert coding_of_segment(d, (), n) == u[:n]
 
 
+def _walk(d, start, count):
+    """``_segment`` with its runs joined into letters: the shape of
+    ``radix_oracle.segment``."""
+    runs, end, state = _segment(d, start, count)
+    return tuple(numeration._join(d, runs, [1])), end, state
+
+
 @pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
 def test_segment_walk_matches_repeated_successor(d):
     ys = _reference_walk(d, 401)
     letters = [radix_oracle.succ_match_length(d, y) % d.m for y in ys]
     for i in range(0, 300, 23):
         for count in (0, 1, 2, 9, 100):
-            assert _segment(d, ys[i], count)[:2] == (tuple(letters[i:i + count]), ys[i + count])
+            assert _walk(d, ys[i], count)[:2] == (tuple(letters[i:i + count]), ys[i + count])
 
 
 @st.composite
@@ -505,7 +512,7 @@ def _walk_starts(draw):
 @settings(max_examples=300, deadline=None)
 def test_block_walk_matches_gap_by_gap_walk(case):
     d, start, count = case
-    assert _segment(d, start, count) == radix_oracle.segment(d, start, count)
+    assert _walk(d, start, count) == radix_oracle.segment(d, start, count)
 
 
 def test_block_walk_matches_gap_by_gap_walk_on_witness_points():
@@ -517,7 +524,7 @@ def test_block_walk_matches_gap_by_gap_walk_on_witness_points():
         b = construct_witness(d)
         span = radix_rank(d, b.z)
         for x in (b.x1, b.x2):
-            assert _segment(d, x, span) == radix_oracle.segment(d, x, span), fmt(d.digits)
+            assert _walk(d, x, span) == radix_oracle.segment(d, x, span), fmt(d.digits)
 
 
 @pytest.mark.parametrize("base, start", [("2", "1"), ("3", "2100"), ("9", "80000"),
@@ -529,7 +536,7 @@ def test_walks_outside_the_byte_alphabet_match_gap_by_gap_walk(base, start):
     d = validate_renyi(base)
     start = word(start) + (0,) * 300
     for count in (0, 1, 2, 3, 10, 700):
-        assert _segment(d, start, count) == radix_oracle.segment(d, start, count), count
+        assert _walk(d, start, count) == radix_oracle.segment(d, start, count), count
 
 
 @pytest.mark.parametrize("base, start", [("1000,1", "1,0,0,0"), ("100,1", "1,0,0,0,0")])
@@ -539,7 +546,7 @@ def test_block_walk_builds_nothing_longer_than_the_gaps_left(base, start):
     d, start = validate_renyi(base), word(start)
     tracemalloc.start()
     try:
-        walk = _segment(d, start, numeration.TEXT_CAP)
+        walk = _walk(d, start, numeration.TEXT_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -820,6 +827,17 @@ def test_huge_expansion_is_fast_and_exact():
         greedy_expand_integer(d, 10**200)
     assert time.perf_counter() - start < 2
     _check_expansion(d, 10**200)
+
+
+def test_wide_integer_digits_take_a_galloping_search(monkeypatch):
+    # the digits 999 and 999999 take about 2 log2(10^6) signs each, where
+    # raising a digit one unit per sign took 1,001,002
+    calls = []
+    real = numeration._sign
+    monkeypatch.setattr(numeration, "_sign", lambda d, v: calls.append(1) or real(d, v))
+    _check_expansion(validate_renyi("1000000,0,0,0,0,0,1"), 10**9)
+    assert len(calls) <= 100
+    _check_expansion(validate_renyi("1000,1"), 10**12)
 
 
 # --- fractional digits from a carried enclosure ------------------------------------
