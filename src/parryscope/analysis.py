@@ -48,8 +48,8 @@ from .errors import (
     NotApplicable,
     VerificationFailed,
 )
-from .numeration import TEXT_CAP, RenyiExpansion, _join, _rank_state, _segment, value_of
-from .numeration import fixed_point_prefix_bytes, radix_rank
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _rank_state, _segment, _spell
+from .numeration import fixed_point_prefix_bytes, radix_rank, value_of
 from .substitution import build_substitution, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
@@ -816,14 +816,20 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
     its walk, whose first step decides its admissibility; the gap before x
     is read off the digits of x.  An inadmissible point raises
     VerificationFailed with condition "admissible".
+
+    A base of more than MAX_ALPHABET letters raises LetterRangeError: its
+    w0 cannot be spelt as bytes, and its walks read blocks at most
+    MAX_ALPHABET zeros deep, so their steps would not be bounded by the
+    length of z.
     """
+    _check_alphabet(d)
     z, x1, x2 = bundle.z, bundle.x1, bundle.x2
     try:
         span, k = _rank_state(d, z)
     except InadmissibleInput as exc:
         raise VerificationFailed("admissible", "witness component z must be admissible") from exc
-    # z_i blocks phi^i(0) for each digit z_i, from the top, one step each
-    runs = [(len(z) - 1 - j, 1) for j, a in enumerate(z) for _ in range(a)]
+    # z_i blocks phi^i(0) for each digit z_i, from the top
+    runs = [(len(z) - 1 - j, a) for j, a in enumerate(z) if a]
     zval = value_of(d, z)
     ends, preds = [], []
     for name, x in (("x1", x1), ("x2", x2)):
@@ -833,8 +839,10 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
             raise VerificationFailed(
                 "admissible", f"witness component {name} must be admissible"
             ) from exc
-        # the prefix is refused above TEXT_CAP before the walk's letters are built
-        if walk != runs and fixed_point_prefix_bytes(d, span) != _join(d, walk, [1]):
+        # the prefix is refused above TEXT_CAP before the walk's letters are
+        # spelt; the alphabet is checked, so every letter fits a byte
+        if walk != runs and (fixed_point_prefix_bytes(d, span)
+                             != b"".join(map(bytes, _spell(d, walk, [1])))):
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
             raise VerificationFailed("i", f"segment from {name} does not end at {name}+z")
@@ -849,7 +857,7 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
     # the match of z covers its tail t_1 ... t_(a_pad) and stops before h;
     # a_pad >= 1, so u[span] is not 0 (iv)
-    if not (bundle.a_pad <= k <= bundle.a_pad + len(bundle.c) < d.m):
+    if not (0 < bundle.a_pad <= k <= bundle.a_pad + len(bundle.c) < d.m):
         raise VerificationFailed("iv", f"match length {k} violates the index bounds")
     return WitnessVerification(
         bundle=bundle,

@@ -75,10 +75,14 @@ next U_i points are P v for the admissible v of length at most i,
 zero-padded: read from state 0, v reads as from scratch, so P v is
 admissible and its gap letter is that of v: these U_i letters are u[:U_i].
 The last v is at its period digit throughout, so the next step raises a
-digit of P, landing on succ(P) 0^i.  A walk of N gaps thus takes a few
-steps per digit instead of N, each one run; each step re-reads only the
-digits it changes, and no letter is built.  One joiner spells runs as
-bytes, for prefixes and codings alike, under TEXT_CAP letters.
+digit of P, landing on succ(P) 0^i.  While that digit stays below its
+period digit, state 0 follows it again, so one step takes as many copies
+of the block as the digit allows.  A walk of N gaps thus takes a few steps
+per digit instead of N, however large the digits, and equal neighbouring
+runs are merged; each step re-reads only the digits it changes, and no
+letter is built.  One joiner spells runs, blocks as bytes and single
+letters as integers, for prefixes and codings alike, under TEXT_CAP
+letters.
 
 Nothing here re-checks a theorem at run time: the errors raised are those
 of the input (an invalid base, an inadmissible string, a count over a cap).
@@ -575,15 +579,15 @@ def _weight(t, u) -> int:
     return sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t))
 
 
-def _join(d: RenyiExpansion, runs, u) -> bytes:
-    """The letters of runs, as bytes.  A run (k, c) is c copies of the block
-    phi^k(0) = u[:U_k] when k >= 0, and of the single letter -k when k < 0
-    (the letter 0 is the block phi^0(0)).  u = [U_0, U_1, ...] as far as the
-    caller knows them; it is extended as needed.  Callers cap the length.
-    phi^k(0) holds the letters up to min(k, m - 1), so every block asked for
-    fits bytes: a prefix needs m <= MAX_ALPHABET, and a walk reads at most
-    MAX_ALPHABET zeros deep.  A single letter above 255 raises
-    LetterRangeError.
+def _spell(d: RenyiExpansion, runs, u):
+    """Yield the letters of runs, one part per run.  A run (k, c) is c copies of
+    the block phi^k(0) = u[:U_k] when k >= 0, as bytes, and of the single
+    letter -k when k < 0, as a tuple (the letter 0 is the block phi^0(0)).
+    u = [U_0, U_1, ...] as far as the caller knows them; it is extended as
+    needed.  Callers cap the length.  phi^k(0) holds the letters up to
+    min(k, m - 1), so every block asked for fits bytes: a prefix needs
+    m <= MAX_ALPHABET, and on a wider alphabet a walk reads at most
+    MAX_ALPHABET zeros deep.
 
     Each block is a prefix of the next, so only the longest block built is
     kept, and phi^k(0) is its first U_k letters.  Unrolling
@@ -591,10 +595,7 @@ def _join(d: RenyiExpansion, runs, u) -> bytes:
     phi^(j-i)(0)^(t_i) over i <= min(j, m), then the letter j if j < m.
     """
     t, j, block = d.digits, 0, b"\0"  # block = phi^j(0), the longest built
-    parts = []
     for k, c in runs:
-        if k < -255:
-            raise LetterRangeError(f"letter {-k} does not fit a byte")
         while len(u) <= k:
             u.append(_weight(t, u))
         while j < k:
@@ -605,8 +606,7 @@ def _join(d: RenyiExpansion, runs, u) -> bytes:
             if j < len(t):
                 factors.append(bytes((j,)))
             block = b"".join(factors)
-        parts.append((block[:u[k]] if k >= 0 else bytes((-k,))) * c)
-    return b"".join(parts)
+        yield block[:u[k]] * c if k >= 0 else (-k,) * c
 
 
 def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
@@ -614,8 +614,8 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
 
     With d_(k-1) ... d_0 the greedy digits of the length in U_0, U_1, ...
     (the admissible string of rank ``length``), the prefix is the product
-    of phi^i(0)^(d_i) over i = k-1 .. 0: the runs (i, d_i), joined by
-    ``_join``.  The points below that string run through P c v, with P its
+    of phi^i(0)^(d_i) over i = k-1 .. 0: the runs (i, d_i), spelt by
+    ``_spell``.  The points below that string run through P c v, with P its
     digits left of position i, c < d_i and v of length at most i; a digit c
     below its period digit resets the automaton to state 0, so each of the
     d_i runs of U_i points reads u[:U_i] = phi^i(0) (see the module
@@ -638,7 +638,7 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
     for i in reversed(range(len(u) - 1)):
         q, length = divmod(length, u[i])
         runs.append((i, q))
-    return _join(d, runs, u)
+    return b"".join(_spell(d, runs, u))
 
 
 def _advance(per, s, states) -> bool:
@@ -868,7 +868,7 @@ def pred_gap_letter(d: RenyiExpansion, y) -> int:
 
 
 def _segment(d: RenyiExpansion, start, count: int):
-    """The runs of the count gaps of Z_beta+ from start (see ``_join``), the
+    """The runs of the count gaps of Z_beta+ from start (see ``_spell``), the
     beta-integer count steps after start, and its automaton state: the
     letter of the gap that follows it.
 
@@ -885,8 +885,12 @@ def _segment(d: RenyiExpansion, start, count: int):
     A step from y = P 0^i, with state 0 after P, reads the block
     phi^i(0) = u[:U_i] of the points P v at once and lands on succ(P) 0^i
     (see the module docstring), for the largest such i with U_i <= the gaps
-    left; i = 0 is the single step, which reads the gap letter of y.  Each
-    step is one run.  No letter is built, so the count has no cap.
+    left; i = 0 is the single step, which reads the gap letter of y.  While
+    the last digit a of P stays below its period digit p, state 0 follows
+    it again, so the step takes up to p - a copies of the block at once and
+    raises a by their count.  Equal neighbouring runs are merged, so a walk
+    holds a few runs per digit of its end, and no letter is built: the
+    count has no cap.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -895,12 +899,14 @@ def _segment(d: RenyiExpansion, start, count: int):
     y = list(y)
     runs = []
     u = [1]  # U_0, U_1, ...: block lengths, as far as zero runs have asked
+    # phi^i(0) holds the letters up to min(i, m - 1) and _spell holds blocks
+    # as bytes, so on a wider alphabet a run is read at most MAX_ALPHABET
+    # zeros deep
+    deepest = MAX_ALPHABET if d.m > MAX_ALPHABET else math.inf
     while count:  # the gaps left
         n = len(y)
         i = k = 0
-        # phi^i(0) holds the letters up to i and _join holds letters as
-        # bytes, so a run is read at most MAX_ALPHABET zeros deep
-        while k < n and k < MAX_ALPHABET and y[n - 1 - k] == 0:
+        while k < n and k < deepest and y[n - 1 - k] == 0:
             if len(u) == k + 1:
                 u.append(_weight(d.digits, u))
             if u[k + 1] > count:
@@ -908,28 +914,33 @@ def _segment(d: RenyiExpansion, start, count: int):
             k += 1
             if not states[n - k]:
                 i = k
-        runs.append((i or -states[-1], 1))
-        count -= u[i]
-        pos = n - 1 - i
+        pos, c = n - 1 - i, 1
+        if pos >= 0 and y[pos] < per[states[pos]]:
+            c = min(per[states[pos]] - y[pos], count // u[i])
+        key = i or -states[-1]
+        count -= c * u[i]
         while pos >= 0 and y[pos] == per[states[pos]]:
             pos -= 1
         if pos < 0:
             y = [1] + [0] * n
             del states[1:]
         else:
-            y[pos] += 1
+            y[pos] += c
             y[pos + 1:] = [0] * (n - 1 - pos)
             del states[pos + 1:]
         _advance(per, y, states)
+        if runs and runs[-1][0] == key:
+            c += runs.pop()[1]
+        runs.append((key, c))
     return runs, tuple(y), states[-1]
 
 
 def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:
     """Gap letters of the count consecutive gaps of Z_beta+ starting at start.
 
-    Raises BudgetExceeded for a count above TEXT_CAP before walking, and
-    LetterRangeError for a letter above 255 (see ``_join``).
+    Raises BudgetExceeded for a count above TEXT_CAP before walking.
     """
     if count > TEXT_CAP:
         raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
-    return tuple(_join(d, _segment(d, start, count)[0], [1]))
+    parts = _spell(d, _segment(d, start, count)[0], [1])
+    return tuple(a for part in parts for a in part)

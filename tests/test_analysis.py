@@ -28,7 +28,13 @@ from parryscope.analysis import (
     verify_witness,
 )
 from parryscope.cli import CorpusSpec, main
-from parryscope.errors import BudgetExceeded, NotApplicable, ParryViolation, VerificationFailed
+from parryscope.errors import (
+    BudgetExceeded,
+    LetterRangeError,
+    NotApplicable,
+    ParryViolation,
+    VerificationFailed,
+)
 from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi
 from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import fmt, word
@@ -875,6 +881,36 @@ def test_a_gap_of_length_one_after_z_fails_condition_iv(monkeypatch):
     assert err.value.condition == "iv"
 
 
+def test_a_bundle_with_no_padding_cannot_pass_a_gap_of_length_one(monkeypatch):
+    # a_pad = 0 would admit the match length 0, which makes w0 a prefix
+    rank_state = analysis._rank_state
+    monkeypatch.setattr(analysis, "_rank_state", lambda d, z: (rank_state(d, z)[0], 0))
+    with pytest.raises(VerificationFailed, match="match length 0 violates") as err:
+        verify_witness(D2121, dataclasses.replace(construct_witness(D2121), a_pad=0))
+    assert err.value.condition == "iv"
+
+
+@pytest.mark.parametrize("command", ["witness", "classify"])
+def test_a_witness_over_wide_digits_takes_few_steps(monkeypatch, capsys, command):
+    # z = 1,N,1 asks for N blocks phi^1(0) in a row: the walks take them in
+    # one step, so the work does not grow with the digits
+    n = 10**9
+    calls = []
+    advance = numeration._advance
+    monkeypatch.setattr(numeration, "_advance", lambda *a: calls.append(1) or advance(*a))
+    assert main([command, f"{n},1,{n},1"]) == 0
+    assert len(calls) < 50
+    assert f'"span": {2 * n * n + 2 * n + 3}' in capsys.readouterr().out
+
+
+def test_a_base_wider_than_a_byte_is_refused_by_the_check():
+    # its walks read blocks at most 255 zeros deep, so their steps would
+    # not be bounded by the length of z
+    d = validate_renyi("2" + "1" * 298 + "21")
+    with pytest.raises(LetterRangeError):
+        verify_witness(d, construct_witness(d))
+
+
 def test_witness_reads_each_point_once(monkeypatch):
     # z by its rank, x1 and x2 by their walks: one automaton pass per point
     d = validate_renyi("221221")
@@ -889,7 +925,7 @@ def _count_text(mp):
     """Record every call through which verify_witness could build letters:
     the prefix u[:span] and the joiner of a walk's runs."""
     calls = []
-    for name in ("fixed_point_prefix_bytes", "_join"):
+    for name in ("fixed_point_prefix_bytes", "_spell"):
         real = getattr(analysis, name)
         mp.setattr(analysis, name, lambda *a, real=real: calls.append(a) or real(*a))
     return calls
@@ -967,14 +1003,14 @@ LONG_SPAN_WORDS = ("551323405513234055132340551323405513230551323401",
 @st.composite
 def _structured_words(draw):
     """p^r p' q p 1 with |p| <= 8, r <= 4, p' = p[:j] for a j < |p| with
-    p_(j+1) > 0, and |q| <= 7 with q_1 < p_(j+1).  A word that the Parry
-    condition refuses, or that the classifier does not call a fractional
-    power, is rejected."""
-    p = [draw(st.integers(1, 5))] + draw(st.lists(st.integers(0, 5), max_size=7))
+    p_(j+1) > 0, and |q| <= 7 with q_1 < p_(j+1).  No digit exceeds p_1,
+    which the Parry condition asks of t_1; a word that it still refuses, or
+    that the classifier does not call a fractional power, is rejected."""
+    top = draw(st.integers(1, 5))
+    p = [top] + draw(st.lists(st.integers(0, top), max_size=7))
     r = draw(st.integers(1, 4))
-    j = draw(st.integers(0, len(p) - 1))
-    assume(p[j] > 0)
-    q = [draw(st.integers(0, p[j] - 1))] + draw(st.lists(st.integers(0, 5), max_size=6))
+    j = draw(st.sampled_from([i for i, a in enumerate(p) if a]))
+    q = [draw(st.integers(0, p[j] - 1))] + draw(st.lists(st.integers(0, top), max_size=6))
     w = p * r + p[:j] + q + p + [1]
     try:
         d = validate_renyi(w)

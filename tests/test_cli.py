@@ -116,6 +116,15 @@ def test_betaint_commands(capsys):
     assert code == 0 and body["expansion"] == "10.01" and body["exact"] is True
 
 
+def test_betaint_coding_reads_letters_above_255(capsys):
+    # on 2,1^300 the gap after 2,1^255,0 is the letter 257; blocks are bytes,
+    # single letters are not
+    base = ",".join(["2"] + ["1"] * 300)
+    start = ",".join(["2"] + ["1"] * 255 + ["0"])
+    code, body = run_json(capsys, "betaint", base, "coding", start, "3")
+    assert code == 0 and body["coding"] == "0,257,0"
+
+
 def test_betaint_succ_reads_the_point_once(capsys, monkeypatch):
     # the gap letter and the successor come from one walk of one gap
     read = []

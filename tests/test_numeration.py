@@ -479,7 +479,7 @@ def _walk(d, start, count):
     """``_segment`` with its runs joined into letters: the shape of
     ``radix_oracle.segment``."""
     runs, end, state = _segment(d, start, count)
-    return tuple(numeration._join(d, runs, [1])), end, state
+    return tuple(a for part in numeration._spell(d, runs, [1]) for a in part), end, state
 
 
 @pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
@@ -592,6 +592,21 @@ def test_block_walk_takes_few_steps_per_digit(advance_calls):
         advance_calls.clear()
         _segment(validate_renyi(base), (), 10**6)
         assert len(advance_calls) < 200, base
+
+
+def test_walk_reads_blocks_past_255_zeros_deep_on_a_narrow_alphabet(advance_calls):
+    # the letters of 1,0,0,0,1 fit bytes at any depth, so a walk of 10^40
+    # gaps takes blocks phi^i(0) with i > 255, a few steps per digit of its
+    # end, and merges equal neighbouring runs
+    d = validate_renyi("10001")
+    for start in ((), word("1") + (0,) * 300):
+        advance_calls.clear()
+        runs, end, state = _segment(d, start, 10**40)
+        assert radix_rank(d, end) == radix_rank(d, start) + 10**40
+        assert state == numeration._rank_state(d, end)[1]
+        assert max(k for k, _ in runs) > 255
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        assert len(advance_calls) < 4 * (len(end) + 1)
 
 
 def test_segment_rejects_inadmissible_start():
