@@ -22,9 +22,14 @@ set:
   ``betaint D coding START COUNT`` from 0, 1, 10 and 100, with COUNT = 1, 37
   and 1000; and ``betaint D succ W`` for the first 50 admissible W;
 * ``witness`` and ``classify`` on 5222252221, whose witness spans 2,122,757
-  gaps, and ``betaint 1000000,0,0,0,0,0,1 expand 1000000000``.
+  gaps, and ``betaint 1000000,0,0,0,0,0,1 expand 1000000000``;
+* the error and null shapes: ``validate D`` and ``classify D`` (no oracle:
+  null fields) on the twelve named bases, ``validate`` on the invalid 12 (a
+  ``suffix_index``) and 10, ``witness`` on 11 and 22 (not applicable, with
+  the classification) and on 2 (one letter), ``betaint 2121 pred 0``, and
+  ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON.
 
-That is 6272 commands.
+That is 6304 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -85,6 +90,10 @@ def commands() -> list:
         out += [["betaint", s, "succ", fmt(next(ws)) or "0"] for _ in range(50)]
     out += [["witness", "5222252221"], ["classify", "5222252221"],
             ["betaint", "1000000,0,0,0,0,0,1", "expand", "1000000000"]]
+    out += [[cmd, s] for cmd in ("validate", "classify") for s in SPECIALS_BASES]
+    out += [["validate", "12"], ["validate", "10"], ["witness", "11"], ["witness", "22"],
+            ["witness", "2"], ["betaint", "2121", "pred", "0"]]
+    out += [["scan", "--corpus", "m=2..3,digit<=2", *form] for form in ([], ["--format", "json"])]
     return out
 
 
