@@ -48,8 +48,8 @@ from .errors import (
     NotApplicable,
     VerificationFailed,
 )
-from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _rank_state, _segment, _spell
-from .numeration import fixed_point_prefix_bytes, radix_rank, value_of
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _rank_state, _segment, _sign
+from .numeration import _horner, _spell, fixed_point_prefix_bytes, radix_rank
 from .substitution import build_substitution, j_indices
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
@@ -487,7 +487,12 @@ class Classification:
             return None
         if self.reason == "tm_not_one":
             return self.d.t1 + 1
-        return radix_rank(self.d, construct_witness(self.d).z) + 1
+        return radix_rank(self.d, self.witness.z) + 1
+
+    @cached_property
+    def witness(self):
+        """The bundle of ``construct_witness``, built once per classification."""
+        return construct_witness(self.d)
 
     def to_json(self):
         if self.affine:
@@ -550,11 +555,9 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     body["complexity"] = prof.values if prof else None
     body["deltas"] = prof.deltas if prof else None
     if cls.reason == "fractional_power":
-        bundle = construct_witness(d)
-        body["witness"] = {
-            "bundle": bundle.to_json(),
-            "verification": verify_witness(d, bundle).to_json(),
-        }
+        bundle = cls.witness
+        body["witness"] = {"bundle": bundle.to_json(),
+                           "verification": verify_witness(d, bundle).to_json()}
     else:
         body["witness"] = None
     if prof is not None and oracle_n >= 2:
@@ -772,10 +775,10 @@ class WitnessVerification:
 
     @cached_property
     def w0(self):
-        """The non-prefix left special factor u[:span] 0, spelt when first
-        read, or None when it has more than TEXT_CAP letters."""
+        """The non-prefix left special factor u[:span] 0, spelt from the runs
+        of z when first read, or None when it has more than TEXT_CAP letters."""
         if self.span < TEXT_CAP:
-            return tuple(fixed_point_prefix_bytes(self.bundle.d, self.span)) + (0,)
+            return tuple(b"".join(_spell(self.bundle.d, _runs(self.bundle.z), [1]))) + (0,)
         return None
 
     def to_json(self):
@@ -789,6 +792,20 @@ class WitnessVerification:
             "succ_letter_z": self.succ_letter_z,
             "conditions": {"i": True, "ii": True, "iii": True, "iv": True},
         }
+
+
+def _runs(z: Word) -> list:
+    """The runs (i, z_i) of the nonzero digits z_i of z, from the top: the
+    blocks phi^i(0)^(z_i) of u[:rank(z)] (see ``fixed_point_prefix_bytes``)."""
+    return [(len(z) - 1 - j, a) for j, a in enumerate(z) if a]
+
+
+def _excess(d: RenyiExpansion, a: Word, b: Word, c: Word) -> list:
+    """Coordinates of value(a) - value(b) - value(c) for digit words a, b
+    and c: the value map is linear in the digits, so one Horner pass over
+    their right-aligned digit differences."""
+    n = max(len(a), len(b), len(c))
+    return _horner(d, [x - y - z for x, y, z in zip(*((0,) * (n - len(w)) + w for w in (a, b, c)))])
 
 
 def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerification:
@@ -828,9 +845,7 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         span, k = _rank_state(d, z)
     except InadmissibleInput as exc:
         raise VerificationFailed("admissible", "witness component z must be admissible") from exc
-    # z_i blocks phi^i(0) for each digit z_i, from the top
-    runs = [(len(z) - 1 - j, a) for j, a in enumerate(z) if a]
-    zval = value_of(d, z)
+    runs = _runs(z)
     ends, preds = [], []
     for name, x in (("x1", x1), ("x2", x2)):
         try:
@@ -844,7 +859,7 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         if walk != runs and (fixed_point_prefix_bytes(d, span)
                              != b"".join(map(bytes, _spell(d, walk, [1])))):
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
-        if not (value_of(d, end) - value_of(d, x) - zval).is_zero():
+        if _sign(d, _excess(d, end, x, z)):
             raise VerificationFailed("i", f"segment from {name} does not end at {name}+z")
         if state != 0:
             raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")

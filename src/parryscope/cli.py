@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, numeration, substitution
 from .errors import (
@@ -37,8 +38,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json(v, indent="\n"):
+    """The text of ``json.dumps(v, indent=2)`` for v nested at ``indent``
+    (a newline and its spaces), without the pure-Python encoder that
+    ``indent`` selects: scalars, and each list of plain ints at once, go
+    through C code.  A key that is not a str raises TypeError.  A type
+    that no output holds (a float) falls back to ``json.dumps``."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        # a list of plain ints (not bools) in one C pass
+        items = (map(int.__repr__, v) if all(type(x) is int for x in v)
+                 else [_json(x, inner) for x in v])
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if v else "[]"
+    return json.dumps(v, indent=2)
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(_json(obj))
 
 
 def _error_json(exc):

@@ -714,10 +714,16 @@ def value_of(d: RenyiExpansion, e) -> ZBetaElement:
         digits = e.integer_digits
     else:
         digits = word(e)
-    v = zero(d).coords
+    return _trusted(d, tuple(_horner(d, digits)))
+
+
+def _horner(d: RenyiExpansion, digits) -> list:
+    """Coordinates of the sum of digits[i] beta^(n-1-i) over the n digits,
+    which may be any ints: one ``_times_beta`` per digit."""
+    v = [0] * d.m
     for x in digits:
         v = _times_beta(d, v, x)
-    return _trusted(d, tuple(v))
+    return v
 
 
 def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:

@@ -35,7 +35,7 @@ from parryscope.errors import (
     ParryViolation,
     VerificationFailed,
 )
-from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi
+from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi, value_of
 from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import fmt, word
 
@@ -622,6 +622,16 @@ def test_classifier_examples():
     assert not cls.affine and cls.reason == "fractional_power" and cls.p == word("2")
 
 
+def test_an_oracle_checked_report_builds_the_witness_once(monkeypatch, capsys):
+    # the predicted first excess and the witness block share one bundle
+    calls = []
+    construct = analysis.construct_witness
+    monkeypatch.setattr(analysis, "construct_witness", lambda d: calls.append(d) or construct(d))
+    assert main(["classify", "2121", "--oracle-n", "30"]) == 0
+    assert len(calls) == 1
+    assert '"w0_length": 16' in capsys.readouterr().out
+
+
 def test_classifier_oracle_agreement():
     for base, n in (("11", 30), ("2121", 20), ("21211", 40), ("111", 30), ("22", 20)):
         cls = classify_affine(validate_renyi(base), oracle_n=n)
@@ -870,6 +880,20 @@ def test_a_walk_ending_off_x_plus_z_fails_condition_i(monkeypatch):
     with pytest.raises(VerificationFailed, match="does not end at x1") as err:
         verify_witness(D2121, construct_witness(D2121))
     assert err.value.condition == "i"
+
+
+_DIGIT_WORDS = st.lists(st.integers(0, 4), max_size=12).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["11", "21", "2121", "3231", "221221", "301002"]),
+       _DIGIT_WORDS, _DIGIT_WORDS, _DIGIT_WORDS)
+def test_the_right_aligned_difference_is_the_difference_of_values(base, a, b, c):
+    # condition (i) reads end - x - z in one Horner pass; the value map is
+    # linear in the digits, so it must give the same coordinates
+    d = validate_renyi(base)
+    want = value_of(d, a) - value_of(d, b) - value_of(d, c)
+    assert tuple(analysis._excess(d, a, b, c)) == want.coords
 
 
 def test_a_gap_of_length_one_after_z_fails_condition_iv(monkeypatch):

@@ -1,5 +1,7 @@
 """Command line surface: exit codes, JSON round-trips, corpus scans."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -9,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parryscope import analysis, numeration
-from parryscope.cli import CorpusSpec, _build_parser, main
+from parryscope.cli import CorpusSpec, _build_parser, _emit, main
 from parryscope.errors import ParryscopeError, UsageError, VerificationFailed
 from parryscope.numeration import validate_renyi
 from parryscope.words import satisfies_power_condition
@@ -321,6 +325,37 @@ def test_json_outputs_reparse(capsys):
     ):
         code, body = run_json(capsys, *argv)
         assert code == 0 and isinstance(body, dict)
+
+
+# JSON leaves that outputs hold, and floats, which take the writer's fallback
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-(10 ** 4000) + 1, 10 ** 4000 - 1)
+    | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001d11e') | st.characters())
+    | st.floats()
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_emitted_text_is_that_of_the_stdlib_encoder(v):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(v)
+    assert out.getvalue() == json.dumps(v, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("v", [{1: 2}, {"a": [{"b": 1}, {None: 2}]}, {("k",): []}])
+def test_a_key_that_is_not_a_str_is_refused(v):
+    with pytest.raises(TypeError), contextlib.redirect_stdout(io.StringIO()):
+        _emit(v)
 
 
 def test_identical_invocations_are_byte_identical(capsys):
