@@ -53,7 +53,7 @@ def _json(v, indent="\n"):
     inner = indent + "  "
     if isinstance(v, dict):
         items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if v else "{}"
     if isinstance(v, (list, tuple)):
         # a list of plain ints (not bools) in one C pass
         items = (map(int.__repr__, v) if all(type(x) is int for x in v)
