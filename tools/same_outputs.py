@@ -18,6 +18,9 @@ set:
 * ``betaint D expand N`` for N = 1..60 on the 77 bases of m=2..5,digit<=2,
   and for N = 7 and 1000 on four long or wide bases written with commas:
   2 0^60 1, 1 0^120 1, 3^24 and 1000 1;
+* ``betaint D expand N`` for N = 10^6, 10^12 and 10^30 on the twelve named
+  bases, those four and 1000000 0^5 1, and for N = 1..3 (a single digit) on
+  11, 21 and 1000 1;
 * on the twelve named bases: ``generate D -L N`` for N = 0, 1, 50 and 5000;
   ``betaint D coding START COUNT`` from 0, 1, 10 and 100, with COUNT = 1, 37
   and 1000; and ``betaint D succ W`` for the first 50 admissible W;
@@ -29,7 +32,7 @@ set:
   the classification) and on 2 (one letter), ``betaint 2121 pred 0``, and
   ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON.
 
-That is 6304 commands.
+That is 6364 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -45,6 +48,7 @@ HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 SPECIALS_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211",
                   "301002", "3312331", "222222121")
 EXPAND_BASES = [(2,) + (0,) * 60 + (1,), (1,) + (0,) * 120 + (1,), (3,) * 24, (1000, 1)]
+WIDE_BASE = (1000000, 0, 0, 0, 0, 0, 1)
 
 # runs in the child: read the commands from stdin, write [rc, out, err] per command
 CHILD = """
@@ -82,6 +86,10 @@ def commands() -> list:
         out += [["betaint", s, "expand", str(n)] for n in range(1, 61)]
     for t in EXPAND_BASES:
         out += [["betaint", ",".join(map(str, t)), "expand", str(n)] for n in (7, 1000)]
+    for s in SPECIALS_BASES + tuple(",".join(map(str, t)) for t in EXPAND_BASES + [WIDE_BASE]):
+        out += [["betaint", s, "expand", str(10**k)] for k in (6, 12, 30)]
+    for s in ("11", "21", "1000,1"):
+        out += [["betaint", s, "expand", str(n)] for n in (1, 2, 3)]
     for s in SPECIALS_BASES:
         out += [["generate", s, "-L", str(n)] for n in (0, 1, 50, 5000)]
         out += [["betaint", s, "coding", start, str(count)]
