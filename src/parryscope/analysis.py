@@ -492,7 +492,7 @@ class Classification:
     @cached_property
     def witness(self):
         """The bundle of ``construct_witness``, built once per classification."""
-        return construct_witness(self.d)
+        return construct_witness(self.d, self)
 
     def to_json(self):
         if self.affine:
@@ -677,10 +677,11 @@ def _drop_leading_zeros(y: Word) -> Word:
     return y[next((i for i, a in enumerate(y) if a), len(y)):]
 
 
-def construct_witness(d: RenyiExpansion) -> WitnessBundle:
+def construct_witness(d: RenyiExpansion, cls: Classification | None = None) -> WitnessBundle:
     """Build the beta-integers z, x1, x2 witnessing a non-prefix left
     special factor, for a base with t_m = 1 whose digit prefix
-    w = t_1 ... t_(m-1) has a border but is not a proper power.
+    w = t_1 ... t_(m-1) has a border but is not a proper power.  ``cls`` is
+    the classification of d when the caller has already made it.
 
     With w = p^r p' q p (see WitnessBundle), z = h c p^r p' q_1, and x1, x2
     are the digit-wise differences p^r p' q - h c and w - h c, each followed
@@ -724,7 +725,7 @@ def construct_witness(d: RenyiExpansion) -> WitnessBundle:
     derived here, and no point is read: ``verify_witness`` checks that z, x1
     and x2 are admissible and that conditions (i)-(iv) hold.
     """
-    cls = classify_affine(d)
+    cls = cls or classify_affine(d)
     if cls.reason != "fractional_power":
         raise NotApplicable(cls.reason or "affine")
     w = d.digits[:-1]

@@ -192,15 +192,15 @@ def cmd_classify(args):
 
 
 def cmd_witness(args):
-    d = _base(args)
+    cls = analysis.classify_affine(_base(args))
     try:
-        bundle = analysis.construct_witness(d)
+        bundle = cls.witness
     except NotApplicable as exc:
         body = _error_json(exc)
-        body["classification"] = analysis.classify_affine(d).to_json()
+        body["classification"] = cls.to_json()
         _emit(body)
         return exc.exit_code
-    verification = analysis.verify_witness(d, bundle)
+    verification = analysis.verify_witness(cls.d, bundle)
     _emit({"bundle": bundle.to_json(), "verification": verification.to_json()})
     return 0
 

@@ -30,19 +30,21 @@ lemma), so no rational number arises and no remainder is checked.
 Refinement terminates because an enclosure converges to the value at beta
 as the interval shrinks onto it.
 
-A greedy expansion finds each integer digit x by galloping search: it
-probes x = 1, 2, 4, ..., capped at the largest digit, until v - x p goes
-negative, then bisects, one exact sign a probe, so a digit near D takes
-about 2 log2(D) signs.  When its fractional digits start, the interval is
-narrowed once, to 80 + 4m log2(beta) bits beyond the remainder's largest
-coordinate: a float guess at beta from Newton's method is refined by
-integer Newton steps, and the result is kept only if P(lo) < 0 < P(hi),
-which certifies it, since P has one positive root (Descartes).  The remainder r in (0, 1) then
-carries an integer enclosure a <= 2^e r <= b through r <- beta r - x,
-rounded outward in O(1) a digit, and x is read off it whenever
-x < beta r < x + 1.  A digit it cannot decide, such as every exact zero, is
-found by the search with exact signs, and the enclosure is read again off
-the coordinates, which stay exact throughout.
+A greedy expansion of an integer n above the largest digit reads every
+digit, integer and fractional alike, off one enclosure.  The interval is
+narrowed once, to 80 + log2(n) + 4m log2(beta) bits: a float guess at beta
+from Newton's method is refined by integer Newton steps, and the result is
+kept only if P(lo) < 0 < P(hi), which certifies it, since P has one
+positive root (Descartes).  With k the least integer such that beta^k > n,
+certified by lo^k > n 2^(e k), r = n / beta^k in (0, 1) carries an integer
+enclosure a <= 2^e r <= b through r <- beta r - x, rounded outward in O(1)
+a digit, and x is read off it whenever x < beta r < x + 1.  A digit it
+cannot decide, such as every exact zero, is found by galloping search on
+the exact remainder: it probes x = 1, 2, 4, ..., capped at the largest
+digit, until v - x p goes negative, then bisects, one exact sign a probe,
+so a digit near D takes about 2 log2(D) signs.  The remainder is brought
+up to date only then, and the enclosure is read again off it.  An integer
+base, or a refused narrowing, searches every digit.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -318,8 +320,8 @@ def _parry_at(d: RenyiExpansion, x: int, e: int) -> tuple:
     return v, dv
 
 
-# bits of the isolating interval beyond what the fractional digits of a
-# greedy expansion spend (see ``_narrow``)
+# bits of the isolating interval beyond what the digits of a greedy
+# expansion spend (see ``_narrow``)
 _SPARE_BITS = 80
 
 
@@ -340,6 +342,12 @@ def _narrow(d: RenyiExpansion, extra: int) -> bool:
     certifies that beta lies between, whatever the guess was.  It replaces
     the shared interval only when it is narrower.  A guess that fails or is
     refused leaves the interval as it was, to be halved by ``_sign``.
+
+    A greedy expansion of n passes the bits of n as ``extra``.  Its carried
+    enclosure starts about 4k units of 2^-E wide, for its k = log_beta(n)
+    integer digits, and each of its k + 4m digits widens it about beta-fold,
+    to about 4k n beta^(4m) units at the end: E covers that with
+    _SPARE_BITS to spare.
     """
     try:
         x = _beta_estimate(d)
@@ -731,67 +739,90 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
 
     Integer expansions need not terminate; after 4m fractional digits the
     partial result is raised in FractionalBudgetExceeded.
+
+    An integer n <= max_digit is below beta, so it is its own one digit.
+    Otherwise, on a base with m >= 2, ``_narrow`` narrows the interval of
+    beta once, sized by the bits of n, and an enclosure a <= 2^e r <= b of
+    r = n / beta^k is carried through all k + 4m digit positions by
+    r <- beta r - x, rounded outward in O(1) a digit.  k, with beta^k > n
+    certified by lo^k > n 2^(e k), comes from a float estimate; one too
+    many only adds a leading zero.  The enclosure gives x whenever
+    x < beta r < x + 1, which makes x the greedy digit, as beta r < beta.
+    It never decides an integer beta r, so every exact zero, and any digit
+    it is too wide for, goes to ``_greedy_digit``: the digits taken since
+    the last such fallback are folded into the exact remainder (x beta^i
+    each in the integer part, by ``_times_beta`` in the fractional part),
+    and the enclosure is then read again off it.  When m = 1 or the
+    narrowing is refused, the integer digits are counted by exact signs
+    against the powers of beta, and every digit takes ``_greedy_digit``.
     """
     if n < 0:
         raise ValueError("only non-negative integers are expanded")
-    if n == 0:
-        return BetaExpansion((), ())
-    target = from_int(d, n).coords
-    powers = [one(d).coords]
-    while True:
-        p = _times_beta(d, powers[-1])
-        if _sign(d, [a - b for a, b in zip(target, p)]) < 0:
-            break
-        powers.append(p)
     md = d.max_digit
-    rem = list(target)
-    int_digits = []
-    exact = False  # rem != 0 until a digit makes it 0
-    for p in reversed(powers):
-        x, hit = _greedy_digit(d, rem, p, md)
-        exact = exact or hit
-        int_digits.append(x)
-    ints = tuple(int_digits)
-    if exact:
-        return BetaExpansion(ints, ())
-    # r = rem(beta) lies in (0, 1).  With beta narrowed, an enclosure
-    # a <= 2^e r <= b is carried through r <- beta r - x in O(1) a step; it
-    # gives x whenever x < beta r < x + 1, which makes x the greedy digit,
-    # as beta r < beta.  It never decides an integer beta r, so every exact
-    # zero, and any digit it is too wide for, goes to _greedy_digit, and the
-    # enclosure is then read again off the coordinates.  The coordinates
-    # are updated exactly throughout.
-    frac = []
-    carried = _carried(d, rem) if _narrow(d, max(map(abs, rem)).bit_length()) else None
-    for _ in range(4 * d.m):
-        rem = _times_beta(d, rem)
+    if n <= md:
+        return BetaExpansion((n,) if n else (), ())
+    rem = list(from_int(d, n).coords)
+    powers = [one(d).coords]  # beta^0 ... beta^(k-1), built only when needed
+    carried = None
+    if d.m > 1 and _narrow(d, n.bit_length()):
+        # beta - t_1 >= 1 / (m beta^(m-1)) (mean value theorem, P(t_1) <= -1),
+        # far above the width 4/2^e, so lo > 2^e and the estimate is finite
+        lo, hi, e = d._iv[0]
+        k = int(math.log2(n) / (math.log2(lo) - e)) + 1
+        while lo ** k <= n << e * k:
+            k += 1
+        carried = _carried(d, rem, k)
+    else:
+        while True:
+            p = _times_beta(d, powers[-1])
+            if _sign(d, [a - b for a, b in zip(rem, p)]) < 0:
+                break
+            powers.append(p)
+        k = len(powers)
+    digits, done, exact = [], 0, False  # rem is exact after digits[:done]
+    for i in range(k - 1, -4 * d.m - 1, -1):  # the digit of beta^i
         if carried:
             a, b, lo, hi, e = carried
             # r >= 0 and b >= 0, so these bound beta r, rounded outward
             a, b = lo * a >> e, -(-hi * b >> e)
             x = a >> e
             if x << e < a and b < (x + 1) << e:
-                rem[0] -= x
-                frac.append(x)
+                digits.append(x)
                 carried = a - (x << e), b - (x << e), lo, hi, e
                 continue
-        x, exact = _greedy_digit(d, rem, powers[0], md)  # powers[0] = 1
-        frac.append(x)
+        while len(powers) < k:
+            powers.append(_times_beta(d, powers[-1]))
+        for x in digits[done:]:
+            j, done = k - 1 - done, done + 1
+            rem = [v - x * c for v, c in zip(rem, powers[j])] if j >= 0 else (
+                _times_beta(d, rem, -x))
+        if i < 0:
+            rem = _times_beta(d, rem)
+        x, exact = _greedy_digit(d, rem, powers[max(i, 0)], md)
+        digits.append(x)
+        done += 1
         if exact:
-            return BetaExpansion(ints, tuple(frac))
+            digits += [0] * i  # the rest of the integer part, if any
+            break
         if carried:
-            carried = _carried(d, rem)
-    raise FractionalBudgetExceeded(BetaExpansion(ints, tuple(frac)))
+            carried = _carried(d, rem, max(i, 0))
+    top = next(j for j, x in enumerate(digits) if x)  # drop leading zeros
+    expansion = BetaExpansion(tuple(digits[top:k]), tuple(digits[k:]))
+    if not exact:
+        raise FractionalBudgetExceeded(expansion)
+    return expansion
 
 
-def _carried(d: RenyiExpansion, v) -> tuple:
-    """(a, b, lo, hi, e) with a <= 2^e v(beta) <= b, from the enclosure of v
-    on the isolating interval [lo/2^e, hi/2^e] (m >= 2: an integer base
-    expands every integer exactly, with no fractional digit)."""
+def _carried(d: RenyiExpansion, v, k: int) -> tuple:
+    """(a, b, lo, hi, e) with a <= 2^e v(beta) / beta^k <= b, for
+    v(beta) >= 0, from the enclosure of v on the isolating interval
+    [lo/2^e, hi/2^e] (m >= 2: an integer base expands every integer exactly,
+    with no fractional digit).  A negative a is a valid lower bound."""
     lo, hi, e = d._iv[0]
     low, high = _enclosure(v, lo, hi, e)
-    s = e * (len(v) - 2)
-    return low >> s, -(-high >> s), lo, hi, e
+    s = e * (len(v) - 1)
+    return ((low << e * (k + 1)) // (hi ** k << s), -((-high << e * (k + 1)) // (lo ** k << s)),
+            lo, hi, e)
 
 
 def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:

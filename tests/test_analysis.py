@@ -626,7 +626,8 @@ def test_an_oracle_checked_report_builds_the_witness_once(monkeypatch, capsys):
     # the predicted first excess and the witness block share one bundle
     calls = []
     construct = analysis.construct_witness
-    monkeypatch.setattr(analysis, "construct_witness", lambda d: calls.append(d) or construct(d))
+    monkeypatch.setattr(analysis, "construct_witness",
+                        lambda d, cls=None: calls.append(d) or construct(d, cls))
     assert main(["classify", "2121", "--oracle-n", "30"]) == 0
     assert len(calls) == 1
     assert '"w0_length": 16' in capsys.readouterr().out

@@ -101,6 +101,17 @@ def test_witness_not_applicable(capsys):
     assert body["error"]["reason"] == "affine"
 
 
+@pytest.mark.parametrize("base, code", [("11", 3), ("2121", 0)])
+def test_witness_classifies_the_base_once(monkeypatch, capsys, base, code):
+    # the bundle and, when it does not apply, the error body share one verdict
+    calls = []
+    real = analysis.classify_affine
+    monkeypatch.setattr(analysis, "classify_affine",
+                        lambda d, oracle_n=None: calls.append(d) or real(d, oracle_n))
+    assert run(capsys, "witness", base)[0] == code
+    assert len(calls) == 1
+
+
 def test_generate(capsys):
     code, body = run_json(capsys, "generate", "11", "-L", "5")
     assert code == 0

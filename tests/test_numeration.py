@@ -845,13 +845,20 @@ def test_huge_expansion_is_fast_and_exact():
 
 
 def test_wide_integer_digits_take_a_galloping_search(monkeypatch):
-    # the digits 999 and 999999 take about 2 log2(10^6) signs each, where
-    # raising a digit one unit per sign took 1,001,002
+    # read off the enclosure, the digits 999 and 999999 take no sign: the one
+    # sign decides the exact zero that ends the expansion.  With the narrowing
+    # refused, each of the 14 digits takes a galloping search of at most
+    # 2 log2(10^6) + 2 signs, where raising a digit one unit per sign took
+    # 1,001,002 for the two integer digits alone
     calls = []
     real = numeration._sign
     monkeypatch.setattr(numeration, "_sign", lambda d, v: calls.append(1) or real(d, v))
-    _check_expansion(validate_renyi("1000000,0,0,0,0,0,1"), 10**9)
-    assert len(calls) <= 100
+    d = "1000000,0,0,0,0,0,1"
+    _check_expansion(validate_renyi(d), 10**9)
+    assert len(calls) == 1
+    _trial_subtraction_only(monkeypatch)
+    _check_expansion(validate_renyi(d), 10**9)
+    assert 14 < len(calls) <= 1 + 14 * 42
     _check_expansion(validate_renyi("1000,1"), 10**12)
 
 
@@ -859,12 +866,12 @@ def test_wide_integer_digits_take_a_galloping_search(monkeypatch):
 
 
 @st.composite
-def _parry_words(draw):
-    """A Parry word of length m <= 40 with digits <= 5, drawn digit by digit:
-    a digit is at most the one that follows each prefix the word still ends
-    with.  A word the Parry condition still refuses is rejected."""
-    m = draw(st.integers(2, 40))
-    w = [draw(st.integers(1, 5))]
+def _parry_words(draw, max_m=40, top=5):
+    """A Parry word of length 2 <= m <= max_m with digits <= top, drawn digit
+    by digit: a digit is at most the one that follows each prefix the word
+    still ends with.  A word the Parry condition still refuses is rejected."""
+    m = draw(st.integers(2, max_m))
+    w = [draw(st.integers(1, top))]
     for i in range(1, m):
         bound = min(w[i - k] for k in range(1, i + 1) if w[k:i] == w[:i - k])
         w.append(draw(st.integers(1 if i == m - 1 else 0, max(bound, 1))))
@@ -894,33 +901,95 @@ def test_carried_enclosure_gives_the_digits_of_trial_subtraction(digits, n, spar
     assert fast == slow
 
 
+def _reads_and_searches(mp):
+    """Record the exponent of every enclosure read and the place value of
+    every exact digit search."""
+    reads, searches = [], []
+    carried, digit = numeration._carried, numeration._greedy_digit
+    mp.setattr(numeration, "_carried", lambda d, v, k: reads.append(k) or carried(d, v, k))
+    mp.setattr(numeration, "_greedy_digit",
+               lambda d, v, p, md: searches.append(tuple(p)) or digit(d, v, p, md))
+    return reads, searches
+
+
 def test_an_undecided_digit_falls_back_and_the_enclosure_is_read_again(monkeypatch):
+    # with no spare bits, the enclosure of 29 / beta^4 in base 2121 runs too
+    # wide for one fractional digit: that digit takes a search against 1, and
+    # the enclosure is read again off the exact remainder
     monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
-    reads = []
-    real = numeration._carried
-    monkeypatch.setattr(numeration, "_carried", lambda d, v: reads.append(v) or real(d, v))
-    assert str(_expansion(validate_renyi("2121"), 29)[0]) == "1102.0020120001020121"
-    assert len(reads) >= 2
+    reads, searches = _reads_and_searches(monkeypatch)
+    e, exact = _expansion(validate_renyi("2121"), 29)
+    assert (str(e), exact) == ("1102.0020120001020121", False)
+    assert reads == [4, 0] and searches == [(1, 0, 0, 0)]
+
+
+def test_an_integer_digit_falls_back_and_the_enclosure_is_read_again(monkeypatch):
+    # with no spare bits, beta r at the third digit of 65 in base 11 is
+    # 1.004, too near an integer: the two digits above it are folded into the
+    # exact remainder, the digit is searched against beta^6 = 8 beta + 5, and the
+    # enclosure is read again off the remainder divided by beta^6.  It then
+    # gives every digit up to the exact zero that ends the expansion
+    monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
+    reads, searches = _reads_and_searches(monkeypatch)
+    e, exact = _expansion(validate_renyi("11"), 65)
+    assert (str(e), exact) == ("101000000.00000101", True)
+    assert reads == [9, 6] and searches == [(5, 8), (1, 0)]
+    with pytest.MonkeyPatch.context() as mp:
+        _trial_subtraction_only(mp)
+        assert _expansion(validate_renyi("11"), 65) == (e, exact)
+    _check_expansion(validate_renyi("11"), 65)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIGN_BASES), st.data(), st.integers(0, 40))
+def test_carried_bounds_enclose_a_value_divided_by_a_power_of_beta(d, data, k):
+    # a <= 2^e v(beta) / beta^k <= b by exact signs of the reference engine;
+    # a constant v is enclosed exactly, so there only the division widens
+    numeration._narrow(d, 40)
+    for v in (from_int(d, data.draw(st.integers(1, 10**12))),
+              value_of(d, _admissible_word(data, d))):
+        a, b, lo, hi, e = numeration._carried(d, list(v.coords), k)
+        scaled, p = v * (1 << e), value_of(d, (1,) + (0,) * k)
+        assert zbeta_oracle.zb_sign(scaled - p * a) >= 0
+        assert zbeta_oracle.zb_sign(p * b - scaled) >= 0
 
 
 def test_the_enclosure_decides_every_digit_of_an_endless_expansion(monkeypatch):
-    # 29 in base 2121 has no finite expansion: trial subtraction finds the
-    # four integer digits, and the enclosure all sixteen fractional ones
-    calls = []
-    real = numeration._greedy_digit
-    monkeypatch.setattr(numeration, "_greedy_digit",
-                        lambda d, v, p, md: calls.append(p) or real(d, v, p, md))
+    # 29 in base 2121 has no finite expansion: the enclosure of 29 / beta^4
+    # gives all four integer digits and all sixteen fractional ones
+    reads, searches = _reads_and_searches(monkeypatch)
     e, exact = _expansion(validate_renyi("2121"), 29)
     assert (str(e), exact) == ("1102.0020120001020121", False)
-    assert len(calls) == len(e.integer_digits) == 4
+    assert reads == [4] and searches == []
+
+
+@pytest.mark.parametrize("base, n", [("1000,1", 7), ("1000,1", 1000), ("11", 1), ("21", 2),
+                                     ("2", 1)])
+def test_an_integer_below_beta_is_its_own_digit_without_narrowing(monkeypatch, base, n):
+    narrowed = []
+    monkeypatch.setattr(numeration, "_narrow", lambda d, extra: narrowed.append(1))
+    assert _expansion(validate_renyi(base), n) == (BetaExpansion((n,)), True)
+    assert narrowed == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(_parry_words(5, 1000), st.one_of(st.integers(1, 60), st.integers(1, 10**9)))
+def test_greedy_expansion_matches_unit_step_search(digits, n):
+    # digits, exactness and the 4m budget against a search that raises each
+    # digit one unit per sign of the reference engine
+    d = validate_renyi(digits)
+    e, exact = _expansion(d, n)
+    assert (e.integer_digits, e.fractional_digits, exact) == zbeta_oracle.greedy_expansion(d, n)
+    assert exact or len(e.fractional_digits) == 4 * d.m
 
 
 @pytest.mark.parametrize("base, n, expansion", [
     ("11", 2, "10.01"), ("211", 7, "100.102"), ("2121", 7, "21.11121021"),
     ("3202", 13, "100.0021011202"), ("2101001", 25, "1111.011020000111010100001101001"),
-    ("3333332", 31, "133.000100200023220002112000132")])
+    ("3333332", 31, "133.000100200023220002112000132"), ("2", 12, "1100."), ("3", 18, "200.")])
 def test_terminating_expansions_stay_exact(base, n, expansion):
-    # each ends on an exact zero, which only trial subtraction decides
+    # each ends on an exact zero, which only trial subtraction decides; in an
+    # integer base it can fall inside the integer part, and zeros fill the rest
     e, exact = _expansion(validate_renyi(base), n)
     assert (str(e), exact) == (expansion, True)
     _check_expansion(validate_renyi(base), n)

@@ -5,13 +5,15 @@ beta has Fraction end points, a polynomial is enclosed by interval Horner
 evaluation, and whenever the enclosure straddles 0 the polynomial gcd with
 the base polynomial decides whether the value is exactly 0.  It keeps its own
 interval per base and its own rational division and gcd, so it shares no
-state and no polynomial code with the engine under test.
+state and no polynomial code with the engine under test.  Its greedy
+expansion searches each digit one unit at a time, one sign of this module a
+unit, where the engine reads digits off a carried enclosure of beta.
 """
 
 from fractions import Fraction
 
 from parryscope.errors import VerificationFailed
-from parryscope.numeration import parry_polynomial
+from parryscope.numeration import ZBetaElement, parry_polynomial
 
 _IV = {}  # digits of the base -> isolating interval (lo, hi) of beta
 
@@ -128,3 +130,37 @@ def zb_sign(a):
             return 1
         if vhi < 0:
             return -1
+
+
+def greedy_expansion(d, n):
+    """Greedy expansion of n >= 1 as (integer digits, fractional digits,
+    exact), with at most 4m fractional digits.  Values are coordinate
+    vectors, reduced modulo the base polynomial by ``divmod_poly``; each
+    digit is raised one unit at a time while the remainder minus one unit of
+    its place stays >= 0, and the expansion is exact once that is 0."""
+    m = d.m
+
+    def coords(poly):
+        r = divmod_poly(poly, parry_polynomial(d))[1]
+        return [int(c) for c in r] + [0] * (m - len(r))
+
+    def minus(v, u):
+        return [a - b for a, b in zip(v, u)]
+
+    rem = coords([n])
+    k = 0
+    while zb_sign(ZBetaElement(d, minus(rem, coords([0] * k + [1])))) >= 0:  # beta^k <= n
+        k += 1
+    digits, exact = [], False
+    for i in range(k - 1, -4 * m - 1, -1):
+        unit = coords([0] * max(i, 0) + [1])
+        if i < 0:
+            rem = coords([0] + rem)  # times beta
+        x = 0
+        while not exact and (s := zb_sign(ZBetaElement(d, minus(rem, unit)))) >= 0:
+            rem, x, exact = minus(rem, unit), x + 1, s == 0
+        digits.append(x)
+        if exact:
+            digits += [0] * i  # the rest of the integer part, if any
+            break
+    return tuple(digits[:k]), tuple(digits[k:]), exact
