@@ -21,6 +21,10 @@ set:
 * ``betaint D expand N`` for N = 10^6, 10^12 and 10^30 on the twelve named
   bases, those four and 1000000 0^5 1, and for N = 1..3 (a single digit) on
   11, 21 and 1000 1;
+* ``betaint D expand N`` for N = 1..60, 10^30 and 10^100 on the integer
+  bases 2, 3, 7 and 9, and for N = 10^6, 10^30 and 10^60 on three bases
+  whose t_1 is beyond float precision: 100000000000000001 1,
+  9007199254740993 5 1 and 10^40 3 1;
 * on the twelve named bases: ``generate D -L N`` for N = 0, 1, 50 and 5000;
   ``betaint D coding START COUNT`` from 0, 1, 10 and 100, with COUNT = 1, 37
   and 1000; and ``betaint D succ W`` for the first 50 admissible W;
@@ -32,7 +36,7 @@ set:
   the classification) and on 2 (one letter), ``betaint 2121 pred 0``, and
   ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON.
 
-That is 6364 commands.
+That is 6621 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -49,6 +53,8 @@ SPECIALS_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211
                   "301002", "3312331", "222222121")
 EXPAND_BASES = [(2,) + (0,) * 60 + (1,), (1,) + (0,) * 120 + (1,), (3,) * 24, (1000, 1)]
 WIDE_BASE = (1000000, 0, 0, 0, 0, 0, 1)
+INTEGER_BASES = ("2", "3", "7", "9")
+HUGE_T1_BASES = ("100000000000000001,1", "9007199254740993,5,1", f"{10**40},3,1")
 
 # runs in the child: read the commands from stdin, write [rc, out, err] per command
 CHILD = """
@@ -90,6 +96,10 @@ def commands() -> list:
         out += [["betaint", s, "expand", str(10**k)] for k in (6, 12, 30)]
     for s in ("11", "21", "1000,1"):
         out += [["betaint", s, "expand", str(n)] for n in (1, 2, 3)]
+    for s in INTEGER_BASES:
+        out += [["betaint", s, "expand", str(n)] for n in [*range(1, 61), 10**30, 10**100]]
+    for s in HUGE_T1_BASES:
+        out += [["betaint", s, "expand", str(10**k)] for k in (6, 30, 60)]
     for s in SPECIALS_BASES:
         out += [["generate", s, "-L", str(n)] for n in (0, 1, 50, 5000)]
         out += [["betaint", s, "coding", start, str(count)]
