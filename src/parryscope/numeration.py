@@ -10,7 +10,8 @@ The base beta is the largest real root of
     x^m - t_1 x^(m-1) - ... - t_m
 
 and is never represented approximately: a float appears only as a guess
-that exact integer arithmetic certifies or refuses (below), never as a value.
+that exact integer arithmetic refines and certifies or sets aside (below),
+never as a value.
 Comparisons are decided exactly: an element of Z[beta] is a degree-reduced
 integer polynomial in beta, and its sign at beta is read off an enclosure of
 its values on the isolating interval of beta.  That interval is dyadic,
@@ -20,31 +21,34 @@ and negative parts, both increasing for x > 0, bounds it by integer Horner
 evaluations at the two end points, so no division is made; the one routine
 that does this returns the bounds.  One loop decides every sign, and the
 zero test asks it for sign 0: while the enclosure straddles 0 the interval
-is halved.  The base polynomial P need not be irreducible, so nonzero
+is narrowed.  The one narrowing routine refines a float guess at beta by
+integer Newton steps, or, when the guess is useless, runs Newton's method
+from t_1 + 1, which always converges, and widens the result until
+P(lo) < 0 < P(hi), which certifies it, since P has one positive root
+(Descartes).  The base polynomial P need not be irreducible, so nonzero
 coordinates may still be 0 at beta; once the interval is a fixed number of
 bits finer than the value's largest coordinate, the loop also encloses the
-cofactor P / gcd(value, P), which leaves 0 exactly when the value is 0.  So
-the gcd runs only for values that may be zero.  It is a primitive remainder
-sequence over the integers, and the monic P divides by it exactly (Gauss's
-lemma), so no rational number arises and no remainder is checked.
-Refinement terminates because an enclosure converges to the value at beta
-as the interval shrinks onto it.
+cofactor P / gcd(value, P), which leaves 0 exactly when the value is 0.
+The first narrowing of a sign reaches that depth.  So the gcd runs only for
+values that may be zero.  It is a primitive remainder sequence over the
+integers, and the monic P divides by it exactly (Gauss's lemma), so no
+rational number arises and no remainder is checked.  Refinement terminates
+because an enclosure converges to the value at beta as the interval
+shrinks onto it.
 
 A greedy expansion of an integer n above the largest digit reads every
 digit, integer and fractional alike, off one enclosure.  The interval is
-narrowed once, to 80 + log2(n) + 4m log2(beta) bits: a float guess at beta
-from Newton's method is refined by integer Newton steps, and the result is
-kept only if P(lo) < 0 < P(hi), which certifies it, since P has one
-positive root (Descartes).  With k the least integer such that beta^k > n,
-certified by lo^k > n 2^(e k), r = n / beta^k in (0, 1) carries an integer
-enclosure a <= 2^e r <= b through r <- beta r - x, rounded outward in O(1)
-a digit, and x is read off it whenever x < beta r < x + 1.  A digit it
+narrowed once, to 80 + log2(n) + 4m log2(beta) bits.  With k the least
+integer such that beta^k > n, certified by lo^k > n 2^(e k), r = n / beta^k
+in (0, 1) carries an integer enclosure a <= 2^e r <= b through
+r <- beta r - x, rounded outward in O(1) a digit, and x is read off it
+whenever x < beta r < x + 1.  A digit it
 cannot decide, such as every exact zero, is found by galloping search on
 the exact remainder: it probes x = 1, 2, 4, ..., capped at the largest
 digit, until v - x p goes negative, then bisects, one exact sign a probe,
 so a digit near D takes about 2 log2(D) signs.  The remainder is brought
 up to date only then, and the enclosure is read again off it.  An integer
-base, or a refused narrowing, searches every digit.
+base, beta = t_1, takes its digits from ``divmod`` by t_1, with no sign.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -261,28 +265,6 @@ def quasi_greedy(d: RenyiExpansion) -> Word:
     return d.digits[:-1] + (d.digits[-1] - 1,)
 
 
-def _bisect(d: RenyiExpansion):
-    """Halve the isolating interval of beta; returns the narrowed interval.
-
-    The midpoint is (lo + hi) / 2^(e+1); the base polynomial is evaluated
-    there by integer Horner scaled by 2^((e+1) m).  It is never 0 there:
-    ``_sign`` bisects only for m >= 2, and a rational root of the monic P
-    would be an integer, the one positive root beta (Descartes), whose
-    Renyi expansion of 1 would then be one digit (Parry).
-    """
-    lo, hi, e = d._iv[0]
-    mid = lo + hi
-    e += 1
-    v = 1
-    shift = 0
-    for t in d.digits:
-        shift += e
-        v = v * mid - (t << shift)
-    iv = (mid, 2 * hi, e) if v < 0 else (2 * lo, mid, e)
-    d._iv[0] = iv
-    return iv
-
-
 def _beta_estimate(d: RenyiExpansion) -> float:
     """A float guess at beta (m >= 2), for ``_narrow`` to refine and certify.
 
@@ -325,23 +307,31 @@ def _parry_at(d: RenyiExpansion, x: int, e: int) -> tuple:
 _SPARE_BITS = 80
 
 
-def _narrow(d: RenyiExpansion, extra: int) -> bool:
-    """Narrow the isolating interval of beta to width 4/2^E, with
-    E = _SPARE_BITS + extra + 4 m log2(beta), by Newton's method in integers;
-    returns whether the interval is now at least that narrow.
+def _narrow(d: RenyiExpansion, extra: int) -> None:
+    """Narrow the isolating interval of beta (m >= 2) to width 4/2^E, or a
+    few times that, with E = _SPARE_BITS + extra + 4 m log2(beta), by
+    Newton's method in integers.
 
     The float guess of ``_beta_estimate`` is refined by integer Newton steps
     at E bits, each of which must stay in [t_1, t_1 + 1], the interval that
     holds beta, on a rising slope.  A step of s units of 2^-E leaves an
     error of about s^2 / 2^E units, times a constant of the base, so the
-    steps stop once s^2 / 2^E is below 2^-8, and the result is taken two
-    units either side; each step doubles the correct bits, so a guess right
-    to 16 bits or more needs at most log2(E/16) + 1 of them, and no more
-    are made.  The result is kept only if P(lo/2^E) < 0 < P(hi/2^E) with
-    0 < lo: the base polynomial has one positive root (Descartes), so that
-    certifies that beta lies between, whatever the guess was.  It replaces
-    the shared interval only when it is narrower.  A guess that fails or is
-    refused leaves the interval as it was, to be halved by ``_sign``.
+    steps stop once s^2 / 2^E is below 2^-8; each step doubles the correct
+    bits, so a guess right to 16 bits or more needs at most log2(E/16) + 1
+    of them, and no more are made.  A guess that raises, is nan or out of
+    range, or whose steps leave the interval, go downhill or run out, gives
+    way to Newton's method from (t_1 + 1) 2^E, which always converges:
+    every root z of P has |z| <= beta, since P(|z|) <= 0, so by
+    Gauss-Lucas the real roots of P' and P'' are at most beta, and P is
+    increasing and convex on (beta, oo).  A Newton step from above beta
+    therefore lands at or above beta, and rounded up it stays there, so the
+    steps fall to beta and stop.
+
+    The result c is taken w = 2 units either side, and w is doubled, within
+    [t_1, t_1 + 1], until P(c - w) < 0 < P(c + w): the base polynomial has
+    one positive root (Descartes), so that certifies that beta lies
+    between, whatever the guess was, and P(t_1) < 0 < P(t_1 + 1) ends the
+    doubling.  It replaces the shared interval only when it is narrower.
 
     A greedy expansion of n passes the bits of n as ``extra``.  Its carried
     enclosure starts about 4k units of 2^-E wide, for its k = log_beta(n)
@@ -349,33 +339,33 @@ def _narrow(d: RenyiExpansion, extra: int) -> bool:
     to about 4k n beta^(4m) units at the end: E covers that with
     _SPARE_BITS to spare.
     """
+    t1 = d.t1
     try:
         x = _beta_estimate(d)
     except ArithmeticError:
-        return False
-    if not d.t1 <= x <= d.t1 + 1:  # also refuses nan
-        return False
-    e = _SPARE_BITS + extra + math.ceil(4 * d.m * math.log2(x))
-    num, den = x.as_integer_ratio()
-    c = (num << e) // den
-    bottom, top = d.t1 << e, (d.t1 + 1) << e
-    for _ in range((e // 16).bit_length() + 1):
+        x = math.nan
+    guessed = t1 <= x <= t1 + 1  # False for nan
+    e = _SPARE_BITS + extra + math.ceil(4 * d.m * math.log2(x if guessed else t1 + 1))
+    bottom, top = t1 << e, (t1 + 1) << e
+    c, steps = top, -1  # from above: no limit
+    if guessed:
+        num, den = x.as_integer_ratio()
+        c, steps = (num << e) // den, (e // 16).bit_length() + 1
+    while True:
         v, dv = _parry_at(d, c, e)
-        if dv <= 0:
-            return False
-        step = v // dv
-        c -= step
-        if not bottom <= c <= top:
-            return False
-        if step * step << 8 < 1 << e:
+        step = v // dv if dv > 0 else c  # a slope that does not rise sends c to 0
+        c, steps = c - step, steps - 1
+        if bottom <= c <= top and step * step << 8 < 1 << e:
             break
-    lo, hi = c - 2, c + 2  # 0 < lo, as c >= 2^e
-    if not _parry_at(d, lo, e)[0] < 0 < _parry_at(d, hi, e)[0]:
-        return False
+        if not bottom <= c <= top or not steps:
+            c, steps = top, -1
+    lo, hi, w = c - 2, c + 2, 2  # 0 < lo, as c >= t_1 2^e
+    while not _parry_at(d, lo, e)[0] < 0 < _parry_at(d, hi, e)[0]:
+        w *= 2
+        lo, hi = max(c - w, bottom), min(c + w, top)
     old_lo, old_hi, old_e = d._iv[0]
     if (hi - lo) << old_e < (old_hi - old_lo) << e:
         d._iv[0] = (lo, hi, e)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +498,19 @@ def _sign(d: RenyiExpansion, v) -> int:
     """Exact sign (-1, 0, +1) of v(beta) for the coordinates v of an element.
 
     One loop: enclose v on the isolating interval and return a nonzero sign;
-    otherwise halve the interval and go round again.  The enclosure never
+    otherwise narrow the interval and go round again.  The enclosure never
     decides zero.  Once the interval is _REFINE_BITS bits finer than the
-    largest coordinate of v (the cheap depth test goes first), the cofactor
-    h = P / gcd(v, P) of the base polynomial P is computed once and enclosed
-    on that turn and every later one.  The division is exact: the gcd is
-    primitive, and by Gauss's lemma a primitive divisor of the monic P is
-    monic.  P may be reducible, so v(beta) == 0 iff beta is a root of
-    gcd(v, P); beta is a simple root of P, so that holds iff h(beta) != 0,
-    which the enclosure of h eventually shows.  A constant gcd leaves h = P,
-    which never leaves 0, and v shows its sign instead.
+    largest coordinate of v, the cofactor h = P / gcd(v, P) of the base
+    polynomial P is computed once and enclosed on that turn and every later
+    one.  The division is exact: the gcd is primitive, and by Gauss's lemma
+    a primitive divisor of the monic P is monic.  P may be reducible, so
+    v(beta) == 0 iff beta is a root of gcd(v, P); beta is a simple root of
+    P, so that holds iff h(beta) != 0, which the enclosure of h eventually
+    shows.  A constant gcd leaves h = P, which never leaves 0, and v shows
+    its sign instead.  Each narrowing (``_narrow``) asks for more than both
+    the bits of the interval and those of the largest coordinate, so the
+    first one reaches the depth of the gcd, and each one after that adds
+    _SPARE_BITS or more.
     """
     v = _ptrim(v)
     if not v:
@@ -532,8 +525,8 @@ def _sign(d: RenyiExpansion, v) -> int:
             return 1
         if high < 0:
             return -1
-        if h is None and iv[2] >= _REFINE_BITS and (
-                iv[2] - _REFINE_BITS >= max(map(abs, v)).bit_length()):
+        bits = max(map(abs, v)).bit_length()
+        if h is None and iv[2] - _REFINE_BITS >= bits:
             # a primitive divisor of the monic P is monic (Gauss's lemma),
             # so h is an exact integer quotient
             P = parry_polynomial(d)
@@ -542,7 +535,7 @@ def _sign(d: RenyiExpansion, v) -> int:
             low, high = _enclosure(h, *iv)
             if low > 0 or high < 0:
                 return 0
-        _bisect(d)
+        _narrow(d, max(iv[2], bits))
 
 
 def _value_is_zero(a: ZBetaElement) -> bool:
@@ -738,58 +731,57 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     """Greedy beta-expansion of a non-negative integer, computed exactly.
 
     Integer expansions need not terminate; after 4m fractional digits the
-    partial result is raised in FractionalBudgetExceeded.
+    partial result is raised in FractionalBudgetExceeded.  n is coerced
+    with ``operator.index``, so a float raises TypeError.
 
     An integer n <= max_digit is below beta, so it is its own one digit.
-    Otherwise, on a base with m >= 2, ``_narrow`` narrows the interval of
-    beta once, sized by the bits of n, and an enclosure a <= 2^e r <= b of
-    r = n / beta^k is carried through all k + 4m digit positions by
-    r <- beta r - x, rounded outward in O(1) a digit.  k, with beta^k > n
-    certified by lo^k > n 2^(e k), comes from a float estimate; one too
-    many only adds a leading zero.  The enclosure gives x whenever
-    x < beta r < x + 1, which makes x the greedy digit, as beta r < beta.
-    It never decides an integer beta r, so every exact zero, and any digit
-    it is too wide for, goes to ``_greedy_digit``: the digits taken since
-    the last such fallback are folded into the exact remainder (x beta^i
-    each in the integer part, by ``_times_beta`` in the fractional part),
-    and the enclosure is then read again off it.  When m = 1 or the
-    narrowing is refused, the integer digits are counted by exact signs
-    against the powers of beta, and every digit takes ``_greedy_digit``.
+    An integer base (m = 1) has beta = t_1, so the digits are those of n in
+    radix t_1, by ``divmod``, and take no sign.  Otherwise ``_narrow``
+    narrows the interval of beta once, sized by the bits of n, and an
+    enclosure a <= 2^e r <= b of r = n / beta^k is carried through all
+    k + 4m digit positions by r <- beta r - x, rounded outward in O(1) a
+    digit.  k, with beta^k > n certified by lo^k > n 2^(e k), comes from a
+    float estimate; one too many only adds a leading zero.  The enclosure
+    gives x whenever x < beta r < x + 1, which makes x the greedy digit, as
+    beta r < beta.  It never decides an integer beta r, so every exact
+    zero, and any digit it is too wide for, goes to ``_greedy_digit``: the
+    digits taken since the last such fallback are folded into the exact
+    remainder (x beta^i each in the integer part, by ``_times_beta`` in the
+    fractional part), and the enclosure is then read again off it.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("only non-negative integers are expanded")
     md = d.max_digit
     if n <= md:
         return BetaExpansion((n,) if n else (), ())
+    if d.m == 1:
+        digits = []
+        while n:
+            n, x = divmod(n, d.t1)
+            digits.append(x)
+        return BetaExpansion(tuple(reversed(digits)))
+    _narrow(d, n.bit_length())
+    # beta - t_1 >= 1 / (m beta^(m-1)) (mean value theorem, P(t_1) <= -1),
+    # far above the width of the interval, so lo > 2^e and the estimate is
+    # finite
+    lo, hi, e = d._iv[0]
+    k = int(math.log2(n) / (math.log2(lo) - e)) + 1
+    while lo ** k <= n << e * k:
+        k += 1
     rem = list(from_int(d, n).coords)
-    powers = [one(d).coords]  # beta^0 ... beta^(k-1), built only when needed
-    carried = None
-    if d.m > 1 and _narrow(d, n.bit_length()):
-        # beta - t_1 >= 1 / (m beta^(m-1)) (mean value theorem, P(t_1) <= -1),
-        # far above the width 4/2^e, so lo > 2^e and the estimate is finite
-        lo, hi, e = d._iv[0]
-        k = int(math.log2(n) / (math.log2(lo) - e)) + 1
-        while lo ** k <= n << e * k:
-            k += 1
-        carried = _carried(d, rem, k)
-    else:
-        while True:
-            p = _times_beta(d, powers[-1])
-            if _sign(d, [a - b for a, b in zip(rem, p)]) < 0:
-                break
-            powers.append(p)
-        k = len(powers)
+    carried = _carried(d, rem, k)
+    powers = [one(d).coords]  # beta^0 ... beta^(k-1), built at the first fallback
     digits, done, exact = [], 0, False  # rem is exact after digits[:done]
     for i in range(k - 1, -4 * d.m - 1, -1):  # the digit of beta^i
-        if carried:
-            a, b, lo, hi, e = carried
-            # r >= 0 and b >= 0, so these bound beta r, rounded outward
-            a, b = lo * a >> e, -(-hi * b >> e)
-            x = a >> e
-            if x << e < a and b < (x + 1) << e:
-                digits.append(x)
-                carried = a - (x << e), b - (x << e), lo, hi, e
-                continue
+        a, b, lo, hi, e = carried
+        # r >= 0 and b >= 0, so these bound beta r, rounded outward
+        a, b = lo * a >> e, -(-hi * b >> e)
+        x = a >> e
+        if x << e < a and b < (x + 1) << e:
+            digits.append(x)
+            carried = a - (x << e), b - (x << e), lo, hi, e
+            continue
         while len(powers) < k:
             powers.append(_times_beta(d, powers[-1]))
         for x in digits[done:]:
@@ -804,8 +796,7 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
         if exact:
             digits += [0] * i  # the rest of the integer part, if any
             break
-        if carried:
-            carried = _carried(d, rem, max(i, 0))
+        carried = _carried(d, rem, max(i, 0))
     top = next(j for j, x in enumerate(digits) if x)  # drop leading zeros
     expansion = BetaExpansion(tuple(digits[top:k]), tuple(digits[k:]))
     if not exact:
@@ -816,8 +807,8 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
 def _carried(d: RenyiExpansion, v, k: int) -> tuple:
     """(a, b, lo, hi, e) with a <= 2^e v(beta) / beta^k <= b, for
     v(beta) >= 0, from the enclosure of v on the isolating interval
-    [lo/2^e, hi/2^e] (m >= 2: an integer base expands every integer exactly,
-    with no fractional digit).  A negative a is a valid lower bound."""
+    [lo/2^e, hi/2^e] of a base with m >= 2.  A negative a is a valid lower
+    bound."""
     lo, hi, e = d._iv[0]
     low, high = _enclosure(v, lo, hi, e)
     s = e * (len(v) - 1)

@@ -213,6 +213,11 @@ def test_non_integral_coordinates_are_rejected():
         from_int(GOLDEN, 2.9)
     assert ZBetaElement(GOLDEN, [3, -2]).coords == (3, -2)
     assert from_int(D2121, 5).coords == (5, 0, 0, 0)
+    # the integer to expand is coerced the same way, also where it is its
+    # own digit
+    for n in (1.0, 0.0, 5.0):
+        with pytest.raises(TypeError):
+            greedy_expand_integer(validate_renyi("21"), n)
 
 
 def test_sign_examples():
@@ -846,20 +851,21 @@ def test_huge_expansion_is_fast_and_exact():
 
 def test_wide_integer_digits_take_a_galloping_search(monkeypatch):
     # read off the enclosure, the digits 999 and 999999 take no sign: the one
-    # sign decides the exact zero that ends the expansion.  With the narrowing
-    # refused, each of the 14 digits takes a galloping search of at most
-    # 2 log2(10^6) + 2 signs, where raising a digit one unit per sign took
-    # 1,001,002 for the two integer digits alone
+    # sign decides the exact zero that ends the expansion.  With an enclosure
+    # that decides no digit, each of the 14 digits takes a galloping search of
+    # at most 2 log2(10^6) + 2 signs, where raising a digit one unit per sign
+    # takes 1,001,002 for the two integer digits alone
     calls = []
     real = numeration._sign
     monkeypatch.setattr(numeration, "_sign", lambda d, v: calls.append(1) or real(d, v))
     d = "1000000,0,0,0,0,0,1"
     _check_expansion(validate_renyi(d), 10**9)
     assert len(calls) == 1
-    _trial_subtraction_only(monkeypatch)
+    _search_every_digit(monkeypatch)
     _check_expansion(validate_renyi(d), 10**9)
     assert 14 < len(calls) <= 1 + 14 * 42
-    _check_expansion(validate_renyi("1000,1"), 10**12)
+    d = validate_renyi("1000,1")
+    assert _expansion(d, 10**12) == _unit_steps(d, 10**12)
 
 
 # --- fractional digits from a carried enclosure ------------------------------------
@@ -881,10 +887,17 @@ def _parry_words(draw, max_m=40, top=5):
         assume(False)
 
 
-def _trial_subtraction_only(mp):
-    """Make every fractional digit take ``_greedy_digit``, as before the
-    enclosure: the interval is never narrowed, so nothing is carried."""
-    mp.setattr(numeration, "_narrow", lambda d, extra: False)
+def _search_every_digit(mp):
+    """Make every digit take ``_greedy_digit``: the carried enclosure is
+    replaced by a = b = 0, which decides no digit."""
+    mp.setattr(numeration, "_carried", lambda d, v, k: (0, 0, *d._iv[0]))
+
+
+def _unit_steps(d, n):
+    """The greedy expansion of n, and whether it is exact, by the search of
+    the reference engine that raises each digit one unit per sign."""
+    ints, fractional, exact = zbeta_oracle.greedy_expansion(d, n)
+    return BetaExpansion(ints, fractional), exact
 
 
 @settings(max_examples=150, deadline=None)
@@ -892,13 +905,18 @@ def _trial_subtraction_only(mp):
        st.one_of(st.integers(1, 60), st.integers(1, 10**6)), st.sampled_from([80, 0]))
 def test_carried_enclosure_gives_the_digits_of_trial_subtraction(digits, n, spare):
     # with no spare bits the enclosure often runs too wide, so that digits
-    # fall back to trial subtraction and the enclosure is read again
+    # fall back to a search by exact signs and the enclosure is read again;
+    # with every digit searched, the same digits come from exact signs alone.
+    # The unit-step search of the reference engine checks both up to m = 10:
+    # on the longest words it takes seconds an example
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numeration, "_SPARE_BITS", spare)
         fast = _expansion(validate_renyi(digits), n)
-        _trial_subtraction_only(mp)
-        slow = _expansion(validate_renyi(digits), n)
-    assert fast == slow
+        _search_every_digit(mp)
+        searched = _expansion(validate_renyi(digits), n)
+    assert fast == searched
+    if len(digits) <= 10:
+        assert fast == _unit_steps(validate_renyi(digits), n)
 
 
 def _reads_and_searches(mp):
@@ -934,9 +952,7 @@ def test_an_integer_digit_falls_back_and_the_enclosure_is_read_again(monkeypatch
     e, exact = _expansion(validate_renyi("11"), 65)
     assert (str(e), exact) == ("101000000.00000101", True)
     assert reads == [9, 6] and searches == [(5, 8), (1, 0)]
-    with pytest.MonkeyPatch.context() as mp:
-        _trial_subtraction_only(mp)
-        assert _expansion(validate_renyi("11"), 65) == (e, exact)
+    assert (e, exact) == _unit_steps(validate_renyi("11"), 65)
     _check_expansion(validate_renyi("11"), 65)
 
 
@@ -1006,28 +1022,82 @@ def _beyond_float_range(d):
     pytest.param(_beyond_float_range, id="raises")])
 @pytest.mark.parametrize("base, n", [("11", 1000), ("2121", 29), ("3202", 13), ("21111111", 10**6)])
 def test_a_bad_float_guess_is_refused_and_bisection_gives_the_digits(monkeypatch, guess, base, n):
-    # the in-range guess survives the Newton steps and fails the certificate
-    with pytest.MonkeyPatch.context() as mp:
-        _trial_subtraction_only(mp)
-        want = _expansion(validate_renyi(base), n)
+    # a guess that raises, is nan or out of range, or whose Newton steps run
+    # out before they settle, gives way to Newton's method from t_1 + 1: the
+    # narrowing still certifies an interval a few units wide, and the digits
+    # are those of the unit-step search
+    want = _unit_steps(validate_renyi(base), n)
     monkeypatch.setattr(numeration, "_beta_estimate", guess)
     d = validate_renyi(base)
-    assert numeration._narrow(d, 0) is False and d._iv[0] == (1, d.t1 + 1, 0)
-    narrowed = []
-    real = numeration._narrow
-    monkeypatch.setattr(numeration, "_narrow",
-                        lambda d, extra: narrowed.append(real(d, extra)) or narrowed[-1])
-    assert _expansion(d, n) == want
-    assert narrowed == [False] and _brackets_beta(d)
+    numeration._narrow(d, 0)
+    lo, hi, e = d._iv[0]
+    assert _brackets_beta(d) and hi - lo <= 8 and e >= numeration._SPARE_BITS
+    assert _expansion(d, n) == want and _brackets_beta(d)
 
 
-def test_narrowing_is_certified_and_never_widens():
+def test_narrowing_is_certified_and_never_widens(monkeypatch):
     d = validate_renyi("2121")
-    assert numeration._narrow(d, 0) is True and _brackets_beta(d)
+    numeration._narrow(d, 0)
+    assert _brackets_beta(d)
     lo, hi, e = d._iv[0]
     assert hi - lo == 4 and e >= numeration._SPARE_BITS
     # a coarser request keeps the finer interval
-    assert numeration._narrow(d, -40) is True and d._iv[0] == (lo, hi, e)
+    numeration._narrow(d, -40)
+    assert d._iv[0] == (lo, hi, e)
+    # Newton's steps at half length stop far from beta, and the certificate
+    # then widens, here about 2^40-fold, until it holds; the digits do not
+    # change
+    real = numeration._parry_at
+    monkeypatch.setattr(numeration, "_parry_at",
+                        lambda d, x, e: (lambda v, dv: (v, 2 * dv))(*real(d, x, e)))
+    d = validate_renyi("2121")
+    numeration._narrow(d, 0)
+    lo, hi, e = d._iv[0]
+    assert _brackets_beta(d) and hi - lo > 1 << 30 and (hi - lo) << 40 < 1 << e
+    assert _expansion(d, 29) == _unit_steps(validate_renyi("2121"), 29)
+
+
+@pytest.mark.parametrize("base", ["100000000000000001,1", "9007199254740993,5,1"])
+def test_a_first_digit_beyond_float_precision_is_narrowed_from_above(base):
+    # the float guess rounds below t_1, so Newton's method starts from t_1 + 1
+    d = validate_renyi(base)
+    numeration._narrow(d, 40)
+    lo, hi, e = d._iv[0]
+    assert _brackets_beta(d) and hi - lo <= 8 and e >= numeration._SPARE_BITS + 40
+    for n in (10**6, 10**30, 10**60):
+        _check_expansion(d, n)
+        e = _expansion(d, n)[0]
+        assert radix_oracle.is_admissible(d, e.integer_digits + e.fractional_digits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.one_of(st.integers(0, 10**6), st.integers(0, 10**100)))
+def test_integer_base_expansions_are_the_radix_digits(t, n):
+    # beta = t_1, so the digits are those of n in radix t_1, and no sign is
+    # taken: the one string of digits below t_1, led by a nonzero digit, that
+    # sums to n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeration, "_sign", None)
+        e, exact = _expansion(validate_renyi([t]), n)
+    digits = e.integer_digits
+    assert exact and e.fractional_digits == () and all(0 <= x < t for x in digits)
+    assert digits[:1] != (0,) and functools.reduce(lambda a, x: a * t + x, digits, 0) == n
+
+
+def test_an_exact_zero_on_a_fresh_base_takes_one_narrowing(monkeypatch):
+    # P(-1) = 0, so P / (x + 1) vanishes at beta: the first narrowing goes
+    # past the depth of the gcd, where halving the interval one bit at a time
+    # took 67 halvings
+    narrowed, enclosed = [], []
+    narrow, enclosure = numeration._narrow, numeration._enclosure
+    monkeypatch.setattr(numeration, "_narrow",
+                        lambda d, extra: narrowed.append(extra) or narrow(d, extra))
+    monkeypatch.setattr(numeration, "_enclosure",
+                        lambda *args: enclosed.append(1) or enclosure(*args))
+    d = validate_renyi("330211001121")
+    z, = _vanishing_cofactors(d)
+    assert zb_sign(z) == 0
+    assert len(narrowed) <= 2 and len(enclosed) <= 5
 
 
 @pytest.mark.parametrize("digits", ["330211001121", "33320222332031210203"])

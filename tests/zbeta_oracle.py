@@ -147,13 +147,20 @@ def greedy_expansion(d, n):
     def minus(v, u):
         return [a - b for a, b in zip(v, u)]
 
+    powers = [coords([1])]
+
+    def power(i):  # beta^i, each reduced from x times the one before
+        while len(powers) <= i:
+            powers.append(coords([0] + powers[-1]))
+        return powers[i]
+
     rem = coords([n])
     k = 0
-    while zb_sign(ZBetaElement(d, minus(rem, coords([0] * k + [1])))) >= 0:  # beta^k <= n
+    while zb_sign(ZBetaElement(d, minus(rem, power(k)))) >= 0:  # beta^k <= n
         k += 1
     digits, exact = [], False
     for i in range(k - 1, -4 * m - 1, -1):
-        unit = coords([0] * max(i, 0) + [1])
+        unit = power(max(i, 0))
         if i < 0:
             rem = coords([0] + rem)  # times beta
         x = 0
