@@ -1048,8 +1048,12 @@ def test_narrowing_is_certified_and_never_widens(monkeypatch):
     # then widens, here about 2^40-fold, until it holds; the digits do not
     # change
     real = numeration._parry_at
-    monkeypatch.setattr(numeration, "_parry_at",
-                        lambda d, x, e: (lambda v, dv: (v, 2 * dv))(*real(d, x, e)))
+
+    def half_steps(d, x, e):
+        v, dv = real(d, x, e)
+        return v, 2 * dv
+
+    monkeypatch.setattr(numeration, "_parry_at", half_steps)
     d = validate_renyi("2121")
     numeration._narrow(d, 0)
     lo, hi, e = d._iv[0]
@@ -1077,14 +1081,14 @@ def test_integer_base_expansions_are_the_radix_digits(t, n):
     # taken: the one string of digits below t_1, led by a nonzero digit, that
     # sums to n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numeration, "_sign", None)
+        mp.setattr(numeration, "_sign", lambda d, v: pytest.fail("an integer base took a sign"))
         e, exact = _expansion(validate_renyi([t]), n)
     digits = e.integer_digits
     assert exact and e.fractional_digits == () and all(0 <= x < t for x in digits)
     assert digits[:1] != (0,) and functools.reduce(lambda a, x: a * t + x, digits, 0) == n
 
 
-def test_an_exact_zero_on_a_fresh_base_takes_one_narrowing(monkeypatch):
+def test_an_exact_zero_on_a_fresh_base_takes_at_most_two_narrowings(monkeypatch):
     # P(-1) = 0, so P / (x + 1) vanishes at beta: the first narrowing goes
     # past the depth of the gcd, where halving the interval one bit at a time
     # took 67 halvings
