@@ -16,6 +16,7 @@ set:
   --length-bound 40`` and ``specials D tridents --length-bound 20`` on
   twelve named bases;
 * ``betaint D expand N`` for N = 1..60 on the 77 bases of m=2..5,digit<=2,
+  for N = 1..30 on the 213 bases of m=2..5,digit<=3 that have a digit 3,
   and for N = 7 and 1000 on four long or wide bases written with commas:
   2 0^60 1, 1 0^120 1, 3^24 and 1000 1;
 * ``betaint D expand N`` for N = 10^6, 10^12 and 10^30 on the twelve named
@@ -36,7 +37,7 @@ set:
   the classification) and on 2 (one letter), ``betaint 2121 pred 0``, and
   ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON.
 
-That is 6621 commands.
+That is 13011 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -88,8 +89,12 @@ def commands() -> list:
         out += [["specials", s, "left", "-n", str(n)] for n in range(1, 41)]
         out.append(["specials", s, "maximal", "--length-bound", "40"])
         out.append(["specials", s, "tridents", "--length-bound", "20"])
-    for s in corpus("m=2..5,digit<=2"):
+    small = corpus("m=2..5,digit<=2")
+    for s in small:
         out += [["betaint", s, "expand", str(n)] for n in range(1, 61)]
+    for s in corpus("m=2..5,digit<=3"):
+        if s not in small:
+            out += [["betaint", s, "expand", str(n)] for n in range(1, 31)]
     for t in EXPAND_BASES:
         out += [["betaint", ",".join(map(str, t)), "expand", str(n)] for n in (7, 1000)]
     for s in SPECIALS_BASES + tuple(",".join(map(str, t)) for t in EXPAND_BASES + [WIDE_BASE]):
