@@ -78,7 +78,7 @@ def _error_json(exc):
 
 
 def _base(args):
-    return numeration.validate_renyi(word(args.d))
+    return numeration.validate_renyi(args.d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,13 @@
-"""Exception hierarchy, shared across modules; each class carries its CLI exit code."""
+"""Exception hierarchy, shared across modules; each class carries its CLI exit code.
+
+``cli.main`` maps the errors that reach it: UsageError and ValueError to 1,
+printed on standard error, and every other ParryscopeError to its
+``exit_code``, printed as JSON.  ``validate`` reports a validation error and
+``witness`` a NotApplicable in their own JSON, with the same codes.  One
+error never reaches ``main``: ``betaint expand`` catches
+FractionalBudgetExceeded, prints the partial expansion with ``"exact":
+false`` and exits 0.
+"""
 
 
 class ParryscopeError(Exception):
@@ -47,8 +56,6 @@ class FractionalBudgetExceeded(ParryscopeError):
 
     ``partial`` holds the expansion with the digits found so far.
     """
-
-    exit_code = 4
 
     def __init__(self, partial, message=None):
         self.partial = partial

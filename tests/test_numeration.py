@@ -979,6 +979,29 @@ def test_the_enclosure_decides_every_digit_of_an_endless_expansion(monkeypatch):
     assert reads == [4] and searches == []
 
 
+@pytest.mark.parametrize("base, n", [("11", 7), ("2121", 10), ("1000000,0,0,0,0,0,1", 10**9)])
+def test_a_fallback_recomputes_its_remainder_in_one_horner_pass(monkeypatch, base, n):
+    # the exact zero that ends each expansion is its one fallback, at a
+    # fractional digit: the remainder is one Horner pass over the digits
+    # taken, negated, with n at the place of beta^0, and the place value
+    # beta^0 = 1 is the other; nothing is kept from the digits before it
+    searches, passes = [], []
+    digit, horner = numeration._greedy_digit, numeration._horner
+    monkeypatch.setattr(numeration, "_greedy_digit",
+                        lambda *args: searches.append(1) or digit(*args))
+    monkeypatch.setattr(numeration, "_horner",
+                        lambda d, w: passes.append(tuple(w)) or horner(d, w))
+    d = validate_renyi(base)
+    e, exact = _expansion(d, n)
+    assert exact and len(searches) == 1 and len(passes) == 2
+    taken = e.integer_digits + e.fractional_digits[:-1]
+    want = [-x for x in taken] + [0]
+    want[len(e.integer_digits) - 1] += n
+    assert passes == [tuple(want), (1,)]
+    monkeypatch.undo()
+    _check_expansion(d, n)
+
+
 @pytest.mark.parametrize("base, n", [("1000,1", 7), ("1000,1", 1000), ("11", 1), ("21", 2),
                                      ("2", 1)])
 def test_an_integer_below_beta_is_its_own_digit_without_narrowing(monkeypatch, base, n):
