@@ -511,6 +511,8 @@ def _sign(d: RenyiExpansion, v) -> int:
     v = _ptrim(v)
     if not v:
         return 0
+    if len(v) == 1:
+        return 1 if v[0] > 0 else -1
     h = None
     while True:
         iv = d._iv[0]
@@ -543,13 +545,12 @@ def zb_sign(a: ZBetaElement) -> int:
 
 
 def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
-    """T^i(1) exactly: T^0 = 1, T^i = beta * T^(i-1) - t_i; T^m(1) = 0."""
+    """T^i(1) exactly: T^0 = 1, T^i = beta * T^(i-1) - t_i; T^m(1) = 0.  That
+    is beta^i - t_1 beta^(i-1) - ... - t_i, one Horner pass over the digits
+    1, -t_1, ..., -t_i."""
     if not 0 <= i <= d.m:
         raise ValueError(f"orbit index must lie in 0..{d.m}")
-    v = one(d).coords
-    for t in d.digits[:i]:
-        v = _times_beta(d, v, -t)
-    return ZBetaElement(d, v)
+    return ZBetaElement(d, _horner(d, (1, *(-t for t in d.digits[:i]))))
 
 
 # ---------------------------------------------------------------------------
