@@ -785,9 +785,7 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
             digits.append(x)
             carried = a - (x << e), b - (x << e), lo, hi, e
             continue
-        # beta^max(-i, 0) (n - the digits taken), against beta^max(i, 0): the
-        # value is linear in the digits, so one Horner pass over them, negated,
-        # with n at the place of beta^0
+        # beta^max(-i, 0) (n - the digits taken) against beta^max(i, 0)
         v = [-x for x in digits] + [0] * (max(i, 0) + 1)
         v[k - 1] += n
         rem = _horner(d, v)
