@@ -418,7 +418,7 @@ class ZBetaElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = (-self).__add__(other)  # other - self
+        v = self.__rsub__(other)
         return v if v is NotImplemented else -v
 
     def __rsub__(self, other):
