@@ -35,9 +35,16 @@ set:
   null fields) on the twelve named bases, ``validate`` on the invalid 12 (a
   ``suffix_index``) and 10, ``witness`` on 11 and 22 (not applicable, with
   the classification) and on 2 (one letter), ``betaint 2121 pred 0``, and
-  ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON.
+  ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON;
+* the shapes of a command line: ``--oracle-n=5``, the abbreviation
+  ``--oracle 5``, ``-L5`` and ``-n5``; ``--`` before a positional and
+  ``betaint 11 coding 0 -1``; a bad int, a bad choice, a missing positional,
+  a missing required option and an unrecognized option; ``-h`` after each
+  command, no arguments, ``-h`` alone and an unknown command.  Help ends in
+  ``SystemExit``, whose code is recorded as the exit code, so help text is
+  compared as well.
 
-That is 13011 commands.
+That is 13032 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -56,6 +63,13 @@ EXPAND_BASES = [(2,) + (0,) * 60 + (1,), (1,) + (0,) * 120 + (1,), (3,) * 24, (1
 WIDE_BASE = (1000000, 0, 0, 0, 0, 0, 1)
 INTEGER_BASES = ("2", "3", "7", "9")
 HUGE_T1_BASES = ("100000000000000001,1", "9007199254740993,5,1", f"{10**40},3,1")
+COMMANDS = ("validate", "classify", "witness", "generate", "betaint", "specials", "scan")
+SHAPES = [["classify", "11", "--oracle-n=5"], ["classify", "11", "--oracle", "5"],
+          ["generate", "11", "-L5"], ["specials", "11", "left", "-n5"],
+          ["validate", "--", "2121"], ["betaint", "11", "coding", "0", "-1"],
+          ["classify", "11", "--oracle-n", "x"], ["specials", "11", "middle"],
+          ["validate"], ["generate", "11"], ["validate", "11", "--bogus"],
+          *([cmd, "-h"] for cmd in COMMANDS), [], ["-h"], ["frobnicate", "11"]]
 
 # runs in the child: read the commands from stdin, write [rc, out, err] per command
 CHILD = """
@@ -66,7 +80,10 @@ results = [parryscope.__file__]
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # help
+            rc = exc.code
     results.append([rc, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
@@ -117,7 +134,7 @@ def commands() -> list:
     out += [["validate", "12"], ["validate", "10"], ["witness", "11"], ["witness", "22"],
             ["witness", "2"], ["betaint", "2121", "pred", "0"]]
     out += [["scan", "--corpus", "m=2..3,digit<=2", *form] for form in ([], ["--format", "json"])]
-    return out
+    return out + SHAPES
 
 
 def run(src: Path, argvs: list) -> list:
