@@ -392,12 +392,21 @@ def _build_parser():
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(func=cmd_scan)
 
+    parser.commands = sub.choices  # command word -> the parser of that command
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line (default ``sys.argv[1:]``) and return its exit
+    code.  A command word at argv[0] goes straight to that command's
+    parser with the rest of argv, which is what the top-level parser, whose
+    only option is -h, would hand it; anything else goes through the
+    top-level parser."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         code = args.func(args)
         sys.stdout.flush()
         return code

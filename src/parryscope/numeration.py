@@ -227,8 +227,9 @@ class RenyiExpansion:
             # the single digit word "1" would denote base 1
             raise ParryViolation(1, "digit word denotes a base not exceeding 1")
         for i in range(2, m + 1):
-            suffix = w[i - 1:] + (0,) * (i - 1)
-            if not suffix < w:
+            # the padded suffix w[i-1:] 0^(i-1) is below w iff w[i-1:] <= w[:m-i+1]:
+            # were those equal, the padding would meet t_m, which is nonzero
+            if w[i - 1:] > w[:m - i + 1]:
                 raise ParryViolation(i)
         # isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e), shared
         # and monotonically narrowed
@@ -739,7 +740,8 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     float estimate; one too many only adds a leading zero.  The enclosure
     gives x whenever x < beta r < x + 1, which makes x the greedy digit, as
     beta r < beta.  It never decides an integer beta r, so every exact
-    zero, and any digit it is too wide for, goes to ``_greedy_digit``.
+    zero, and any digit it is too wide for, goes to ``_greedy_digit``, with
+    the bracket (a >> e, b >> e) that it still gives.
 
     No remainder is kept between such fallbacks.  At the digit of beta^i
     the search compares beta^max(-i, 0) (n - the digits taken) with
@@ -774,27 +776,28 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     k = int(math.log2(n) / (math.log2(lo) - e)) + 1
     while lo ** k <= n << e * k:
         k += 1
-    carried = _carried(d, [n] + [0] * (d.m - 1), k)
+    a, b, lo, hi, e = _carried(d, [n] + [0] * (d.m - 1), k)
     digits, exact = [], False
     for i in range(k - 1, -4 * d.m - 1, -1):  # the digit of beta^i
-        a, b, lo, hi, e = carried
         # r >= 0 and b >= 0, so these bound beta r, rounded outward
         a, b = lo * a >> e, -(-hi * b >> e)
         x = a >> e
         if x << e < a and b < (x + 1) << e:
             digits.append(x)
-            carried = a - (x << e), b - (x << e), lo, hi, e
+            a -= x << e
+            b -= x << e
             continue
         # beta^max(-i, 0) (n - the digits taken) against beta^max(i, 0)
         v = [-x for x in digits] + [0] * (max(i, 0) + 1)
         v[k - 1] += n
         rem = _horner(d, v)
-        x, exact = _greedy_digit(d, rem, _horner(d, (1,) + (0,) * max(i, 0)), md)
+        x, exact = _greedy_digit(d, rem, _horner(d, (1,) + (0,) * max(i, 0)), (x, b >> e))
         digits.append(x)
         if exact:
             digits += [0] * i  # the rest of the integer part, if any
             break
-        carried = _carried(d, rem, max(i, 0))
+        # the signs of the search may have narrowed the interval of beta
+        a, b, lo, hi, e = _carried(d, rem, max(i, 0))
     top = next(j for j, x in enumerate(digits) if x)  # drop leading zeros
     expansion = BetaExpansion(tuple(digits[top:k]), tuple(digits[k:]))
     if not exact:
@@ -814,14 +817,22 @@ def _carried(d: RenyiExpansion, v, k: int) -> tuple:
             lo, hi, e)
 
 
-def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:
-    """The largest x <= md with v - x p >= 0 (p > 0), leaving v - x p in v,
-    by galloping search: probes x = 1, 2, 4, ..., capped at md, until one
-    goes negative, then bisection, one exact sign of v - x p a probe.  p is
+def _greedy_digit(d: RenyiExpansion, v: list, p, bracket) -> tuple:
+    """The largest x <= md = max_digit with v - x p >= 0 (p > 0, v > 0),
+    leaving v - x p in v, one exact sign of v - x p a probe.  p is
     subtracted in place, and added back after a probe that goes negative.
+    bracket (low, high) is where an enclosure puts x, and is confirmed, not
+    trusted: the first probe is high (at least 1), then high + 1 if that
+    holds, or low if it does not, so a right bracket of width 0 or 1 takes
+    at most two signs.  Past it, the search gallops up from the largest x
+    that holds, by steps 1, 2, 4, ..., capped at md, until a probe goes
+    negative (from a bracket of (0, 0): x = 1, 2, 4, ...), then bisects.
     Also returns whether a probe found v - x p to be 0; that x is the
     digit, so the search stops there and each exact zero is decided once."""
-    lo, hi, x, zero = 0, md + 1, 1, False  # v holds v - lo p; hi = md + 1 is never probed
+    md = d.max_digit
+    low, high = bracket
+    # v holds v - lo p; hi = md + 1 is never probed
+    lo, hi, x, step, zero = 0, md + 1, min(max(high, 1), md), 1, False
     while lo + 1 < hi and not zero:
         for i, c in enumerate(p):
             v[i] -= (x - lo) * c
@@ -832,7 +843,10 @@ def _greedy_digit(d: RenyiExpansion, v: list, p, md: int) -> tuple:
             hi = x
         else:
             lo, zero = x, sign == 0
-        x = min(2 * x, md) if hi > md else (lo + hi) // 2
+        if hi > md:
+            x, step = min(lo + step, md), 2 * step
+        else:
+            x = low if lo < low < hi else (lo + hi) // 2
     return lo, zero
 
 

@@ -385,6 +385,41 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     assert run(capsys, "betaint", "2121", "expand", "7") == first
 
 
+def _outcome(capsys, parse, argv):
+    """What one parse gives: its namespace less the command key, the message
+    of the UsageError it raises, or the code and stdout of its SystemExit."""
+    try:
+        ns = vars(parse(argv))
+    except UsageError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    ns.pop("command", None)
+    return "parsed", ns
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "2121"], ["classify", "2121", "--oracle-n", "5"], ["witness", "2121"],
+    ["generate", "2121", "-L", "5"], ["betaint", "2121", "expand", "7"],
+    ["specials", "2121", "left", "-n", "3", "--length-bound", "9"],
+    ["scan", "--corpus", "m=2..3", "--oracle-n", "5", "--format", "json"],
+    ["classify", "11", "--oracle-n=5"], ["classify", "11", "--oracle", "5"],
+    ["generate", "11", "-L5"], ["specials", "11", "left", "-n5"],
+    ["validate", "--", "2121"], ["betaint", "11", "coding", "0", "-1"],
+    ["classify", "11", "--oracle-n", "x"], ["specials", "11", "middle"], ["validate"],
+    ["validate", "11", "--bogus"], ["validate", "-h"], ["betaint", "2121", "-h"],
+    ["scan", "-h"],
+], ids=" ".join)
+def test_a_command_parser_reads_what_the_top_level_parser_hands_it(capsys, argv):
+    # main sends a command word straight to its own parser: the namespace,
+    # usage error or help must be the one the top-level parser gives
+    parser = _build_parser()
+    direct = _outcome(capsys, parser.commands[argv[0]].parse_args, argv[1:])
+    assert direct == _outcome(capsys, parser.parse_args, argv)
+    if argv[-1] == "-h":
+        assert direct[:2] == ("exit", 0) and direct[2].startswith(f"usage: parryscope {argv[0]}")
+
+
 def test_oversized_oracle_range_exits_4_fast(capsys):
     start = time.perf_counter()
     code, body = run_json(capsys, "classify", "2121", "--oracle-n", "100000000")

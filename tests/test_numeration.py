@@ -99,6 +99,22 @@ def test_validate_rejections():
         validate_renyi("011")
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=29), st.integers(1, 3))
+def test_parry_check_matches_the_padded_definition(head, last):
+    # the index raised is the first i in 2..m whose suffix, padded with i - 1
+    # zeros, is not below the word, after the digit sum; no error if none
+    w = (*head, last)
+    want = 1 if sum(w) < 2 else next(
+        (i for i in range(2, len(w) + 1) if not w[i - 1:] + (0,) * (i - 1) < w), None)
+    try:
+        validate_renyi(w)
+        got = None
+    except ParryViolation as exc:
+        got = exc.index
+    assert got == want, w
+
+
 def test_integer_base_is_accepted():
     d = validate_renyi("2")
     assert d.m == 1 and d.max_digit == 1
@@ -866,6 +882,38 @@ def test_wide_integer_digits_take_a_galloping_search(monkeypatch):
     assert 14 < len(calls) <= 1 + 14 * 42
     d = validate_renyi("1000,1")
     assert _expansion(d, 10**12) == _unit_steps(d, 10**12)
+
+
+@pytest.mark.parametrize("base, n", [("9007199254740993,5,1", 10**40),
+                                     (f"{10**160},3,1", 10**400)])
+def test_a_fallback_searches_inside_the_bracket_of_the_enclosure(monkeypatch, base, n):
+    # the last digit of each is an exact zero, which the enclosure pins to x - 1
+    # or x: confirmed there, it takes at most 3 signs, where a search galloping
+    # from 1 took 54 and 452
+    calls = []
+    real = numeration._sign
+    monkeypatch.setattr(numeration, "_sign", lambda d, v: calls.append(1) or real(d, v))
+    d = validate_renyi(base)
+    assert _expansion(d, n)[1] and len(calls) <= 3
+    monkeypatch.undo()
+    _check_expansion(d, n)
+
+
+@SIGN_SETTINGS
+@given(st.sampled_from(SIGN_BASES), st.data())
+def test_a_wrong_bracket_is_confirmed_not_trusted(d, data):
+    # whatever bracket it is given, the search finds the largest x <= max_digit
+    # with v - x beta^k >= 0, by the unit steps of the reference engine, and
+    # leaves v - x beta^k in v
+    md = d.max_digit
+    v = list(value_of(d, _admissible_word(data, d)).coords)
+    p = numeration._horner(d, (1,) + (0,) * data.draw(st.integers(0, 6)))
+    low, high = sorted(data.draw(st.lists(st.integers(-2, md + 2), min_size=2, max_size=2)))
+    rests = [[a - x * c for a, c in zip(v, p)] for x in range(md + 1)]
+    signs = [zbeta_oracle.zb_sign(ZBetaElement(d, r)) for r in rests]
+    want = max(x for x in range(md + 1) if signs[x] >= 0)
+    assert numeration._greedy_digit(d, v, p, (low, high)) == (want, signs[want] == 0)
+    assert v == rests[want]
 
 
 # --- fractional digits from a carried enclosure ------------------------------------
