@@ -822,7 +822,7 @@ def _greedy_digit(d: RenyiExpansion, v: list, p, bracket) -> tuple:
     leaving v - x p in v, one exact sign of v - x p a probe.  p is
     subtracted in place, and added back after a probe that goes negative.
     bracket (low, high) is where an enclosure puts x, and is confirmed, not
-    trusted: the first probe is high (at least 1), then high + 1 if that
+    trusted: the first probe is high (kept in 1..md), then high + 1 if that
     holds, or low if it does not, so a right bracket of width 0 or 1 takes
     at most two signs.  Past it, the search gallops up from the largest x
     that holds, by steps 1, 2, 4, ..., capped at md, until a probe goes
@@ -831,8 +831,9 @@ def _greedy_digit(d: RenyiExpansion, v: list, p, bracket) -> tuple:
     digit, so the search stops there and each exact zero is decided once."""
     md = d.max_digit
     low, high = bracket
+    x = high if 0 < high <= md else 1 if high < 1 else md
     # v holds v - lo p; hi = md + 1 is never probed
-    lo, hi, x, step, zero = 0, md + 1, min(max(high, 1), md), 1, False
+    lo, hi, step, zero = 0, md + 1, 1, False
     while lo + 1 < hi and not zero:
         for i, c in enumerate(p):
             v[i] -= (x - lo) * c
