@@ -43,10 +43,13 @@ integer such that beta^k > n, certified by lo^k > n 2^(e k), r = n / beta^k
 in (0, 1) carries an integer enclosure a <= 2^e r <= b through
 r <- beta r - x, rounded outward in O(1) a digit, and x is read off it
 whenever x < beta r < x + 1.  A digit it
-cannot decide, such as every exact zero, is found by galloping search on
-the exact remainder: it probes x = 1, 2, 4, ..., capped at the largest
-digit, until v - x p goes negative, then bisects, one exact sign a probe,
-so a digit near D takes about 2 log2(D) signs.  No remainder is kept
+cannot decide, such as every exact zero, is found by exact signs of
+v - x p on the exact remainder, one a probe.  The search first confirms
+the bracket [a >> e, b >> e] that the enclosure still gives, which
+settles an exact zero in one sign; where the bracket fails, it gallops
+up by steps 1, 2, 4, ..., capped at the largest digit, until v - x p goes
+negative, then bisects, so a digit D off its bracket takes about
+2 log2(D) signs.  No remainder is kept
 between fallbacks: the value is linear in the digits, so at the digit of
 beta^i the remainder beta^max(-i, 0) (n - the digits taken) is one Horner
 pass over those digits, negated, with n added at the place of beta^0, and
