@@ -10,7 +10,6 @@ from .analysis import (
     Classification,
     ComplexityProfile,
     FactorLibrary,
-    GapInventoryReport,
     SpecialFactorReport,
     Trident,
     WitnessBundle,
@@ -19,13 +18,11 @@ from .analysis import (
     clear_factor_cache,
     complexity_profile,
     construct_witness,
-    expected_gap_inventory,
     factor_library,
     find_tridents,
     full_report,
     maximal_left_special,
     special_factors,
-    verify_gap_inventory,
     verify_witness,
 )
 from .errors import (
@@ -52,7 +49,6 @@ from .numeration import (
     beta,
     beta_integers,
     coding_of_segment,
-    from_int,
     greedy_expand_integer,
     is_admissible,
     next_admissible,
@@ -73,9 +69,6 @@ from .substitution import (
     build_substitution,
     fixed_point_prefix,
     incidence_matrix,
-    is_primitive,
-    j_indices,
-    primitivity_exponent,
 )
 from .words import (
     Word,

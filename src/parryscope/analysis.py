@@ -50,7 +50,7 @@ from .errors import (
 )
 from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _rank_state, _segment, _sign
 from .numeration import _horner, _spell, fixed_point_prefix_bytes, radix_rank
-from .substitution import build_substitution, j_indices
+from .substitution import build_substitution
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
 
@@ -465,8 +465,11 @@ class Classification:
         all m letters, so the difference exceeds m - 1 exactly when a left
         special factor of length n is not a prefix.
 
-        t_m >= 2: t_1 + 1, by the three gap families of
-        ``expected_gap_inventory``.  Let a factor of length n <= t_1 hold
+        t_m >= 2: t_1 + 1, by the three families of the factors X 0^r Y
+        with X and Y nonzero: j_k 0^(t_k) k for 2 <= k <= m-1, k 0^(t_1) 1
+        for 1 <= k <= m-1, and j_m 0^(t_1 + t_m) 1, where j_k is the least
+        i >= 1 with t_(k-i) != 0 (``tests/gap_oracle.py`` checks them
+        against the factor library).  Let a factor of length n <= t_1 hold
         a nonzero letter Y after i < t_1 zeros.  The zero run that ends at
         Y has length t_Y when Y >= 2, and at least t_1 > i when Y = 1, so
         the letter before the factor is 0 when the run is longer than i and
@@ -571,68 +574,6 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
     else:
         body["specials"] = None
     return body
-
-
-# ---------------------------------------------------------------------------
-# the gap inventory
-
-
-@dataclass
-class GapInventoryReport:
-    """Factors of the shape X 0^r Y (X, Y nonzero) against the three
-    structural families; a discrepancy indicates an implementation bug."""
-
-    d: RenyiExpansion
-    expected: set
-    observed: set
-    longest_zero_run: int
-    prefix_length_used: int
-
-    @property
-    def missing(self) -> set:
-        return self.expected - self.observed
-
-    @property
-    def extra(self) -> set:
-        return self.observed - self.expected
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.observed
-
-
-def expected_gap_inventory(d: RenyiExpansion) -> set:
-    """The three families of X 0^r Y factors:
-    j_k 0^(t_k) k for 2 <= k <= m-1, k 0^(t_1) 1 for 1 <= k <= m-1, and
-    j_m 0^(t_1 + t_m) 1."""
-    t = d.digits
-    m = d.m
-    j = j_indices(d)
-    fam = set()
-    for k in range(2, m):
-        fam.add((j[k],) + (0,) * t[k - 1] + (k,))
-    for k in range(1, m):
-        fam.add((k,) + (0,) * t[0] + (1,))
-    fam.add((j[m],) + (0,) * (t[0] + t[m - 1]) + (1,))
-    return fam
-
-
-def verify_gap_inventory(d: RenyiExpansion) -> GapInventoryReport:
-    """Extract every X 0^r Y factor and compare."""
-    need = d.t1 + d.digits[-1] + 2
-    lib = factor_library(d, need)
-    observed = set()
-    zero_run = 0
-    # every factor of length n <= need is an n-prefix of a longest factor,
-    # cut here to need letters (a cached library may hold longer ones); such
-    # an f has at most one X 0^r Y prefix: the one ending at its first
-    # nonzero letter after f[0]
-    for f in {f[:need] for f in lib.longest}:
-        zero_run = max(zero_run, need - len(f.lstrip(b"\0")))
-        tail = f[1:].lstrip(b"\0")
-        if f[0] and tail:
-            observed.add(tuple(f[:need + 1 - len(tail)]))
-    return GapInventoryReport(d, expected_gap_inventory(d), observed, zero_run, lib.prefix_length)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from . import analysis, numeration, substitution
 from .errors import (
     BudgetExceeded,
+    FractionalBudgetExceeded,
     NotApplicable,
     ParryViolation,
     ParryscopeError,
@@ -234,14 +235,17 @@ def cmd_betaint(args):
         raise UsageError(f"usage: betaint D {args.op} {operands}")
     if args.op == "succ":
         y = _zero_alias(args.args[0] if args.args else "")
-        # one gap is one run of a single letter, keyed by minus the letter
-        [(key, _)], nxt, _ = numeration._segment(d, y, 1)
+        nxt = numeration.next_admissible(d, y)
+        # the gap after y is the gap before its successor, whose letter is
+        # the successor's trailing zero count mod m (see pred_gap_letter):
+        # succ_gap_letter would run the automaton over y a second time
+        letter = next(k for k, a in enumerate(reversed(nxt)) if a) % d.m
         _emit({
             "d": fmt(d.digits),
             "word": fmt(y),
             "next": fmt(nxt),
-            "gap_letter": -key,
-            "gap_coords": numeration.t_orbit(d, -key).to_json()["coords"],
+            "gap_letter": letter,
+            "gap_coords": numeration.t_orbit(d, letter).to_json()["coords"],
         })
     elif args.op == "pred":
         y = _zero_alias(args.args[0])
@@ -266,7 +270,7 @@ def cmd_betaint(args):
         try:
             e = numeration.greedy_expand_integer(d, n)
             exact = True
-        except numeration.FractionalBudgetExceeded as exc:
+        except FractionalBudgetExceeded as exc:
             e = exc.partial
             exact = False
         _emit({"d": fmt(d.digits), "n": n, "expansion": str(e), "exact": exact})

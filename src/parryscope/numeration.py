@@ -479,10 +479,6 @@ def one(d: RenyiExpansion) -> ZBetaElement:
     return ZBetaElement(d, (1,) + (0,) * (d.m - 1))
 
 
-def from_int(d: RenyiExpansion, n: int) -> ZBetaElement:
-    return ZBetaElement(d, (n,) + (0,) * (d.m - 1))
-
-
 def beta(d: RenyiExpansion) -> ZBetaElement:
     """The base itself as an element of Z[beta]."""
     return ZBetaElement(d, _times_beta(d, one(d).coords))

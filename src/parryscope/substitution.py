@@ -8,8 +8,6 @@ between consecutive beta-integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .errors import LetterRangeError
 from .numeration import RenyiExpansion, _check_alphabet, fixed_point_prefix_bytes
@@ -44,7 +42,10 @@ class Substitution:
         return {
             "images": {str(a): fmt(im) for a, im in enumerate(self.images)},
             "matrix": [list(row) for row in incidence_matrix(self)],
-            "primitive": is_primitive(self),
+            # every canonical substitution is primitive: t_1 >= 1 puts 0 and 1
+            # in phi(0), phi(k) holds k + 1, and phi(m-1) = 0^(t_m) is not
+            # empty, so the letter graph is strongly connected with a loop at 0
+            "primitive": True,
         }
 
 
@@ -70,38 +71,3 @@ def incidence_matrix(s: Substitution):
     return tuple(
         tuple(s.images[b].count(a) for b in range(m)) for a in range(m)
     )
-
-
-def primitivity_exponent(s: Substitution):
-    """Smallest k <= 2m with the k-th matrix power entrywise positive, else None.
-
-    Entry (a, b) of M^k is positive exactly when a occurs in phi^k(b), so
-    the powers are tracked as letter sets, one bit mask per letter: the
-    letters of phi^(k+1)(b) are those of phi^k(c) over the letters c of phi(b).
-    """
-    full = (1 << s.m) - 1
-    letters = [set(im) for im in s.images]
-    masks = [sum(1 << a for a in ls) for ls in letters]
-    for k in range(1, 2 * s.m + 1):
-        if all(mask == full for mask in masks):
-            return k
-        masks = [reduce(or_, (masks[c] for c in ls)) for ls in letters]
-    return None
-
-
-def is_primitive(s: Substitution) -> bool:
-    return primitivity_exponent(s) is not None
-
-
-def j_indices(d: RenyiExpansion) -> dict:
-    """For k in 2..m the minimal back-step to a nonzero digit:
-    j_k = min{i >= 1 : t_(k-i) != 0}.  Defined since t_1 > 0."""
-    if d.m < 2:
-        raise ValueError("j indices need m >= 2")
-    out = {}
-    for k in range(2, d.m + 1):
-        for i in range(1, k):
-            if d.digits[k - i - 1] != 0:
-                out[k] = i
-                break
-    return out

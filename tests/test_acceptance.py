@@ -7,14 +7,13 @@ recompute their expectations independently of the code path under test.
 
 import pytest
 
+from gap_oracle import expected_gap_inventory, verify_gap_inventory
 from parryscope.analysis import (
     classify_affine,
     complexity_profile,
     construct_witness,
-    expected_gap_inventory,
     factor_library,
     maximal_left_special,
-    verify_gap_inventory,
     verify_witness,
 )
 from parryscope.cli import CorpusSpec
@@ -29,8 +28,9 @@ from parryscope.numeration import (
     validate_renyi,
     value_of,
 )
-from parryscope.substitution import build_substitution, fixed_point_prefix, primitivity_exponent
+from parryscope.substitution import build_substitution, fixed_point_prefix
 from parryscope.words import word
+from primitivity_oracle import primitivity_exponent
 
 GOLDEN = validate_renyi("11")
 D2121 = validate_renyi("2121")

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radix_oracle
+from gap_oracle import expected_gap_inventory, verify_gap_inventory
 from parryscope import analysis, numeration
 from parryscope.analysis import (
     TEXT_CAP,
@@ -18,13 +19,11 @@ from parryscope.analysis import (
     clear_factor_cache,
     complexity_profile,
     construct_witness,
-    expected_gap_inventory,
     factor_library,
     find_tridents,
     full_report,
     maximal_left_special,
     special_factors,
-    verify_gap_inventory,
     verify_witness,
 )
 from parryscope.cli import CorpusSpec, main

@@ -1,10 +1,12 @@
 """Source guards: the package imports only the standard library, at module
 level, and holds no assert statement, whose check python -O would strip;
-only its two certificates raise VerificationFailed; the test oracles import
-no private name of the package they check; the README's library example
-runs as written."""
+only its two certificates raise VerificationFailed; the CLI reads no private
+name of the package's modules; the test oracles import no private name of
+the package they check; the README's library example runs as written, and
+its library API lists exactly what ``import parryscope`` gives."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +41,22 @@ def test_package_imports_only_at_module_level():
                 for node in ast.walk(func):
                     assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                         path.name, node.lineno)
+
+
+def test_cli_reads_no_private_name_of_a_package_module():
+    # a private name is a module's own format (say, the runs of a walk) and
+    # may change with it; the CLI goes through public names only
+    modules = {"numeration", "analysis", "substitution", "words", "errors"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in names:
+            assert module not in modules or not name.startswith("_"), (module, name, node.lineno)
 
 
 def test_oracles_import_no_private_name_of_the_package():
@@ -95,3 +113,17 @@ def test_readme_library_example_runs_as_written():
         assert eval(code, namespace) == expected, line
         checked += 1
     assert checked >= 3
+
+
+def test_readme_library_api_lists_what_the_package_exports():
+    # each "- `module`: `name`, ..." item of the "Library API" section against
+    # the names that __init__ imports from that module
+    section = README.read_text().split("## Library API", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for item in re.findall(r"^- (.*(?:\n  .*)*)", section, re.M):
+        module, *names = re.findall(r"`([^`]*)`", item)
+        documented.update((module, name) for name in names)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exported and documented == exported

