@@ -31,6 +31,12 @@ set:
   and 1000; and ``betaint D succ W`` for the first 50 admissible W;
 * ``witness`` and ``classify`` on 5222252221, whose witness spans 2,122,757
   gaps, and ``betaint 1000000,0,0,0,0,0,1 expand 1000000000``;
+* ``witness D`` and ``classify D --oracle-n 10`` on three bases whose words
+  are written with commas: 12,3,12,1 (letters of 10 or more), 300,2,300,1
+  (of 256 or more) and 2,1,1,1,1,1,1,1,1,1,2,1 (m = 12); and ``witness``
+  and ``classify`` on 1000000000,1,1000000000,1, whose span passes the text
+  cap, so that its w0 is null (its factor library would first build an
+  image of 10^9 letters, so it takes no oracle);
 * the error and null shapes: ``validate D`` and ``classify D`` (no oracle:
   null fields) on the twelve named bases, ``validate`` on the invalid 12 (a
   ``suffix_index``) and 10, ``witness`` on 11 and 22 (not applicable, with
@@ -44,7 +50,7 @@ set:
   ``SystemExit``, whose code is recorded as the exit code, so help text is
   compared as well.
 
-That is 13032 commands.
+That is 13040 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -59,6 +65,8 @@ from pathlib import Path
 HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 SPECIALS_BASES = ("11", "22", "111", "211", "201", "2112", "321", "2121", "21211",
                   "301002", "3312331", "222222121")
+COMMA_BASES = ("12,3,12,1", "300,2,300,1", "2,1,1,1,1,1,1,1,1,1,2,1")
+HUGE_SPAN_BASE = "1000000000,1,1000000000,1"
 EXPAND_BASES = [(2,) + (0,) * 60 + (1,), (1,) + (0,) * 120 + (1,), (3,) * 24, (1000, 1)]
 WIDE_BASE = (1000000, 0, 0, 0, 0, 0, 1)
 INTEGER_BASES = ("2", "3", "7", "9")
@@ -130,6 +138,9 @@ def commands() -> list:
         out += [["betaint", s, "succ", fmt(next(ws)) or "0"] for _ in range(50)]
     out += [["witness", "5222252221"], ["classify", "5222252221"],
             ["betaint", "1000000,0,0,0,0,0,1", "expand", "1000000000"]]
+    for s in COMMA_BASES:
+        out += [["witness", s], ["classify", s, "--oracle-n", "10"]]
+    out += [["witness", HUGE_SPAN_BASE], ["classify", HUGE_SPAN_BASE]]
     out += [[cmd, s] for cmd in ("validate", "classify") for s in SPECIALS_BASES]
     out += [["validate", "12"], ["validate", "10"], ["witness", "11"], ["witness", "22"],
             ["witness", "2"], ["betaint", "2121", "pred", "0"]]
