@@ -608,9 +608,10 @@ class WitnessBundle:
     x2: Word
 
     def to_json(self):
-        # the fields in their order; d by its digits, and every tuple is a word
-        items = dict(vars(self), d=self.d.digits).items()
-        return {k: fmt(v) if isinstance(v, tuple) else v for k, v in items}
+        return {"d": fmt(self.d.digits), "p": fmt(self.p), "r": self.r,
+                "p_prime": fmt(self.p_prime), "q": fmt(self.q), "c": fmt(self.c),
+                "h1": self.h1, "h2": self.h2, "h": self.h, "a_pad": self.a_pad,
+                "z": fmt(self.z), "x1": fmt(self.x1), "x2": fmt(self.x2)}
 
 
 def _drop_leading_zeros(y: Word) -> Word:
@@ -719,14 +720,19 @@ class WitnessVerification:
     def w0(self):
         """The non-prefix left special factor u[:span] 0, spelt from the runs
         of z when first read, or None when it has more than TEXT_CAP letters."""
-        if self.span < TEXT_CAP:
-            return tuple(b"".join(_spell(self.bundle.d, _runs(self.bundle.z), [1]))) + (0,)
-        return None
+        w0 = self._w0_bytes()
+        return w0 and tuple(w0)
+
+    def _w0_bytes(self):
+        """w0 as bytes, or None (see ``w0``); the report formats these."""
+        d, z = self.bundle.d, self.bundle.z
+        return b"".join(_spell(d, _runs(z))) + b"\0" if self.span < TEXT_CAP else None
 
     def to_json(self):
+        w0 = self._w0_bytes()
         return {
             "span": self.span,
-            "w0": self.w0 and fmt(self.w0),
+            "w0": w0 and fmt(w0),
             "w0_length": self.span + 1,
             "x1_end": fmt(self.x1_end),
             "x2_end": fmt(self.x2_end),
@@ -773,8 +779,11 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
 
     Each point is read once: z by its rank and final state, and each x by
     its walk, whose first step decides its admissibility; the gap before x
-    is read off the digits of x.  An inadmissible point raises
-    VerificationFailed with condition "admissible".
+    is read off the digits of x.  The rank, both walks and the spelling of
+    w0 read the block lengths U_i from one table kept on d (see
+    ``numeration._block_lengths``), so none of them rebuilds it.  An
+    inadmissible point raises VerificationFailed with condition
+    "admissible".
 
     A base of more than MAX_ALPHABET letters raises LetterRangeError: its
     w0 cannot be spelt as bytes, and its walks read blocks at most
@@ -799,7 +808,7 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         # the prefix is refused above TEXT_CAP before the walk's letters are
         # spelt; the alphabet is checked, so every letter fits a byte
         if walk != runs and (fixed_point_prefix_bytes(d, span)
-                             != b"".join(map(bytes, _spell(d, walk, [1])))):
+                             != b"".join(map(bytes, _spell(d, walk)))):
             raise VerificationFailed("i", f"coding from {name} differs from coding from 0")
         if _sign(d, _excess(d, end, x, z)):
             raise VerificationFailed("i", f"segment from {name} does not end at {name}+z")
@@ -809,7 +818,10 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         # the gap before x is coded by the trailing zero count of x, mod m;
         # the point 0 has no such gap, but its walk ends in the state
         # u[span], so it fails (iii) or (iv)
-        preds.append((len(x) - len(_drop_leading_zeros(x[::-1]))) % d.m)
+        zeros = 0
+        while zeros < len(x) and not x[-1 - zeros]:
+            zeros += 1
+        preds.append(zeros % d.m)
     if preds[0] == preds[1]:
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
     # the match of z covers its tail t_1 ... t_(a_pad) and stops before h;

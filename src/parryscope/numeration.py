@@ -21,10 +21,11 @@ and negative parts, both increasing for x > 0, bounds it by integer Horner
 evaluations at the two end points, so no division is made; the one routine
 that does this returns the bounds.  One loop decides every sign, and the
 zero test asks it for sign 0: while the enclosure straddles 0 the interval
-is narrowed.  The one narrowing routine refines a float guess at beta by
-integer Newton steps, or, when the guess is useless, runs Newton's method
-from t_1 + 1, which always converges, and widens the result until
-P(lo) < 0 < P(hi), which certifies it, since P has one positive root
+is narrowed.  The one narrowing routine refines a guess at beta by integer
+Newton steps, a float at first and then the interval it narrows, which a
+sign about doubles in bits each time; when the guess is useless, it runs
+Newton's method from t_1 + 1, which always converges.  It widens the result
+until P(lo) < 0 < P(hi), which certifies it, since P has one positive root
 (Descartes).  The base polynomial P need not be irreducible, so nonzero
 coordinates may still be 0 at beta; once the interval is a fixed number of
 bits finer than the value's largest coordinate, the loop also encloses the
@@ -79,6 +80,8 @@ the successor raises the rightmost digit below its period digit and zeroes
 the tail.  The rank of a string in radix order is its value in the linear
 numeration system U_k = t_1 U_(k-1) + ... + t_m U_(k-m) (plus 1 for k < m),
 U_k counting the admissible strings of length at most k: O(|s|), no walk.
+Each base keeps one table U_0, U_1, ..., extended as far as any reader has
+asked (``_block_lengths``); ranks, prefixes, walks and spelling all read it.
 
 The gap coding read from 0 is the fixed point u (Fabre), and u[:U_i] =
 phi^i(0).  Gap codings are held as runs: c copies of a block phi^i(0), or
@@ -237,6 +240,8 @@ class RenyiExpansion:
         # isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e), shared
         # and monotonically narrowed
         object.__setattr__(self, "_iv", [(1, w[0] + 1, 0)])
+        # the block lengths [U_0, U_1, ...], shared and only lengthened
+        object.__setattr__(self, "_u", [1])
 
     @property
     def m(self) -> int:
@@ -323,15 +328,20 @@ def _narrow(d: RenyiExpansion, extra: int) -> None:
     few times that, with E = _SPARE_BITS + extra + 4 m log2(beta), by
     Newton's method in integers.
 
-    The float guess of ``_beta_estimate`` is refined by integer Newton steps
-    at E bits, each of which must stay in [t_1, t_1 + 1], the interval that
-    holds beta, on a rising slope.  A step of s units of 2^-E leaves an
-    error of about s^2 / 2^E units, times a constant of the base, so the
-    steps stop once s^2 / 2^E is below 2^-8; each step doubles the correct
-    bits, so a guess right to 16 bits or more needs at most log2(E/16) + 1
-    of them, and no more are made.  A guess that raises, is nan or out of
-    range, or whose steps leave the interval, go downhill or run out, gives
-    way to Newton's method from (t_1 + 1) 2^E, which always converges:
+    The guess is refined by integer Newton steps at E bits, each of which
+    must stay in [t_1, t_1 + 1], the interval that holds beta, on a rising
+    slope.  A step of s units of 2^-E leaves an error of about s^2 / 2^E
+    units, times a constant of the base, so the steps stop once s^2 / 2^E
+    is below 2^-8; each step doubles the correct bits, so a guess right to
+    g bits needs at most log2(E/g) + 1 of them, and no more are made.  The
+    first narrowing guesses with the float of ``_beta_estimate``, taken as
+    right to 16 bits.  A later one continues from the middle of the shared
+    interval [lo/2^e, hi/2^e], right to about e - log2(hi - lo) bits, and
+    computes no float: a sign that doubles the bits each time (``_sign``)
+    then takes two or three steps a narrowing.  A guess that raises, is nan
+    or out of range, or whose steps leave the interval, go downhill or run
+    out, gives way to Newton's method from (t_1 + 1) 2^E, which always
+    converges:
     every root z of P has |z| <= beta, since P(|z|) <= 0, so by
     Gauss-Lucas the real roots of P' and P'' are at most beta, and P is
     increasing and convex on (beta, oo).  A Newton step from above beta
@@ -351,17 +361,20 @@ def _narrow(d: RenyiExpansion, extra: int) -> None:
     _SPARE_BITS to spare.
     """
     t1 = d.t1
-    try:
-        x = _beta_estimate(d)
-    except ArithmeticError:
-        x = math.nan
-    guessed = t1 <= x <= t1 + 1  # False for nan
-    e = _SPARE_BITS + extra + math.ceil(4 * d.m * math.log2(x if guessed else t1 + 1))
+    old_lo, old_hi, old_e = d._iv[0]
+    if old_e:  # the guess num / den is right to about `right` bits
+        num, den = old_lo + old_hi, 2 << old_e
+        right = max(old_e - (old_hi - old_lo).bit_length(), 1)
+    else:
+        try:
+            x = _beta_estimate(d)
+        except ArithmeticError:
+            x = math.nan
+        # nan or out of range: from above, with no limit on the steps
+        (num, den), right = (x.as_integer_ratio(), 16) if t1 <= x <= t1 + 1 else ((t1 + 1, 1), 0)
+    e = _SPARE_BITS + extra + math.ceil(4 * d.m * (math.log2(num) - math.log2(den)))
     bottom, top = t1 << e, (t1 + 1) << e
-    c, steps = top, -1  # from above: no limit
-    if guessed:
-        num, den = x.as_integer_ratio()
-        c, steps = (num << e) // den, (e // 16).bit_length() + 1
+    c, steps = (num << e) // den, (e // right).bit_length() + 1 if right else -1
     while True:
         v, dv = _parry_at(d, c, e)
         step = v // dv if dv > 0 else c  # a slope that does not rise sends c to 0
@@ -374,7 +387,6 @@ def _narrow(d: RenyiExpansion, extra: int) -> None:
     while not _parry_at(d, lo, e)[0] < 0 < _parry_at(d, hi, e)[0]:
         w *= 2
         lo, hi = max(c - w, bottom), min(c + w, top)
-    old_lo, old_hi, old_e = d._iv[0]
     if (hi - lo) << old_e < (old_hi - old_lo) << e:
         d._iv[0] = (lo, hi, e)
 
@@ -503,10 +515,11 @@ def _sign(d: RenyiExpansion, v) -> int:
     v(beta) == 0 iff beta is a root of gcd(v, P); beta is a simple root of
     P, so that holds iff h(beta) != 0, which the enclosure of h eventually
     shows.  A constant gcd leaves h = P, which never leaves 0, and v shows
-    its sign instead.  Each narrowing (``_narrow``) asks for more than both
-    the bits of the interval and those of the largest coordinate, so the
-    first one reaches the depth of the gcd, and each one after that adds
-    _SPARE_BITS or more.
+    its sign instead.  Each narrowing (``_narrow``) asks for more than twice
+    the bits of the interval and more than those of the largest coordinate,
+    so the first one reaches the depth of the gcd, and each one after that
+    doubles the bits at least: a sign that needs E bits makes about
+    log2(E) narrowings, each continuing from the interval before it.
     """
     v = _ptrim(v)
     if not v:
@@ -531,7 +544,7 @@ def _sign(d: RenyiExpansion, v) -> int:
             low, high = _enclosure(h, *iv)
             if low > 0 or high < 0:
                 return 0
-        _narrow(d, max(iv[2], bits))
+        _narrow(d, max(2 * iv[2], bits))
 
 
 def _value_is_zero(a: ZBetaElement) -> bool:
@@ -569,17 +582,24 @@ def _check_alphabet(d: RenyiExpansion):
         raise LetterRangeError(f"alphabet size {d.m} exceeds the supported maximum {MAX_ALPHABET}")
 
 
-def _weight(t, u) -> int:
-    """U_k for k = len(u), from u = [U_0, ..., U_(k-1)]: the count of
-    admissible strings of length at most k, and the length of phi^k(0)."""
-    return sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t))
+def _block_lengths(d: RenyiExpansion, k: int) -> list:
+    """The block table [U_0, U_1, ...] of d, at least through U_k.  U_k counts
+    the admissible strings of length at most k and is the length of
+    phi^k(0): U_k = t_1 U_(k-1) + ... + t_m U_(k-m), plus 1 while k < m.
+
+    The table is kept on d, beside its isolating interval, and is only
+    lengthened; readers must not change it."""
+    u, t = d._u, d.digits
+    while len(u) <= k:
+        u.append(sum(map(operator.mul, t, reversed(u))) + (len(u) < len(t)))
+    return u
 
 
-def _spell(d: RenyiExpansion, runs, u):
+def _spell(d: RenyiExpansion, runs):
     """Yield the letters of runs, one part per run.  A run (k, c) is c copies of
     the block phi^k(0) = u[:U_k] when k >= 0, as bytes, and of the single
     letter -k when k < 0, as a tuple (the letter 0 is the block phi^0(0)).
-    u = [U_0, U_1, ...] as far as the caller knows them; it is extended as
+    U_k comes from the block table of d (``_block_lengths``), extended as
     needed.  Callers cap the length.  phi^k(0) holds the letters up to
     min(k, m - 1), so every block asked for fits bytes: a prefix needs
     m <= MAX_ALPHABET, and on a wider alphabet a walk reads at most
@@ -592,8 +612,7 @@ def _spell(d: RenyiExpansion, runs, u):
     """
     t, j, block = d.digits, 0, b"\0"  # block = phi^j(0), the longest built
     for k, c in runs:
-        while len(u) <= k:
-            u.append(_weight(t, u))
+        u = _block_lengths(d, k)
         while j < k:
             j += 1
             # a slice is a copy, so a zero digit is skipped, not sliced
@@ -627,14 +646,14 @@ def fixed_point_prefix_bytes(d: RenyiExpansion, length: int) -> bytes:
         raise BudgetExceeded(f"a prefix of {length} letters exceeds the cap of {TEXT_CAP}")
     if length:  # the empty prefix needs no alphabet
         _check_alphabet(d)
-    t, u = d.digits, [1]
-    while u[-1] <= length:
-        u.append(_weight(t, u))
-    runs = []
-    for i in reversed(range(len(u) - 1)):
+    k = 0  # the least k with U_k > length
+    while _block_lengths(d, k)[k] <= length:
+        k += 1
+    u, runs = _block_lengths(d, k), []
+    for i in reversed(range(k)):
         q, length = divmod(length, u[i])
         runs.append((i, q))
-    return b"".join(_spell(d, runs, u))
+    return b"".join(_spell(d, runs))
 
 
 def _advance(per, s, states) -> bool:
@@ -882,10 +901,7 @@ def _rank_state(d: RenyiExpansion, s) -> tuple:
     """The rank of s (see ``radix_rank``) and its final automaton state, the
     letter of the gap after s, from one automaton pass."""
     s, states = _admissible_states(d, s)
-    u = []
-    for _ in s:
-        u.append(_weight(d.digits, u))
-    return sum(a * w for a, w in zip(reversed(s), u)), states[-1]
+    return sum(map(operator.mul, reversed(s), _block_lengths(d, len(s) - 1))), states[-1]
 
 
 def succ_gap_letter(d: RenyiExpansion, y) -> int:
@@ -925,12 +941,13 @@ def _segment(d: RenyiExpansion, start, count: int):
     A step from y = P 0^i, with state 0 after P, reads the block
     phi^i(0) = u[:U_i] of the points P v at once and lands on succ(P) 0^i
     (see the module docstring), for the largest such i with U_i <= the gaps
-    left; i = 0 is the single step, which reads the gap letter of y.  While
-    the last digit a of P stays below its period digit p, state 0 follows
-    it again, so the step takes up to p - a copies of the block at once and
-    raises a by their count.  Equal neighbouring runs are merged, so a walk
-    holds a few runs per digit of its end, and no letter is built: the
-    count has no cap.
+    left; i = 0 is the single step, which reads the gap letter of y.  U_i
+    comes from the block table of d (``_block_lengths``), lengthened only as
+    far as a zero run asks.  While the last digit a of P stays below its
+    period digit p, state 0 follows it again, so the step takes up to p - a
+    copies of the block at once and raises a by their count.  Equal
+    neighbouring runs are merged, so a walk holds a few runs per digit of
+    its end, and no letter is built: the count has no cap.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -938,7 +955,7 @@ def _segment(d: RenyiExpansion, start, count: int):
     per = quasi_greedy(d)
     y = list(y)
     runs = []
-    u = [1]  # U_0, U_1, ...: block lengths, as far as zero runs have asked
+    u = _block_lengths(d, 0)  # lengthened as zero runs ask
     # phi^i(0) holds the letters up to min(i, m - 1) and _spell holds blocks
     # as bytes, so on a wider alphabet a run is read at most MAX_ALPHABET
     # zeros deep
@@ -948,7 +965,7 @@ def _segment(d: RenyiExpansion, start, count: int):
         i = k = 0
         while k < n and k < deepest and y[n - 1 - k] == 0:
             if len(u) == k + 1:
-                u.append(_weight(d.digits, u))
+                _block_lengths(d, k + 1)
             if u[k + 1] > count:
                 break
             k += 1
@@ -982,5 +999,5 @@ def coding_of_segment(d: RenyiExpansion, start, count: int) -> Word:
     """
     if count > TEXT_CAP:
         raise BudgetExceeded(f"a coding of {count} gaps exceeds the cap of {TEXT_CAP} letters")
-    parts = _spell(d, _segment(d, start, count)[0], [1])
+    parts = _spell(d, _segment(d, start, count)[0])
     return tuple(a for part in parts for a in part)

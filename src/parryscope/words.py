@@ -43,8 +43,10 @@ _DIGIT_TEXT = bytes.maketrans(_DIGITS, b"0123456789")
 
 
 def fmt(w) -> str:
-    """Text form of a word: compact when every letter fits one digit."""
-    w = tuple(w)
+    """Text form of a word: compact when every letter fits one digit.  Bytes
+    are read as they are, and any other iterable once, into a tuple."""
+    if not isinstance(w, bytes):
+        w = tuple(w)
     try:
         text = bytes(w)
     except (TypeError, ValueError):  # a letter outside 0..255

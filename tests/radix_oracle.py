@@ -73,6 +73,16 @@ def radix_rank(d, s):
     return rank
 
 
+def block_lengths(d, n):
+    """U_0, ..., U_(n-1) term by term: U_k = t_1 U_(k-1) + ... + t_m U_(k-m),
+    plus 1 while k < m, with the terms of negative index left out."""
+    t = d.digits
+    u = []
+    for k in range(n):
+        u.append(sum(t[i - 1] * u[k - i] for i in range(1, min(k, len(t)) + 1)) + (k < len(t)))
+    return u
+
+
 def succ_match_length(d, y):
     """Largest k <= |y| such that the length-k suffix of y is a prefix of the
     quasi-greedy expansion of 1."""

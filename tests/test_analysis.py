@@ -32,6 +32,7 @@ from parryscope.errors import (
     LetterRangeError,
     NotApplicable,
     ParryViolation,
+    TrailingZeroError,
     VerificationFailed,
 )
 from parryscope.numeration import coding_of_segment, radix_rank, validate_renyi, value_of
@@ -946,12 +947,13 @@ def test_witness_reads_each_point_once(monkeypatch):
 
 
 def _count_text(mp):
-    """Record every call through which verify_witness could build letters:
-    the prefix u[:span] and the joiner of a walk's runs."""
+    """Record, by name, every call through which verify_witness could build
+    letters: the prefix u[:span] and the joiner of a walk's runs."""
     calls = []
     for name in ("fixed_point_prefix_bytes", "_spell"):
         real = getattr(analysis, name)
-        mp.setattr(analysis, name, lambda *a, real=real: calls.append(a) or real(*a))
+        mp.setattr(analysis, name,
+                   lambda *a, name=name, real=real: calls.append(name) or real(*a))
     return calls
 
 
@@ -997,7 +999,7 @@ def test_a_walk_whose_runs_differ_is_compared_by_letters(monkeypatch, base):
     built = _count_text(monkeypatch)
     v = verify_witness(d, b)
     # the prefix and the letters of the split walk, once each
-    assert [len(a) for a in built] == [2, 3]
+    assert built == ["fixed_point_prefix_bytes", "_spell"]
     assert v.w0 == radix_oracle.witness_by_letters(d, b)[1]
 
 
@@ -1075,3 +1077,57 @@ def test_witness_is_the_shortest_non_prefix_left_special_factor():
         c = lib.sorted_view.complexity
         excess = [k for k in range(1, n + 1) if c[k + 1] - c[k] > d.m - 1]
         assert excess[:1] == [n], fmt(d.digits)
+
+
+@st.composite
+def _table_calls(draw):
+    """A base, a witness base half the time, and a sequence of calls that
+    read its block table: (kind, a, b)."""
+    base = draw(st.one_of(st.sampled_from(["2121", "3231", "221221", "3312331", "12,3,12,1"]),
+                          st.lists(st.integers(0, 3), min_size=2, max_size=6)))
+    try:
+        d = validate_renyi(base)
+    except (ParryViolation, TrailingZeroError):
+        assume(False)
+    calls = st.tuples(st.sampled_from(["rank", "coding", "prefix", "witness"]),
+                      st.integers(0, 3000), st.integers(0, 300))
+    return d.digits, draw(st.lists(calls, min_size=1, max_size=8))
+
+
+def _table_call(d, kind, a, b):
+    """One reader of the block table of d, on the a-th and b-th beta-integers."""
+    point = numeration._segment(validate_renyi(d.digits), (), b)[1]
+    if kind == "rank":
+        return radix_rank(d, numeration._segment(validate_renyi(d.digits), (), a)[1])
+    if kind == "coding":
+        return coding_of_segment(d, point, a)
+    if kind == "prefix":
+        return numeration.fixed_point_prefix_bytes(d, a)
+    if classify_affine(d).reason != "fractional_power":
+        return None
+    v = verify_witness(d, construct_witness(d))
+    return v.span, v.w0, v.x1_end, v.x2_end, v.pred_letters, v.succ_letter_z
+
+
+@given(_table_calls())
+@settings(max_examples=60, deadline=None)
+def test_one_block_table_per_base_does_not_depend_on_call_order(case):
+    # the rank, a walk, a prefix and the witness share the table of d in any
+    # order; each reads what it would read on a fresh base, the rank of the
+    # a-th beta-integer is a, and the table is the recurrence of U
+    digits, calls = case
+    d = validate_renyi(digits)
+    for kind, a, b in calls:
+        got = _table_call(d, kind, a, b)
+        assert got == _table_call(validate_renyi(digits), kind, a, b)
+        assert kind != "rank" or got == a
+    table = numeration._block_lengths(d, 0)
+    assert table == radix_oracle.block_lengths(d, len(table))
+
+
+@pytest.mark.parametrize("base", ["11", "21", "201", "2121", "3231"])
+def test_the_recurrence_of_u_counts_the_admissible_strings(base):
+    # U_k is the rank of 1 0^k: the admissible strings of length at most k
+    d = validate_renyi(base)
+    assert radix_oracle.block_lengths(d, 6) == [
+        radix_oracle.radix_rank(d, (1,) + (0,) * k) for k in range(6)]

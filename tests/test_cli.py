@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON round-trips, corpus scans."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ from parryscope import analysis, numeration
 from parryscope.cli import CorpusSpec, _build_parser, _emit, main
 from parryscope.errors import ParryscopeError, UsageError, VerificationFailed
 from parryscope.numeration import validate_renyi
-from parryscope.words import satisfies_power_condition
+from parryscope.words import fmt, satisfies_power_condition
 
 
 def run(capsys, *argv):
@@ -89,6 +90,32 @@ def test_witness_full_pipeline(capsys):
     assert body["verification"]["conditions"] == {
         "i": True, "ii": True, "iii": True, "iv": True,
     }
+
+
+WIDE_WITNESS_BASES = ("12,3,12,1", "300,2,300,1", "2,1,1,1,1,1,1,1,1,1,2,1",
+                      "1000000000,1,1000000000,1")
+
+
+def test_witness_report_words_are_the_library_words(capsys):
+    # the report writes w0 from its bytes and names the bundle's fields: each
+    # word reads as fmt of the library's own value, with letters of 10 or
+    # more, of 256 or more, m = 12, and a span past the text cap (w0 null)
+    bases = CorpusSpec.parse("m=2..7,digit<=3,tm=1,nonpower").members()[0]
+    assert len(bases) == 279
+    for d in [*bases, *map(validate_renyi, WIDE_WITNESS_BASES)]:
+        code, body = run_json(capsys, "witness", fmt(d.digits))
+        assert code == 0
+        b = analysis.construct_witness(d)
+        v = analysis.verify_witness(d, b)
+        fields = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
+        fields["d"] = d.digits
+        want = {k: fmt(x) if isinstance(x, tuple) else x for k, x in fields.items()}
+        assert list(body["bundle"].items()) == list(want.items()), fmt(d.digits)
+        report = body["verification"]
+        assert (v.w0 is None) == (v.span >= numeration.TEXT_CAP)
+        assert report["w0"] == (None if v.w0 is None else fmt(v.w0))
+        assert (report["x1_end"], report["x2_end"]) == (fmt(v.x1_end), fmt(v.x2_end))
+        assert run_json(capsys, "classify", fmt(d.digits))[1]["witness"] == body
 
 
 def test_witness_not_applicable(capsys):

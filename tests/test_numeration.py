@@ -499,7 +499,7 @@ def _walk(d, start, count):
     """``_segment`` with its runs joined into letters: the shape of
     ``radix_oracle.segment``."""
     runs, end, state = _segment(d, start, count)
-    return tuple(a for part in numeration._spell(d, runs, [1]) for a in part), end, state
+    return tuple(a for part in numeration._spell(d, runs) for a in part), end, state
 
 
 @pytest.mark.parametrize("d", AUTOMATON_BASES, ids=lambda d: fmt(d.digits))
@@ -1169,6 +1169,30 @@ def test_an_exact_zero_on_a_fresh_base_takes_at_most_two_narrowings(monkeypatch)
     z, = _vanishing_cofactors(d)
     assert zb_sign(z) == 0
     assert len(narrowed) <= 2 and len(enclosed) <= 5
+
+
+def test_a_deep_sign_continues_each_narrowing_from_the_interval_before(monkeypatch):
+    # in base 2111, beta^-1 = beta^3 - 2 beta^2 - beta - 1, and T = beta^-300
+    # has 178-bit coordinates; T - T beta^-1 = T (1 - beta^-1) > 0 needs about
+    # 690 bits.  Each narrowing asks for twice the bits of the interval and
+    # starts Newton's method from its middle, with no float guess after the
+    # first: restarting from a float and adding about 100 bits a time took 5
+    # narrowings, 5 float guesses and 28 passes of P
+    d = validate_renyi("2111")
+    b = beta(d)
+    inverse = b * b * b - 2 * b * b - b - 1
+    assert inverse * b == one(d)
+    t = power(inverse, 300)
+    assert max(map(abs, t.coords)).bit_length() == 178
+    calls = []
+    for name in ("_narrow", "_beta_estimate", "_parry_at"):
+        real = getattr(numeration, name)
+        monkeypatch.setattr(numeration, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert zb_sign(t - t * inverse) == 1
+    assert calls.count("_narrow") <= 3 and calls.count("_beta_estimate") == 1
+    assert calls.count("_parry_at") <= 15
+    assert _brackets_beta(d)
 
 
 @pytest.mark.parametrize("digits", ["330211001121", "33320222332031210203"])

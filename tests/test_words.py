@@ -71,6 +71,16 @@ def test_fmt_matches_letter_by_letter_definition(w):
     assert fmt(w) == fmt(tuple(w)) == _fmt_by_letters(w)
 
 
+@pytest.mark.parametrize("letters", [(), (0, 1, 2, 0), (0, 10, 9), (12, 3, 12, 1),
+                                     (255, 0, 256), (300, 2, 300, 1)])
+def test_fmt_reads_a_word_alike_in_every_form(letters):
+    # bytes are read as they are, and a generator is read once
+    forms = [letters, list(letters), (a for a in letters)]
+    if all(a < 256 for a in letters):
+        forms.append(bytes(letters))
+    assert [fmt(w) for w in forms] == [_fmt_by_letters(letters)] * len(forms)
+
+
 def test_word_rejects_garbage():
     with pytest.raises(ValueError):
         word("abc")
