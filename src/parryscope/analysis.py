@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -751,9 +751,9 @@ def _runs(z: Word) -> list:
 def _excess(d: RenyiExpansion, a: Word, b: Word, c: Word) -> list:
     """Coordinates of value(a) - value(b) - value(c) for digit words a, b
     and c: the value map is linear in the digits, so one Horner pass over
-    their right-aligned digit differences."""
-    n = max(len(a), len(b), len(c))
-    return _horner(d, [x - y - z for x, y, z in zip(*((0,) * (n - len(w)) + w for w in (a, b, c)))])
+    their digit differences, read from the right end, where they align."""
+    columns = zip_longest(reversed(a), reversed(b), reversed(c), fillvalue=0)
+    return _horner(d, reversed([x - y - z for x, y, z in columns]))
 
 
 def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerification:
