@@ -965,7 +965,7 @@ def _segment(d: RenyiExpansion, start, count: int):
         i = k = 0
         while k < n and k < deepest and y[n - 1 - k] == 0:
             if len(u) == k + 1:
-                _block_lengths(d, k + 1)
+                u = _block_lengths(d, k + 1)
             if u[k + 1] > count:
                 break
             k += 1
