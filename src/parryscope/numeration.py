@@ -22,11 +22,11 @@ evaluations at the two end points, so no division is made; the one routine
 that does this returns the bounds.  One loop decides every sign, and the
 zero test asks it for sign 0: while the enclosure straddles 0 the interval
 is narrowed.  The one narrowing routine refines a guess at beta by integer
-Newton steps, a float at first and then the interval it narrows, which a
-sign about doubles in bits each time; when the guess is useless, it runs
-Newton's method from t_1 + 1, which always converges.  It widens the result
-until P(lo) < 0 < P(hi), which certifies it, since P has one positive root
-(Descartes).  The base polynomial P need not be irreducible, so nonzero
+Newton steps: a float at first, and after that the middle of the interval
+it replaces, whose bits each narrowing of a sign about doubles.  When the
+guess is useless, it runs Newton's method from t_1 + 1, which always
+converges.  It widens the result until P(lo) < 0 < P(hi), which certifies
+it, since P has one positive root (Descartes).  The base polynomial P need not be irreducible, so nonzero
 coordinates may still be 0 at beta; once the interval is a fixed number of
 bits finer than the value's largest coordinate, the loop also encloses the
 cofactor P / gcd(value, P), which leaves 0 exactly when the value is 0.
