@@ -8,9 +8,14 @@ a factor of length n that starts in one block ends in the next, so it lies
 in a text phi^k(a) phi^k(b) with ab in L2.  L2 is the closure of {u_0 u_1}
 under the two-letter factors of phi(ab); the least such k follows from
 integer letter counts.  A window of phi^k(a) phi^k(b) lies in one block or
-crosses the boundary, so the windows of each block are read once and those
-of each boundary once per pair.  Only the set of the longest length is
-built: u is right-infinite, so every factor is a prefix of a longer one.
+crosses the boundary, and a window of a block phi^j(a), the product of the
+sub-blocks phi^(j-1)(c) over the letters c of phi(a), lies in one sub-block
+or crosses a joint between two.  So each block is opened once, and only the
+letters around its joints are read before its sub-blocks are opened in
+turn; a block of at most 2n letters is read whole.  The joints, the short
+blocks and the boundaries of the pairs are gathered first, and each
+distinct text among them is read once.  Only the set of the longest length
+is built: u is right-infinite, so every factor is a prefix of a longer one.
 
 A library is certified once, when it is made: the (L-1)-suffixes of its
 L-factors must be their (L-1)-prefixes (see ``FactorLibrary``).  That one
@@ -37,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, zip_longest
+from itertools import accumulate, combinations, repeat, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -93,7 +98,7 @@ class PrefixCounts(NamedTuple):
 def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
     """The trie of a non-empty set of distinct words of ``length`` bytes, from
     one sort.  Read little-endian, the words count as reversed."""
-    keys = sorted([int.from_bytes(w, byteorder) for w in words])
+    keys = sorted(map(int.from_bytes, words, repeat(byteorder)))
     bits = 8 * length
     cuts = [0] * length  # neighbour pairs by the length of their common prefix
     nodes = [[] for _ in range(length)]
@@ -127,7 +132,8 @@ class FactorLibrary:
     ``reversed_view`` the left special ones, each with its extension
     letters.  Factors are kept as bytes; the public reports convert to
     tuples.  ``prefix_length`` is the total length of the texts phi^k(a)
-    phi^k(b) the factors were read from.
+    phi^k(b), ab in L2, that certify the factors, not the number of letters
+    read: ``factor_library`` reads only the joints of the blocks.
 
     The constructor raises VerificationFailed("balance") unless the
     (L-1)-suffixes of the factors F of length L = ``max_len`` are their
@@ -205,7 +211,14 @@ def _min_stored_bytes(m: int, max_len: int) -> int:
 def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
     """All factors of lengths up to ``max_len``: those of length ``max_len``
     from the texts phi^k(a) phi^k(b), ab in L2, with every phi^k(a) at least
-    max_len - 1 letters long, the shorter ones as their prefixes.  Raises
+    max_len - 1 letters long, the shorter ones as their prefixes.
+
+    A window crosses the boundary of a pair or lies in one block, and a
+    window of phi^j(a) lies in one sub-block phi^(j-1)(c) or starts in the
+    max_len - 1 letters before a joint p between two: so the boundaries,
+    the letters p - max_len + 1 .. p + max_len - 2 around every joint, and
+    the blocks of at most 2 max_len letters hold every window.  Each block
+    phi^j(a) is opened once, and each distinct text read once.  Raises
     BudgetExceeded if the texts would pass TEXT_CAP or the factors of length
     ``max_len`` FACTOR_BYTES_CAP: before building when the lower bound on
     C(max_len) passes it, else as soon as the factors read so far do.
@@ -242,20 +255,36 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
         )
     if cached is not None and _min_stored_bytes(d.m, min(lengths) + 1) <= FACTOR_BYTES_CAP:
         max_len = min(lengths) + 1
-    blocks = [bytes([a]) for a in range(d.m)]
+    levels = [[bytes([a]) for a in range(d.m)]]  # levels[j][a] = phi^j(a)
     for _ in range(k):
-        blocks = [b"".join(blocks[c] for c in im) for im in images]
+        levels.append([b"".join(levels[-1][c] for c in im) for im in images])
+    blocks = levels[k]
     # a window of phi^k(a) phi^k(b) lies in one block or starts in the last
     # max_len - 1 letters of phi^k(a); every letter occurs in L2 (phi is
     # primitive), and every block is at least max_len - 1 letters long
     edge = max_len - 1
-    heads = [block[:edge] for block in blocks]
-    tails = [block[len(block) - edge:] for block in blocks]
-    texts = chain(((block, len(block) - edge) for block in blocks),
-                  ((tails[a] + heads[b], edge) for a, b in pairs))
+    # each distinct text once, in the order found, so that a run over the
+    # cap stops at the same factor every time
+    texts = dict.fromkeys(blocks[a][len(blocks[a]) - edge:] + blocks[b][:edge] for a, b in pairs)
+    # open each block once: the letters around its joints, then its
+    # sub-blocks (see the docstring)
+    todo = [(k, a) for a in range(d.m)]
+    opened = set()
+    while todo:
+        j, a = item = todo.pop()
+        block = levels[j][a]
+        if item in opened or len(block) < max_len:
+            continue
+        opened.add(item)
+        if len(block) <= 2 * max_len:  # every block of phi^0 is one letter
+            texts[block] = None
+            continue
+        for p in accumulate(len(levels[j - 1][c]) for c in images[a][:-1]):
+            texts[block[max(0, p - edge):p + edge]] = None
+        todo.extend((j - 1, c) for c in images[a])
     longest = set()
-    for text, windows in texts:
-        longest.update(text[i:i + max_len] for i in range(windows))
+    for text in texts:
+        longest.update(text[i:i + max_len] for i in range(len(text) - edge))
         if len(longest) * max_len > FACTOR_BYTES_CAP:
             raise BudgetExceeded(
                 f"{len(longest)} factors of length {max_len} pass the cap of "

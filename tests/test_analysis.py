@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radix_oracle
+from factor_oracle import whole_block_factors
 from gap_oracle import expected_gap_inventory, verify_gap_inventory
 from parryscope import analysis, numeration
 from parryscope.analysis import (
@@ -134,6 +135,49 @@ def test_factor_library_short_lengths_match_prefix_scan():
             clear_factor_cache()
             assert _factor_sets(factor_library(d, max_len)) == scan[:max_len + 1], (
                 fmt(d.digits), max_len)
+
+
+def _same_as_whole_blocks(lib):
+    return (lib.longest, lib.prefix_length) == whole_block_factors(lib.d, lib.max_len)
+
+
+def test_joint_reader_equals_the_whole_block_reader():
+    # the library opens each block once, at its joints, and reads each
+    # distinct text once; the oracle reads every window of the whole texts
+    members, _ = CorpusSpec.parse("m=2..6,digit<=3").members()
+    assert len(members) == 960
+    for d in members:
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+            clear_factor_cache()
+            assert _same_as_whole_blocks(factor_library(d, n)), (fmt(d.digits), n)
+
+
+def test_joint_reader_equals_the_whole_block_reader_on_a_warm_sweep():
+    # a warm rebuild reads at the longest length its texts certify
+    for d in CorpusSpec.parse("m=2..5,digit<=3").members()[0]:
+        clear_factor_cache()
+        built = None
+        for n in range(1, 46):
+            lib = factor_library(d, n)
+            if lib is not built:
+                built = lib
+                assert _same_as_whole_blocks(lib), (fmt(d.digits), n, lib.max_len)
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=9), st.integers(1, 80))
+@example([1, 0, 0, 0, 0, 0, 0, 0, 1], 80)
+@settings(max_examples=150, deadline=None)
+def test_joint_reader_equals_the_whole_block_reader_on_random_bases(digits, n):
+    try:
+        d = validate_renyi(digits)
+    except (ParryViolation, TrailingZeroError):
+        assume(False)
+    clear_factor_cache()
+    try:
+        lib = factor_library(d, n)
+    except BudgetExceeded:
+        assume(False)
+    assert _same_as_whole_blocks(lib), (fmt(digits), n)
 
 
 def _extension_maps(sets, n, m):
@@ -461,7 +505,7 @@ def test_image_of_left_special_is_left_special():
         for n in range(1, 6):
             rep = special_factors(d, n)
             for w, ext in rep.left_special.items():
-                im = s.apply(w)
+                im = tuple(x for a in w for x in s.images[a])
                 lifted = special_factors(d, len(im)).left_special.get(im)
                 assert lifted is not None and len(lifted) == len(ext)
 
