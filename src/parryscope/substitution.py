@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LetterRangeError
-from .numeration import RenyiExpansion, _check_alphabet, fixed_point_prefix_bytes
-from .words import Word, fmt, word
+from .errors import BudgetExceeded
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, fixed_point_prefix_bytes
+from .words import Word, fmt
 
 
 @dataclass(frozen=True)
@@ -25,19 +25,6 @@ class Substitution:
     def m(self) -> int:
         return len(self.images)
 
-    def image(self, a: int) -> Word:
-        if not 0 <= a < self.m:
-            raise LetterRangeError(f"letter {a} outside alphabet of size {self.m}")
-        return self.images[a]
-
-    def apply(self, w) -> Word:
-        """Image of a word: concatenation of letter images (a morphism)."""
-        w = word(w)
-        out = []
-        for a in w:
-            out.extend(self.image(a))
-        return tuple(out)
-
     def to_json(self):
         return {
             "images": {str(a): fmt(im) for a, im in enumerate(self.images)},
@@ -50,9 +37,15 @@ class Substitution:
 
 
 def build_substitution(d: RenyiExpansion) -> Substitution:
-    """The canonical substitution for the base d."""
+    """The canonical substitution for the base d.  Raises BudgetExceeded,
+    before any image is spelt, when the digits plus m pass TEXT_CAP, so that
+    the images would hold TEXT_CAP letters or more: every caller prints them
+    or reads texts built from them."""
     _check_alphabet(d)
     m = d.m
+    if sum(d.digits) + m > TEXT_CAP:
+        raise BudgetExceeded(f"the images of the substitution hold {sum(d.digits) + m - 1} "
+                             f"letters; the cap is {TEXT_CAP}")
     images = []
     for i in range(m - 1):
         images.append((0,) * d.digits[i] + (i + 1,))

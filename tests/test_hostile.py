@@ -1,0 +1,45 @@
+"""Hostile inputs fail fast with their documented exit code, under a memory
+limit: each row runs the CLI in a fresh interpreter whose address space is
+capped, so a command that would exhaust memory fails here instead."""
+
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+MEMORY_LIMIT = 3 << 29  # 1.5 GiB of address space, set in the child only
+
+# t_1 and t_3 near 10^9: the images of the substitution pass the text cap, so
+# whatever spells them exits 4 before spelling; the structural verdict and
+# the witness read no image
+HUGE_DIGITS = "1000000000,1,1000000000,1"
+
+# (argv, exit code, wall-clock seconds)
+ROWS = [
+    (("classify", HUGE_DIGITS, "--oracle-n", "10"), 4, 1.0),
+    (("generate", HUGE_DIGITS, "-L", "10"), 4, 1.0),
+    (("specials", HUGE_DIGITS, "left", "-n", "3"), 4, 1.0),
+    (("specials", HUGE_DIGITS, "maximal", "--length-bound", "3"), 4, 1.0),
+    (("classify", HUGE_DIGITS), 0, 5.0),
+    (("witness", HUGE_DIGITS), 0, 5.0),
+]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+@pytest.mark.parametrize("argv, code, seconds", ROWS, ids=[" ".join(r[0]) for r in ROWS])
+def test_hostile_input_exits_in_time(argv, code, seconds):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "parryscope.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_memory)
+    wall = time.perf_counter() - start
+    assert proc.returncode == code, proc.stdout[-500:] + proc.stderr[-500:]
+    assert wall < seconds

@@ -8,7 +8,7 @@ import pytest
 
 from gap_oracle import j_indices
 from parryscope.cli import CorpusSpec
-from parryscope.errors import LetterRangeError
+from parryscope.errors import BudgetExceeded, LetterRangeError
 from parryscope.numeration import TEXT_CAP, coding_of_segment, radix_rank, validate_renyi
 from parryscope.substitution import (
     Substitution,
@@ -21,6 +21,11 @@ from primitivity_oracle import is_primitive, primitivity_exponent
 
 GOLDEN = validate_renyi("11")
 D2121 = validate_renyi("2121")
+
+
+def apply(s, w):
+    """The image of a word under the substitution s: its letters' images."""
+    return tuple(x for a in word(w) for x in s.images[a])
 
 
 def test_build_examples():
@@ -37,14 +42,27 @@ def test_build_needs_two_letters():
         build_substitution(validate_renyi("2"))
 
 
+def test_images_over_the_text_cap_are_refused_before_they_are_spelt():
+    # the images of t_1 1 hold t_1 + 2 letters
+    s = build_substitution(validate_renyi(f"{TEXT_CAP - 3},1"))
+    assert sum(map(len, s.images)) == TEXT_CAP - 1
+    for base in (f"{TEXT_CAP - 2},1", "1000000000,1,1000000000,1", f"{10**160},3,1"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build_substitution(validate_renyi(base))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, base
+
+
 def test_apply_examples():
     s = build_substitution(GOLDEN)
-    assert s.apply("01") == word("010")
-    assert s.apply("") == ()
+    assert apply(s, "01") == word("010")
+    assert apply(s, "") == ()
     s4 = build_substitution(D2121)
-    assert s4.apply(s4.apply("0")) == word("00100102")
-    with pytest.raises(LetterRangeError):
-        s.apply((0, 5))
+    assert apply(s4, apply(s4, "0")) == word("00100102")
 
 
 def test_apply_is_a_morphism():
@@ -54,7 +72,7 @@ def test_apply_is_a_morphism():
         for _ in range(40):
             u = tuple(rng.randrange(s.m) for _ in range(rng.randrange(8)))
             v = tuple(rng.randrange(s.m) for _ in range(rng.randrange(8)))
-            assert s.apply(u + v) == s.apply(u) + s.apply(v)
+            assert apply(s, u + v) == apply(s, u) + apply(s, v)
 
 
 def test_fixed_point_prefix_examples():
@@ -69,7 +87,7 @@ def test_prefix_is_fixed_by_the_substitution():
         s = build_substitution(d)
         for L in (1, 10, 64, 257):
             p = fixed_point_prefix(d, L)
-            assert s.apply(p)[:L] == p
+            assert apply(s, p)[:L] == p
 
 
 def test_prefixes_of_length_u_k_are_the_iterates():
@@ -83,7 +101,7 @@ def test_prefixes_of_length_u_k_are_the_iterates():
             assert fixed_point_prefix(d, len(it)) == it, (d.digits, k)
             if len(it) > 3000:
                 break
-            it = s.apply(it)
+            it = apply(s, it)
 
 
 def test_prefixes_of_every_length_are_prefixes_of_the_iterates():
@@ -91,7 +109,7 @@ def test_prefixes_of_every_length_are_prefixes_of_the_iterates():
     for d in CorpusSpec.parse("m=2..4,digit<=3").members()[0]:
         s, it = build_substitution(d), (0,)
         while len(it) < 120:
-            it = s.apply(it)
+            it = apply(s, it)
         for L in range(1, 121):
             assert fixed_point_prefix(d, L) == it[:L], (d.digits, L)
 
@@ -180,7 +198,7 @@ def test_abelianization_tracks_matrix_powers():
         counts = [1] + [0] * (s.m - 1)
         w = (0,)
         for _ in range(5):
-            w = s.apply(w)
+            w = apply(s, w)
             counts = [sum(mat[a][b] * counts[b] for b in range(s.m)) for a in range(s.m)]
             assert counts == [w.count(a) for a in range(s.m)]
 

@@ -35,8 +35,8 @@ set:
   are written with commas: 12,3,12,1 (letters of 10 or more), 300,2,300,1
   (of 256 or more) and 2,1,1,1,1,1,1,1,1,1,2,1 (m = 12); and ``witness``
   and ``classify`` on 1000000000,1,1000000000,1, whose span passes the text
-  cap, so that its w0 is null (its factor library would first build an
-  image of 10^9 letters, so it takes no oracle);
+  cap, so that its w0 is null (it takes no oracle: its images pass the
+  text cap, and a tree from before that cap runs out of memory);
 * the error and null shapes: ``validate D`` and ``classify D`` (no oracle:
   null fields) on the twelve named bases, ``validate`` on the invalid 12 (a
   ``suffix_index``) and 10, ``witness`` on 11 and 22 (not applicable, with
