@@ -76,9 +76,10 @@ class LetterRangeError(ParryscopeError):
 
 class BudgetExceeded(ParryscopeError):
     """A request would need a text longer than the text cap (the texts of a
-    factor library, a fixed-point prefix or a gap coding), a factor library
-    would store more bytes of factors than the stored-bytes cap, or a corpus
-    has more candidate digit words than the corpus cap."""
+    factor library, a fixed-point prefix, a gap coding or the images of a
+    substitution), a factor library would store more bytes of factors than
+    the stored-bytes cap, or a corpus has more candidate digit words than
+    the corpus cap."""
 
     exit_code = 4
 

@@ -38,14 +38,14 @@ class Substitution:
 
 def build_substitution(d: RenyiExpansion) -> Substitution:
     """The canonical substitution for the base d.  Raises BudgetExceeded,
-    before any image is spelt, when the digits plus m pass TEXT_CAP, so that
-    the images would hold TEXT_CAP letters or more: every caller prints them
-    or reads texts built from them."""
+    before any image is spelt, when the images would hold TEXT_CAP letters
+    or more: every caller prints them or reads texts built from them."""
     _check_alphabet(d)
     m = d.m
-    if sum(d.digits) + m > TEXT_CAP:
-        raise BudgetExceeded(f"the images of the substitution hold {sum(d.digits) + m - 1} "
-                             f"letters; the cap is {TEXT_CAP}")
+    letters = sum(d.digits) + m - 1
+    if letters >= TEXT_CAP:
+        raise BudgetExceeded(f"the images of the substitution hold {letters} letters; "
+                             f"the cap is {TEXT_CAP}")
     images = []
     for i in range(m - 1):
         images.append((0,) * d.digits[i] + (i + 1,))
