@@ -232,11 +232,21 @@ class RenyiExpansion:
         if sum(w) < 2:
             # the single digit word "1" would denote base 1
             raise ParryViolation(1, "digit word denotes a base not exceeding 1")
-        for i in range(2, m + 1):
-            # the padded suffix w[i-1:] 0^(i-1) is below w iff w[i-1:] <= w[:m-i+1]:
-            # were those equal, the padding would meet t_m, which is nonzero
-            if w[i - 1:] > w[:m - i + 1]:
-                raise ParryViolation(i)
+        # the padded suffix w[j:] 0^j is below w iff w[j:] <= w[:m-j] (were
+        # those equal, the padding would meet t_m, which is nonzero); with
+        # z[j] the longest common prefix of w and w[j:] (the Z-array, built in
+        # one linear pass), that fails iff w[j+z[j]] > w[z[j]] inside w
+        z = [m] * m
+        left = right = 0  # w[left:right] == w[:right-left], right largest so far
+        for j in range(1, m):
+            k = min(right - j, z[j - left]) if j < right else 0
+            while j + k < m and w[k] == w[j + k]:
+                k += 1
+            z[j] = k
+            if j + k > right:
+                left, right = j, j + k
+            if j + k < m and w[j + k] > w[k]:
+                raise ParryViolation(j + 1)
         # isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e), shared
         # and monotonically narrowed
         object.__setattr__(self, "_iv", [(1, w[0] + 1, 0)])

@@ -18,6 +18,15 @@ MEMORY_LIMIT = 3 << 29  # 1.5 GiB of address space, set in the child only
 # the witness read no image
 HUGE_DIGITS = "1000000000,1,1000000000,1"
 
+# fifty thousand digits: a Parry check that compares each suffix with a
+# prefix slice is quadratic in them.  1^50000 is valid; 1^49999 2 fails at
+# its first suffix; 1 0^49998 2 passes every suffix but its last
+ONES = ",".join("1" * 50000)
+ONES_THEN_2 = ",".join("1" * 49999 + "2")
+ZEROS_THEN_2 = ",".join("1" + "0" * 49998 + "2")
+# short test ids for the long words
+NAMES = {ONES: "1^50000", ONES_THEN_2: "1^49999,2", ZEROS_THEN_2: "1,0^49998,2"}
+
 # (argv, exit code, wall-clock seconds)
 ROWS = [
     (("classify", HUGE_DIGITS, "--oracle-n", "10"), 4, 1.0),
@@ -26,6 +35,9 @@ ROWS = [
     (("specials", HUGE_DIGITS, "maximal", "--length-bound", "3"), 4, 1.0),
     (("classify", HUGE_DIGITS), 0, 5.0),
     (("witness", HUGE_DIGITS), 0, 5.0),
+    (("validate", ONES), 0, 1.0),
+    (("validate", ONES_THEN_2), 2, 1.0),
+    (("validate", ZEROS_THEN_2), 2, 1.0),
 ]
 
 
@@ -33,7 +45,8 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-@pytest.mark.parametrize("argv, code, seconds", ROWS, ids=[" ".join(r[0]) for r in ROWS])
+@pytest.mark.parametrize("argv, code, seconds", ROWS,
+                         ids=[" ".join(NAMES.get(a, a) for a in r[0]) for r in ROWS])
 def test_hostile_input_exits_in_time(argv, code, seconds):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.perf_counter()
