@@ -7,6 +7,12 @@ factor request above the text cap or a corpus above the candidate cap,
 141 when the reader closes the output pipe early.
 Each error class carries its code.
 Single-object commands emit JSON; corpus scans emit TSV by default.
+
+Command lines: after the command word, a line whose every token is a
+positional or an exact option string followed by its value, none of them
+starting with "-", is read by a plain matcher over the actions of that
+command's parser; argparse reads every other line, so help text and usage
+errors come from argparse alone.
 """
 
 from __future__ import annotations
@@ -35,6 +41,17 @@ from .words import fmt, satisfies_power_condition, word
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError on a usage error and keeps
+    the actions its ``add_argument`` returns, -h first, for ``_match``."""
+
+    def __init__(self, *args, **kwargs):
+        self.declared = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self.declared.append(super().add_argument(*args, **kwargs))
+        return self.declared[-1]
+
     def error(self, message):
         raise UsageError(message)
 
@@ -354,7 +371,10 @@ def cmd_scan(args):
 
 @functools.cache
 def _build_parser():
-    parser = _Parser(prog="parryscope", description=__doc__)
+    # the help text is the module docstring up to its note on command lines
+    # (None under python -OO)
+    description = __doc__ and __doc__.split("\n\nCommand lines:")[0]
+    parser = _Parser(prog="parryscope", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a digit word as an expansion of 1")
@@ -400,17 +420,90 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _table(command):
+    """What ``_match`` reads of one command parser, from the actions its
+    ``add_argument`` returned: the positionals in order, each option that
+    takes a value by its exact option strings (so not -h), the dests of the
+    required options, and the attributes a namespace starts from."""
+    declared = command.declared
+    positionals = [a for a in declared if not a.option_strings]
+    options = {s: a for a in declared if a.nargs is None for s in a.option_strings}
+    required = {a.dest for a in options.values() if a.required}
+    start = {a.dest: a.default for a in declared if a.default is not argparse.SUPPRESS}
+    start["func"] = command.get_default("func")
+    return positionals, options, required, start
+
+
+def _value(action, text):
+    """``text`` as argparse stores it for ``action``: converted by its type,
+    then checked against its choices.  Raises ValueError or TypeError where
+    argparse reports a usage error."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _match(command, rest):
+    """The namespace that ``command.parse_args(rest)`` returns, or None.
+
+    Reads, without argparse, a command line whose every token is a
+    positional that does not start with "-", or an exact option string of
+    the command (never -h) followed by a value that does not start with
+    "-".  As argparse does, it converts types, checks choices, fails on a
+    missing or extra positional and on a missing required option, keeps the
+    last value of a repeated option and fills in the defaults and the
+    command's ``func``.  Anything else (--opt=v, an abbreviation, -L5, --,
+    a negative value, -h) gives None.  A "*" positional takes every
+    positional left over; that is argparse's grouping as long as its
+    command (betaint) has no option."""
+    positionals, options, required, ns = _table(command)
+    ns = dict(ns)
+    words, given = [], set()
+    tokens = iter(rest)
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            action = options.get(token)
+            text = next(tokens, "-")  # an option at the end has no value
+            if action is None or text.startswith("-"):
+                return None
+            ns[action.dest] = _value(action, text)
+            given.add(action.dest)
+        for action in positionals:
+            if action.nargs == "*":
+                ns[action.dest] = [_value(action, w) for w in words]
+                words = []
+            elif words:
+                ns[action.dest] = _value(action, words.pop(0))
+            else:
+                return None
+    except (ValueError, TypeError):
+        return None
+    if words or not required <= given:
+        return None
+    return argparse.Namespace(**ns)
+
+
 def main(argv=None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit
-    code.  A command word at argv[0] goes straight to that command's
-    parser with the rest of argv, which is what the top-level parser, whose
-    only option is -h, would hand it; anything else goes through the
-    top-level parser."""
+    code.  A command word at argv[0] hands the rest of argv to ``_match``,
+    which reads a line of plain positionals and exact options with their
+    values.  A line it does not read goes to that command's parser, which
+    is what the top-level parser, whose only option is -h, would hand it;
+    a line with no command word goes through the top-level parser.  So
+    every help text and usage error comes from argparse."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         parser = _build_parser()
         command = parser.commands.get(argv[0]) if argv else None
-        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = _match(command, argv[1:]) or command.parse_args(argv[1:])
         code = args.func(args)
         sys.stdout.flush()
         return code

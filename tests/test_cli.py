@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parryscope import analysis, numeration
-from parryscope.cli import CorpusSpec, _build_parser, _emit, main
+from parryscope.cli import CorpusSpec, _build_parser, _emit, _match, main
 from parryscope.errors import ParryscopeError, UsageError, VerificationFailed
 from parryscope.numeration import validate_renyi
 from parryscope.words import fmt, satisfies_power_condition
@@ -435,16 +435,96 @@ def _outcome(capsys, parse, argv):
     ["validate", "--", "2121"], ["betaint", "11", "coding", "0", "-1"],
     ["classify", "11", "--oracle-n", "x"], ["specials", "11", "middle"], ["validate"],
     ["validate", "11", "--bogus"], ["validate", "-h"], ["betaint", "2121", "-h"],
-    ["scan", "-h"],
+    ["scan", "-h"], ["classify", "--oracle-n", "5", "11"],
+    ["classify", "11", "--oracle-n", "3", "--oracle-n", "5"],
+    ["scan", "--corpus", "m=2..3", "--format", "xml"], ["classify", "11", "--oracle-n", "-5"],
+    ["betaint", "11", "succ"], ["generate", "11"],
 ], ids=" ".join)
 def test_a_command_parser_reads_what_the_top_level_parser_hands_it(capsys, argv):
     # main sends a command word straight to its own parser: the namespace,
-    # usage error or help must be the one the top-level parser gives
+    # usage error or help must be the one the top-level parser gives, and the
+    # matcher, which sees every action argparse holds, gives that namespace
+    # or nothing
     parser = _build_parser()
-    direct = _outcome(capsys, parser.commands[argv[0]].parse_args, argv[1:])
+    command = parser.commands[argv[0]]
+    direct = _outcome(capsys, command.parse_args, argv[1:])
     assert direct == _outcome(capsys, parser.parse_args, argv)
+    assert command.declared == command._actions
+    matched = _match(command, argv[1:])
+    assert matched is None or direct == ("parsed", vars(matched))
     if argv[-1] == "-h":
         assert direct[:2] == ("exit", 0) and direct[2].startswith(f"usage: parryscope {argv[0]}")
+
+
+def _argparse_reads(command, rest):
+    """The namespace argparse gives for ``rest``, or None for a usage error
+    or help."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return command.parse_args(rest)
+    except (UsageError, SystemExit):
+        return None
+
+
+def _is_plain(command, rest):
+    """Whether every token of ``rest`` is a positional or an exact option
+    string of ``command`` other than -h followed by its value, none
+    starting with "-": the lines the matcher is to read."""
+    tokens = iter(rest)
+    for token in tokens:
+        if token.startswith("-") and (
+                token in ("-h", "--help") or token not in command._option_string_actions
+                or next(tokens, "-").startswith("-")):
+            return False
+    return True
+
+
+_COMMANDS = _build_parser().commands
+# the command words, each option string and choice, ints, a stray word and
+# the shapes argparse alone reads
+_WORDS = st.one_of(st.integers(-5, 30).map(str), st.sampled_from(sorted({
+    *_COMMANDS, "x", "--", "--oracle-n=3", "2121", "m=2..3",
+    *(s for p in _COMMANDS.values() for a in p.declared
+      for s in [*a.option_strings, *(a.choices or ())])})))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command word and the rest of its line: a word for each positional
+    of the command (none to two for a "*" one), in order, with the option
+    strings of its options that take a value, each followed by a word, and
+    maybe a stray word, put in anywhere.  The words of an argument with
+    choices are drawn as often from those choices as from all words, so
+    that the plain lines the matcher reads come often."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    line, inserts = [], draw(st.lists(_WORDS.map(lambda w: [w]), max_size=1))
+    for action in _COMMANDS[name].declared:
+        word = st.one_of(st.sampled_from(action.choices), _WORDS) if action.choices else _WORDS
+        if not action.option_strings:
+            line += [[w] for w in draw(st.lists(word, min_size=action.nargs != "*",
+                                                max_size=1 if action.nargs is None else 2))]
+        elif action.nargs is None:
+            option = st.tuples(st.sampled_from(action.option_strings), word).map(list)
+            inserts += draw(st.lists(option, max_size=2))
+    for piece in inserts:
+        line.insert(draw(st.integers(0, len(line))), piece)
+    return name, [w for piece in line for w in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_the_matcher_reads_a_plain_line_as_argparse_does(line):
+    # pins the matcher to the argparse of the running Python: whatever it
+    # reads, argparse reads alike, and it reads every plain line argparse accepts
+    name, rest = line
+    command = _COMMANDS[name]
+    matched = _match(command, rest)
+    expected = _argparse_reads(command, rest)
+    if matched is not None:
+        assert matched == expected
+    elif expected is not None:
+        assert not _is_plain(command, rest)
 
 
 def test_oversized_oracle_range_exits_4_fast(capsys):

@@ -44,13 +44,16 @@ set:
   ``scan --corpus "m=2..3,digit<=2"`` as TSV and as JSON;
 * the shapes of a command line: ``--oracle-n=5``, the abbreviation
   ``--oracle 5``, ``-L5`` and ``-n5``; ``--`` before a positional and
-  ``betaint 11 coding 0 -1``; a bad int, a bad choice, a missing positional,
-  a missing required option and an unrecognized option; ``-h`` after each
-  command, no arguments, ``-h`` alone and an unknown command.  Help ends in
+  ``betaint 11 coding 0 -1``; an option before the positional, a repeated
+  option, a negative option value (``--oracle-n -5``) and an empty ``*``
+  positional (``betaint 11 succ``); a bad int, a bad choice of a positional
+  and of an option (``--format xml``), a missing positional, a missing
+  required option and an unrecognized option; ``-h`` after each command, no
+  arguments, ``-h`` alone and an unknown command.  Help ends in
   ``SystemExit``, whose code is recorded as the exit code, so help text is
   compared as well.
 
-That is 13040 commands.
+That is 13045 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -75,6 +78,10 @@ COMMANDS = ("validate", "classify", "witness", "generate", "betaint", "specials"
 SHAPES = [["classify", "11", "--oracle-n=5"], ["classify", "11", "--oracle", "5"],
           ["generate", "11", "-L5"], ["specials", "11", "left", "-n5"],
           ["validate", "--", "2121"], ["betaint", "11", "coding", "0", "-1"],
+          ["classify", "--oracle-n", "5", "11"],
+          ["classify", "11", "--oracle-n", "3", "--oracle-n", "5"],
+          ["classify", "11", "--oracle-n", "-5"], ["betaint", "11", "succ"],
+          ["scan", "--corpus", "m=2..3", "--format", "xml"],
           ["classify", "11", "--oracle-n", "x"], ["specials", "11", "middle"],
           ["validate"], ["generate", "11"], ["validate", "11", "--bogus"],
           *([cmd, "-h"] for cmd in COMMANDS), [], ["-h"], ["frobnicate", "11"]]
