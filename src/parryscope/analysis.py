@@ -40,11 +40,9 @@ authority on affineness; enumeration is the cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, repeat, zip_longest
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -53,8 +51,8 @@ from .errors import (
     NotApplicable,
     VerificationFailed,
 )
-from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _rank_state, _segment, _sign
-from .numeration import _horner, _spell, fixed_point_prefix_bytes, radix_rank
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _Frozen, _rank_state, _segment
+from .numeration import _horner, _sign, _spell, fixed_point_prefix_bytes, radix_rank
 from .substitution import build_substitution
 from .words import Word, borders, fmt, satisfies_power_condition, word
 
@@ -63,18 +61,19 @@ from .words import Word, borders, fmt, satisfies_power_condition, word
 # certified factor sets
 
 
-class PrefixCounts(NamedTuple):
+class PrefixCounts:
     """The trie of a set of words of one length L, from one sort of their
     keys: C(n) for n = 0 .. L and the branching nodes of every depth n < L."""
 
-    complexity: list  # complexity[n] = number of distinct n-prefixes
-    # nodes[n] = per n-prefix with two or more next letters (n < L), the
-    # sorted keys that meet there, one per next letter
-    nodes: list
-    keys: list  # the words as sorted integers
-    length: int
-    byteorder: str
-    levels: dict  # n -> branches(n), kept once decoded
+    def __init__(self, complexity: list, nodes: list, keys: list, length: int, byteorder: str):
+        self.complexity = complexity  # complexity[n] = number of distinct n-prefixes
+        # nodes[n] = per n-prefix with two or more next letters (n < L), the
+        # sorted keys that meet there, one per next letter
+        self.nodes = nodes
+        self.keys = keys  # the words as sorted integers
+        self.length = length
+        self.byteorder = byteorder
+        self.levels = {}  # n -> branches(n), kept once decoded
 
     def branches(self, n: int) -> dict:
         """{n-prefix: its next letters, ascending} over the n-prefixes with
@@ -119,10 +118,9 @@ def _prefix_counts(words, length: int, byteorder: str = "big") -> PrefixCounts:
             node = [x, y]
             nodes[lcp].append(node)
             path.append((lcp, node))
-    return PrefixCounts(list(accumulate(cuts, initial=1)), nodes, keys, length, byteorder, {})
+    return PrefixCounts(list(accumulate(cuts, initial=1)), nodes, keys, length, byteorder)
 
 
-@dataclass
 class FactorLibrary:
     """Factor sets of the fixed point for all lengths up to ``max_len``.
 
@@ -150,22 +148,21 @@ class FactorLibrary:
       count the same (n+1)-factors, which is sum(#Lext - 1) = C(n+1) - C(n).
     """
 
-    d: RenyiExpansion
-    max_len: int
-    prefix_length: int
-    longest: set  # the factors of length max_len (bytes)
-
-    def __post_init__(self):
+    def __init__(self, d: RenyiExpansion, max_len: int, prefix_length: int, longest: set):
         # one slice set alive at once: every suffix is a prefix, and taking
         # the suffixes away leaves no prefix
         heads, tails = itemgetter(slice(None, -1)), itemgetter(slice(1, None))
-        prefixes = set(map(heads, self.longest))
-        closed = prefixes.issuperset(map(tails, self.longest))
-        prefixes.difference_update(map(tails, self.longest))
+        prefixes = set(map(heads, longest))
+        closed = prefixes.issuperset(map(tails, longest))
+        prefixes.difference_update(map(tails, longest))
         if not closed or prefixes:
-            n = self.max_len - 1
+            n = max_len - 1
             raise VerificationFailed("balance", f"the {n}-suffixes of the factors of length "
-                                     f"{self.max_len} are not their {n}-prefixes")
+                                     f"{max_len} are not their {n}-prefixes")
+        self.d = d
+        self.max_len = max_len
+        self.prefix_length = prefix_length
+        self.longest = longest  # the factors of length max_len (bytes)
 
     @cached_property
     def sorted_view(self) -> PrefixCounts:
@@ -300,15 +297,16 @@ def factor_library(d: RenyiExpansion, max_len: int) -> FactorLibrary:
 # complexity
 
 
-@dataclass
 class ComplexityProfile:
     """C(n) and its first difference over 1..n_max, with provenance."""
 
-    d: RenyiExpansion
-    n_max: int
-    values: list  # C(1), ..., C(n_max)
-    deltas: list  # C(2)-C(1), ..., C(n_max)-C(n_max-1)
-    prefix_length_used: int
+    def __init__(self, d: RenyiExpansion, n_max: int, values: list, deltas: list,
+                 prefix_length_used: int):
+        self.d = d
+        self.n_max = n_max
+        self.values = values  # C(1), ..., C(n_max)
+        self.deltas = deltas  # C(2)-C(1), ..., C(n_max)-C(n_max-1)
+        self.prefix_length_used = prefix_length_used
 
     def c(self, n: int) -> int:
         return self.values[n - 1]
@@ -328,20 +326,24 @@ def complexity_profile(d: RenyiExpansion, n_max: int) -> ComplexityProfile:
 # special factors
 
 
-@dataclass
 class SpecialFactorReport:
     """Left/right special factors of one length with their extension
     letters, read off the branching nodes of the two sorted views of a
     certified library, so that sum(#Lext - 1) == C(n+1) - C(n)."""
 
-    d: RenyiExpansion
-    n: int
-    left_special: dict  # Word -> sorted tuple of extension letters
-    right_special: dict
-    bispecial: list
-    c_n: int
-    c_n1: int
-    prefix_length_used: int
+    def __init__(self, d: RenyiExpansion, n: int, left_special: dict, right_special: dict,
+                 bispecial: list, c_n: int, c_n1: int, prefix_length_used: int):
+        self.d = d
+        self.n = n
+        self.left_special = left_special  # Word -> sorted tuple of extension letters
+        self.right_special = right_special
+        self.bispecial = bispecial
+        self.c_n = c_n
+        self.c_n1 = c_n1
+        self.prefix_length_used = prefix_length_used
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SpecialFactorReport else NotImplemented
 
     @property
     def delta(self) -> int:
@@ -393,15 +395,20 @@ def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     return sorted(map(tuple, out), key=lambda w: (len(w), w))
 
 
-@dataclass(frozen=True)
-class Trident:
+class Trident(_Frozen):
     """A factor with one left special extension and two non-special
     extensions whose unique left extensions differ."""
 
-    word: Word
-    rooted: int
-    teeth: tuple  # (y, z), y < z, neither extension left special
-    teeth_lext: tuple  # the corresponding unique left-extension letters
+    def __init__(self, word: Word, rooted: int, teeth: tuple, teeth_lext: tuple):
+        # teeth: (y, z), y < z, neither extension left special; teeth_lext:
+        # the corresponding unique left-extension letters
+        self.__dict__.update(word=word, rooted=rooted, teeth=teeth, teeth_lext=teeth_lext)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Trident else NotImplemented
+
+    def __hash__(self):
+        return hash((self.word, self.rooted, self.teeth, self.teeth_lext))
 
     def to_json(self):
         return {
@@ -446,13 +453,13 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
 # affineness
 
 
-@dataclass
 class OracleCheck:
     """Enumeration cross-check of the structural verdict."""
 
-    agrees: bool
-    first_excess_n: int | None
-    profile: ComplexityProfile
+    def __init__(self, agrees: bool, first_excess_n: int | None, profile: ComplexityProfile):
+        self.agrees = agrees
+        self.first_excess_n = first_excess_n
+        self.profile = profile
 
     @property
     def affine(self) -> bool:
@@ -469,20 +476,22 @@ class OracleCheck:
         }
 
 
-@dataclass
 class Classification:
     """Structural affineness verdict for the fixed point of the base."""
 
-    d: RenyiExpansion
-    affine: bool
-    slope: int | None = None
-    intercept: int | None = None
-    reason: str | None = None  # "tm_not_one" | "fractional_power"
-    # shortest border, for the fractional power case; the witness bundle's
-    # p is the power of it chosen by construct_witness
-    p: Word | None = None
-    evidence: Word | None = None  # a known non-prefix left special factor
-    oracle: OracleCheck | None = None
+    def __init__(self, d: RenyiExpansion, affine: bool, slope: int | None = None,
+                 intercept: int | None = None, reason: str | None = None, p: Word | None = None,
+                 evidence: Word | None = None, oracle: OracleCheck | None = None):
+        self.d = d
+        self.affine = affine
+        self.slope = slope
+        self.intercept = intercept
+        self.reason = reason  # "tm_not_one" | "fractional_power"
+        # shortest border, for the fractional power case; the witness bundle's
+        # p is the power of it chosen by construct_witness
+        self.p = p
+        self.evidence = evidence  # a known non-prefix left special factor
+        self.oracle = oracle
 
     @property
     def first_excess_n(self) -> int | None:
@@ -609,8 +618,7 @@ def full_report(d: RenyiExpansion, oracle_n=None) -> dict:
 # the non-affine witness
 
 
-@dataclass(frozen=True)
-class WitnessBundle:
+class WitnessBundle(_Frozen):
     """Data of the witness construction for a base failing the power condition.
 
     The digit word factors as p^r p' q p 1 with p the border of
@@ -622,19 +630,10 @@ class WitnessBundle:
     differences in x1 and x2.  z, x1 and x2 carry no leading zeros.
     """
 
-    d: RenyiExpansion
-    p: Word
-    r: int
-    p_prime: Word
-    q: Word
-    c: Word
-    h1: int
-    h2: int
-    h: int
-    a_pad: int
-    z: Word
-    x1: Word
-    x2: Word
+    def __init__(self, d: RenyiExpansion, p: Word, r: int, p_prime: Word, q: Word, c: Word,
+                 h1: int, h2: int, h: int, a_pad: int, z: Word, x1: Word, x2: Word):
+        self.__dict__.update(d=d, p=p, r=r, p_prime=p_prime, q=q, c=c, h1=h1, h2=h2, h=h,
+                             a_pad=a_pad, z=z, x1=x1, x2=x2)
 
     def to_json(self):
         return {"d": fmt(self.d.digits), "p": fmt(self.p), "r": self.r,
@@ -733,17 +732,18 @@ def construct_witness(d: RenyiExpansion, cls: Classification | None = None) -> W
     return WitnessBundle(d, p, r, p_prime, q, c, h1, h2, h, a_pad, z, x1, x2)
 
 
-@dataclass
 class WitnessVerification:
     """Outcome of checking the four witness conditions; produced only when
     all of them hold."""
 
-    bundle: WitnessBundle
-    span: int  # number of gaps in [0, z]
-    x1_end: Word
-    x2_end: Word
-    pred_letters: tuple
-    succ_letter_z: int  # u[span], the final automaton state of z
+    def __init__(self, bundle: WitnessBundle, span: int, x1_end: Word, x2_end: Word,
+                 pred_letters: tuple, succ_letter_z: int):
+        self.bundle = bundle
+        self.span = span  # number of gaps in [0, z]
+        self.x1_end = x1_end
+        self.x2_end = x2_end
+        self.pred_letters = pred_letters
+        self.succ_letter_z = succ_letter_z  # u[span], the final automaton state of z
 
     @cached_property
     def w0(self):

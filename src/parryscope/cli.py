@@ -23,7 +23,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
@@ -114,15 +113,16 @@ _CORPUS_TOKEN = re.compile(
 )
 
 
-@dataclass
 class CorpusSpec:
     """Finite family of candidate digit words, e.g. "m=2..4,digit<=2,tm=1"."""
 
-    m_min: int = 2
-    m_max: int = 4
-    digit_bound: int = 2
-    tm: str = "any"  # "any" | "=1" | ">=2"
-    power: str = "any"  # "any" | "power" | "nonpower"
+    def __init__(self, m_min: int = 2, m_max: int = 4, digit_bound: int = 2, tm: str = "any",
+                 power: str = "any"):
+        self.m_min = m_min
+        self.m_max = m_max
+        self.digit_bound = digit_bound
+        self.tm = tm  # "any" | "=1" | ">=2"
+        self.power = power  # "any" | "power" | "nonpower"
 
     @classmethod
     def parse(cls, text: str) -> "CorpusSpec":

@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -207,8 +206,19 @@ def _enclosure(p, lo, hi, e) -> tuple:
 # the base
 
 
-@dataclass(frozen=True)
-class RenyiExpansion:
+class _Frozen:
+    """Base of the immutable records: each one's ``__init__`` writes its
+    fields into the instance dict, and nothing sets or deletes an attribute
+    afterwards."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RenyiExpansion(_Frozen):
     """A validated expansion of 1 in base beta: digits t_1 ... t_m.
 
     Construction enforces t_1 >= 1, t_m >= 1, beta > 1 and the Parry
@@ -219,11 +229,8 @@ class RenyiExpansion:
     coding below is well defined.
     """
 
-    digits: Word
-
-    def __post_init__(self):
-        w = word(self.digits)
-        object.__setattr__(self, "digits", w)
+    def __init__(self, digits):
+        w = word(digits)
         if not w:
             raise EmptyWordError("expansion of 1 must be non-empty")
         m = len(w)
@@ -247,11 +254,10 @@ class RenyiExpansion:
                 left, right = j, j + k
             if j + k < m and w[j + k] > w[k]:
                 raise ParryViolation(j + 1)
-        # isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e), shared
-        # and monotonically narrowed
-        object.__setattr__(self, "_iv", [(1, w[0] + 1, 0)])
-        # the block lengths [U_0, U_1, ...], shared and only lengthened
-        object.__setattr__(self, "_u", [1])
+        # _iv: the isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e),
+        # shared and monotonically narrowed; _u: the block lengths
+        # [U_0, U_1, ...], shared and only lengthened
+        self.__dict__.update(digits=w, _iv=[(1, w[0] + 1, 0)], _u=[1])
 
     @property
     def m(self) -> int:
@@ -265,6 +271,12 @@ class RenyiExpansion:
     def max_digit(self) -> int:
         """Largest digit usable in admissible strings (ceil(beta) - 1)."""
         return self.digits[0] if len(self.digits) > 1 else self.digits[0] - 1
+
+    def __eq__(self, other):
+        return self.digits == other.digits if type(other) is RenyiExpansion else NotImplemented
+
+    def __hash__(self):
+        return hash((self.digits,))
 
     def __repr__(self):
         return f"RenyiExpansion({fmt(self.digits)!r})"
@@ -405,8 +417,7 @@ def _narrow(d: RenyiExpansion, extra: int) -> None:
 # exact arithmetic in Z[beta]
 
 
-@dataclass(frozen=True)
-class ZBetaElement:
+class ZBetaElement(_Frozen):
     """Element of Z[beta] as integer coordinates over 1, beta, ..., beta^(m-1).
 
     The constructor checks the length and coerces each coordinate with
@@ -417,13 +428,16 @@ class ZBetaElement:
     ``_coerce``, and every product by beta goes through ``_times_beta``.
     """
 
-    d: RenyiExpansion
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.d.m:
+    def __init__(self, d: RenyiExpansion, coords):
+        if len(coords) != d.m:
             raise ValueError("coordinate vector must have length m")
-        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
+        self.__dict__.update(d=d, coords=tuple(map(operator.index, coords)))
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is ZBetaElement else NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.coords))
 
     def _coerce(self, other):
         """Coordinates of an int or of an element of the same base."""
@@ -719,12 +733,17 @@ def is_admissible(d: RenyiExpansion, s) -> bool:
     return _states(d, word(s)) is not None
 
 
-@dataclass(frozen=True)
-class BetaExpansion:
+class BetaExpansion(_Frozen):
     """A beta-expansion split into integer and fractional digit words."""
 
-    integer_digits: Word
-    fractional_digits: Word = ()
+    def __init__(self, integer_digits: Word, fractional_digits: Word = ()):
+        self.__dict__.update(integer_digits=integer_digits, fractional_digits=fractional_digits)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is BetaExpansion else NotImplemented
+
+    def __hash__(self):
+        return hash((self.integer_digits, self.fractional_digits))
 
     def __str__(self):
         head = fmt(self.integer_digits) if self.integer_digits else "0"

@@ -7,19 +7,18 @@ between consecutive beta-integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded
-from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, fixed_point_prefix_bytes
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _Frozen
+from .numeration import fixed_point_prefix_bytes
 from .words import Word, fmt
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Frozen):
     """Canonical substitution over the alphabet {0, ..., m-1}."""
 
-    d: RenyiExpansion
-    images: tuple  # tuple[Word, ...], images[a] = image of letter a
+    def __init__(self, d: RenyiExpansion, images: tuple):
+        # images: tuple[Word, ...], images[a] = image of letter a
+        self.__dict__.update(d=d, images=images)
 
     @property
     def m(self) -> int:

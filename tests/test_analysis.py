@@ -15,6 +15,7 @@ from parryscope.analysis import (
     TEXT_CAP,
     FactorLibrary,
     Trident,
+    WitnessBundle,
     _prefix_counts,
     classify_affine,
     clear_factor_cache,
@@ -908,7 +909,7 @@ def test_tampered_witness_fails_its_condition(base, field, value, condition):
     d = validate_renyi(base)
     b = construct_witness(d)
     with pytest.raises(VerificationFailed) as err:
-        verify_witness(d, dataclasses.replace(b, **{field: value(b, d)}))
+        verify_witness(d, WitnessBundle(**{**vars(b), field: value(b, d)}))
     assert (err.value.condition, err.value.exit_code) == (condition, 4)
 
 
@@ -954,8 +955,9 @@ def test_a_bundle_with_no_padding_cannot_pass_a_gap_of_length_one(monkeypatch):
     # a_pad = 0 would admit the match length 0, which makes w0 a prefix
     rank_state = analysis._rank_state
     monkeypatch.setattr(analysis, "_rank_state", lambda d, z: (rank_state(d, z)[0], 0))
+    b = construct_witness(D2121)
     with pytest.raises(VerificationFailed, match="match length 0 violates") as err:
-        verify_witness(D2121, dataclasses.replace(construct_witness(D2121), a_pad=0))
+        verify_witness(D2121, WitnessBundle(**{**vars(b), "a_pad": 0}))
     assert err.value.condition == "iv"
 
 
@@ -1060,7 +1062,7 @@ def test_an_x1_with_one_digit_changed_is_refused(base):
             if other != a:
                 x1 = b.x1[:i] + (other,) + b.x1[i + 1:]
                 with pytest.raises(VerificationFailed) as err:
-                    verify_witness(d, dataclasses.replace(b, x1=x1))
+                    verify_witness(d, WitnessBundle(**{**vars(b), "x1": x1}))
                 seen.add(err.value.condition)
     assert {"i", "admissible"} <= seen <= {"i", "iii", "admissible"}
 
@@ -1175,3 +1177,24 @@ def test_the_recurrence_of_u_counts_the_admissible_strings(base):
     d = validate_renyi(base)
     assert radix_oracle.block_lengths(d, 6) == [
         radix_oracle.radix_rank(d, (1,) + (0,) * k) for k in range(6)]
+
+
+def test_value_records_are_immutable_and_compare_by_value():
+    # the six immutable records refuse assignment and deletion; the four
+    # value types among them compare and hash by their fields
+    def build():
+        d = validate_renyi("2121")
+        return (d, numeration.one(d), numeration.greedy_expand_integer(d, 2),
+                find_tridents(d, 40)[0], build_substitution(d), construct_witness(d))
+
+    first, again = build(), build()
+    for record in first:
+        name = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is not None
+    for record, twin in zip(first[:4], again[:4]):
+        assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert first[0] != validate_renyi("211") and first[1] != numeration.zero(first[0])

@@ -24,8 +24,15 @@ HUGE_DIGITS = "1000000000,1,1000000000,1"
 ONES = ",".join("1" * 50000)
 ONES_THEN_2 = ",".join("1" * 49999 + "2")
 ZEROS_THEN_2 = ",".join("1" + "0" * 49998 + "2")
+# m = 255, the widest alphabet a letter byte holds
+ONES_255 = "1" * 255
+# a beta-integer of base 11 with 100,000 digits
+TEN_TO_99999 = "1" + "0" * 99999
+# a first digit of 100,001 decimal digits: past Python's limit on int strings
+HUGE_FIRST = "1" + "0" * 100000 + ",1"
 # short test ids for the long words
-NAMES = {ONES: "1^50000", ONES_THEN_2: "1^49999,2", ZEROS_THEN_2: "1,0^49998,2"}
+NAMES = {ONES: "1^50000", ONES_THEN_2: "1^49999,2", ZEROS_THEN_2: "1,0^49998,2",
+         ONES_255: "1^255", TEN_TO_99999: "10^99999", HUGE_FIRST: "10^100000,1"}
 
 # (argv, exit code, wall-clock seconds)
 ROWS = [
@@ -38,6 +45,21 @@ ROWS = [
     (("validate", ONES), 0, 1.0),
     (("validate", ONES_THEN_2), 2, 1.0),
     (("validate", ZEROS_THEN_2), 2, 1.0),
+    # a length or count cap is met before any text is built
+    (("generate", "11", "-L", str(10**10)), 4, 1.0),
+    (("classify", "11", "--oracle-n", str(10**10)), 4, 1.0),
+    (("specials", "11", "maximal", "--length-bound", str(10**9)), 4, 1.0),
+    (("specials", "11", "tridents", "--length-bound", str(10**9)), 4, 1.0),
+    (("specials", "11", "left", "-n", str(10**9)), 4, 1.0),
+    (("betaint", "11", "coding", "0", str(10**10)), 4, 1.0),
+    (("scan", "--corpus", "m=2..14,digit<=9"), 4, 1.0),
+    # the widest alphabet and words of 100,000 digits are read in time
+    (("generate", ONES_255, "-L", "50"), 0, 1.0),
+    (("classify", ONES_255, "--oracle-n", "50"), 0, 1.0),
+    (("witness", ONES_255), 3, 1.0),
+    (("betaint", "11", "succ", TEN_TO_99999), 0, 1.0),
+    (("betaint", "11", "coding", TEN_TO_99999, "100"), 0, 1.0),
+    (("validate", HUGE_FIRST), 1, 1.0),
 ]
 
 

@@ -1,12 +1,16 @@
 """Source guards: the package imports only the standard library, at module
-level, and holds no assert statement, whose check python -O would strip;
+level, and neither dataclasses nor typing, nor anything that loads inspect,
+whose imports dominate the start-up of every command line; it holds no
+assert statement, whose check python -O would strip;
 only its two certificates raise VerificationFailed; the CLI reads no private
 name of the package's modules; the test oracles import no private name of
 the package they check; the README's library example runs as written, and
 its library API lists exactly what ``import parryscope`` gives."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,7 +33,24 @@ def test_package_is_stdlib_only_and_assert_free():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, (path.name, name)
+                # each costs milliseconds of start-up on every command line
+                assert top not in ("dataclasses", "typing"), (path.name, name)
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # a bare interpreter may load some modules already (site does), so only
+    # what the import adds counts
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = []
+    for code in ("pass", "import parryscope, parryscope.cli"):
+        proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, env=env, timeout=60, check=True)
+        loaded.append(set(proc.stdout.split()))
+    bare, imported = loaded
+    assert "parryscope.cli" in imported
+    assert not (imported - bare) & {"dataclasses", "inspect"}
 
 
 def test_package_imports_only_at_module_level():
@@ -93,7 +114,7 @@ def test_verification_failures_come_only_from_the_two_certificates():
     raisers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         raisers.update(_verification_raisers(ast.parse(path.read_text()), path.stem))
-    assert raisers == {"analysis.FactorLibrary.__post_init__", "analysis.verify_witness"}
+    assert raisers == {"analysis.FactorLibrary.__init__", "analysis.verify_witness"}
 
 
 def test_readme_library_example_runs_as_written():

@@ -21,10 +21,18 @@ bound is marked ``unresolved``, since the noise of unchanged code alone
 reaches the bound, unless every run of this tree reads better than every
 run of the other.  A run that reports failed operations or wrong results is
 listed.  Nothing is gated: the exit code is 0 unless a run gives no result.
+
+Where ``PYTHONDONTWRITEBYTECODE`` is set, no run writes bytecode, so each
+fresh import that ``setup_s`` times compiles the package from source unless a
+``__pycache__`` is already there; a stale or partial one in either tree moves
+that side's ``setup_s`` by 10 to 26%.  So before the first pair the tool
+prints one line for each ``__pycache__`` directory under either tree's
+``src/``, and runs on: remove them for a fair ``setup_s``.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -91,6 +99,11 @@ def main() -> int:
         parser.error(f"{other} holds no perfbench/run.py")
     print(f"here {HERE}, other {other}; {args.pairs} pairs, seed {args.seed}, "
           f"{args.seconds:g} s per run; ratio = here / other")
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        for root in (HERE, other):
+            for cache in sorted((root / "src").rglob("__pycache__")):
+                print(f"stray bytecode cache {cache}: with PYTHONDONTWRITEBYTECODE set, "
+                      f"it moves this tree's setup_s by 10 to 26%")
     for workload in args.workload or names:
         runs = {"here": [], "other": []}
         for i in range(args.pairs):
