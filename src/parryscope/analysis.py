@@ -51,10 +51,10 @@ from .errors import (
     NotApplicable,
     VerificationFailed,
 )
-from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _Frozen, _rank_state, _segment
-from .numeration import _horner, _sign, _spell, fixed_point_prefix_bytes, radix_rank
+from .numeration import TEXT_CAP, RenyiExpansion, _check_alphabet, _Frozen, _gap_letter, _rank_state
+from .numeration import _horner, _segment, _sign, _spell, fixed_point_prefix_bytes, radix_rank
 from .substitution import build_substitution
-from .words import Word, borders, fmt, satisfies_power_condition, word
+from .words import Word, _lcp, borders, fmt, satisfies_power_condition, word
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +675,9 @@ def construct_witness(d: RenyiExpansion, cls: Classification | None = None) -> W
     b b the rule picks p = b.
 
     The factors of w.  w is not b^e y (a proper power when y is empty, and
-    else y is a border of b), so the digit a exists.  p^r is the longest
-    power of p = b^f that w starts with, so r = floor(e/f), and the rest
-    w[r|p|:] = b^(e-rf) y a ... matches p on j = (e - rf)|b| + |y| < |p|
-    digits and then holds a < p_(j+1).  q = w[r|p|+j : |w|-|p|] starts with
+    else y is a border of b), so the digit a exists.  p^r p' is the longest
+    prefix of w with period |p|, b^e y, so r|p| + j = e|b| + |y| with
+    j < |p|, and a < p_(j+1) follows.  q = w[r|p|+j : |w|-|p|] starts with
     that a, so q is non-empty and q_1 < p_(j+1), once the final p of w
     starts after b^e y.  Say its first b starts at position i <= |b^e y|
     instead.  Occurrences of the unbordered b never overlap, and b does not
@@ -699,28 +698,21 @@ def construct_witness(d: RenyiExpansion, cls: Classification | None = None) -> W
     if cls.reason != "fractional_power":
         raise NotApplicable(cls.reason or "affine")
     w = d.digits[:-1]
-    b = p = cls.p
-    while w[-len(b + p):] == b + p:
-        p = b + p
+    b = cls.p
+    # p = b^f with b^f the longest power of b that w ends with, and p^r p'
+    # the longest prefix of w with period |p|
+    p = b * ((len(b) + _lcp(w[::-1], w[:-len(b)][::-1])) // len(b))
     s = len(p)
-    r = 1
-    while w[r * s:(r + 1) * s] == p:
-        r += 1
-    rest = w[r * s:]
-    j = 0
-    while j < min(len(rest), s) and rest[j] == p[j]:
-        j += 1
+    r, j = divmod(s + _lcp(w, w[s:]), s)
     p_prime = p[:j]
     # non-empty and below p_(j+1) at its first digit (see the docstring)
     q = w[r * s + j:len(w) - s]
     # u1 and u2 differ, and their common suffix c is shorter than |p| + |q|:
     # their last |p| + |q| letters are p[j:] p' q and q p, whose first
-    # letters are p_(j+1) > q_1, so the loop stops inside both words
+    # letters are p_(j+1) > q_1
     u1 = p + p_prime + q
     u2 = p_prime + q + p
-    k = 0
-    while u1[len(u1) - 1 - k] == u2[len(u2) - 1 - k]:
-        k += 1
+    k = _lcp(u1[::-1], u2[::-1])
     c = u1[len(u1) - k:]
     h1, h2 = u1[len(u1) - 1 - k], u2[len(u2) - 1 - k]
     h = min(h1, h2)
@@ -844,13 +836,9 @@ def verify_witness(d: RenyiExpansion, bundle: WitnessBundle) -> WitnessVerificat
         if state != 0:
             raise VerificationFailed("iii", f"successor gap at {name}+z is not 1")
         ends.append(end)
-        # the gap before x is coded by the trailing zero count of x, mod m;
-        # the point 0 has no such gap, but its walk ends in the state
+        # the point 0 has no gap before it, but its walk ends in the state
         # u[span], so it fails (iii) or (iv)
-        zeros = 0
-        while zeros < len(x) and not x[-1 - zeros]:
-            zeros += 1
-        preds.append(zeros % d.m)
+        preds.append(_gap_letter(d, x))
     if preds[0] == preds[1]:
         raise VerificationFailed("ii", "x1 and x2 have equal predecessor gaps")
     # the match of z covers its tail t_1 ... t_(a_pad) and stops before h;

@@ -124,7 +124,7 @@ from .errors import (
     TrailingZeroError,
     ZeroHasNoPredecessor,
 )
-from .words import Word, fmt, word
+from .words import Word, _shifts, fmt, word
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficients low degree first)
@@ -241,17 +241,9 @@ class RenyiExpansion(_Frozen):
             raise ParryViolation(1, "digit word denotes a base not exceeding 1")
         # the padded suffix w[j:] 0^j is below w iff w[j:] <= w[:m-j] (were
         # those equal, the padding would meet t_m, which is nonzero); with
-        # z[j] the longest common prefix of w and w[j:] (the Z-array, built in
-        # one linear pass), that fails iff w[j+z[j]] > w[z[j]] inside w
-        z = [m] * m
-        left = right = 0  # w[left:right] == w[:right-left], right largest so far
-        for j in range(1, m):
-            k = min(right - j, z[j - left]) if j < right else 0
-            while j + k < m and w[k] == w[j + k]:
-                k += 1
-            z[j] = k
-            if j + k > right:
-                left, right = j, j + k
+        # k the longest common prefix of w and w[j:] (see words._shifts),
+        # that fails iff w[j+k] > w[k] inside w
+        for j, k in _shifts(w):
             if j + k < m and w[j + k] > w[k]:
                 raise ParryViolation(j + 1)
         # _iv: the isolating interval [lo/2^e, hi/2^e] of beta as (lo, hi, e),
@@ -940,16 +932,22 @@ def succ_gap_letter(d: RenyiExpansion, y) -> int:
     return _admissible_states(d, y)[1][-1]
 
 
+def _gap_letter(d: RenyiExpansion, y: Word) -> int:
+    """Letter of the gap before the beta-integer y: the trailing zero count
+    of y, mod m.  The point 0, which has no such gap, reads 0."""
+    k = len(y)
+    while k and not y[k - 1]:
+        k -= 1
+    return (len(y) - k) % d.m
+
+
 def pred_gap_letter(d: RenyiExpansion, y) -> int:
-    """Letter coding the gap y - pred(y): the trailing zero count of y, mod m."""
+    """Letter coding the gap y - pred(y) (see ``_gap_letter``)."""
     y = word(y)
     if not y:
         raise ZeroHasNoPredecessor("zero has no predecessor in Z_beta+")
     _admissible_states(d, y)  # raises unless y is admissible
-    k = 0
-    while y[len(y) - 1 - k] == 0:
-        k += 1
-    return k % d.m
+    return _gap_letter(d, y)
 
 
 def _segment(d: RenyiExpansion, start, count: int):

@@ -3,6 +3,17 @@
 Words are plain tuples of non-negative ints.  Tuple comparison gives exactly
 the lexicographic order used throughout: position-wise, with a proper prefix
 comparing smaller than any of its extensions.
+
+Every condition the package puts on a digit word compares the word with its
+own shifts, and all of them read one routine, the Z-array ``_shifts``, or
+its two-word form ``_lcp``:
+
+- the Parry condition (``numeration.RenyiExpansion``): every zero-padded
+  proper suffix lies below the word;
+- the power condition (``satisfies_power_condition``): t_1 ... t_(m-1) is
+  borderless or a proper power, read off its least period;
+- the witness factorisation w = p^r p' q p (``analysis.construct_witness``):
+  the longest prefix and suffix of w with a given period.
 """
 
 from __future__ import annotations
@@ -59,48 +70,66 @@ def fmt(w) -> str:
     return ",".join(str(a) for a in w)
 
 
-def _failure_function(w):
-    """KMP failure table: pi[i] = length of the longest proper border of w[:i+1]."""
-    pi = [0] * len(w)
-    k = 0
-    for i in range(1, len(w)):
-        while k and w[i] != w[k]:
-            k = pi[k - 1]
-        if w[i] == w[k]:
+def _shifts(w):
+    """Yield (j, z_j) for j = 1 .. |w|-1, where z_j is the length of the
+    longest common prefix of w and w[j:]: the Z-array, built in one linear
+    pass.  A generator, so that a caller can stop at the first shift it
+    needs."""
+    m = len(w)
+    z = [m]
+    left = right = 0  # w[left:right] == w[:right-left], right largest so far
+    for j in range(1, m):
+        k = min(right - j, z[j - left]) if j < right else 0
+        while j + k < m and w[k] == w[j + k]:
             k += 1
-        pi[i] = k
-    return pi
+        z.append(k)
+        if j + k > right:
+            left, right = j, j + k
+        yield j, k
+
+
+def _lcp(a, b) -> int:
+    """Length of the longest common prefix of the words a and b."""
+    n = min(len(a), len(b))
+    k = 0
+    while k < n and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def _period(w) -> int:
+    """Least period of the non-empty word w: the first shift j at which w
+    matches itself to its end, else |w|."""
+    m = len(w)
+    for j, k in _shifts(w):
+        if j + k == m:
+            return j
+    return m
 
 
 def borders(w) -> set:
     """All lengths 0 < l < |w| such that the length-l prefix equals the suffix.
 
     The full set is exposed (not just the longest border): the shortest
-    border is the one that drives the witness construction.
+    border is the one that drives the witness construction.  w has the
+    border m - j exactly when its shift by j matches it to the end.
     """
     w = tuple(w)
     if not w:
         raise EmptyWordError("borders of the empty word are undefined")
-    pi = _failure_function(w)
-    out = set()
-    b = pi[-1]
-    while b:
-        out.add(b)
-        b = pi[b - 1]
-    return out
+    m = len(w)
+    return {m - j for j, k in _shifts(w) if j + k == m}
 
 
 def primitive_root(w):
     """Return (root, exponent) with w == root * exponent and root primitive.
 
-    The smallest period is |w| minus the longest border; the word is a
-    proper power exactly when that period divides |w|.
+    The word is a proper power exactly when its least period divides |w|.
     """
     w = tuple(w)
     if not w:
         raise EmptyWordError("primitive root of the empty word is undefined")
-    pi = _failure_function(w)
-    period = len(w) - pi[-1]
+    period = _period(w)
     if len(w) % period == 0:
         return w[:period], len(w) // period
     return w, 1
@@ -110,12 +139,10 @@ def satisfies_power_condition(w) -> bool:
     """True iff w has no border, or w is a proper integer power.
 
     Equivalently: every way of writing w as a rational power of a primitive
-    word uses an integer exponent.  Both facts come from the longest border
-    b: w is borderless when b is 0, and a proper power when its smallest
-    period |w| - b divides |w|.
+    word uses an integer exponent.  Both facts come from the least period:
+    w is borderless when it is |w|, and a proper power when it divides |w|.
     """
     w = tuple(w)
     if not w:
         raise EmptyWordError("power condition of the empty word is undefined")
-    b = _failure_function(w)[-1]
-    return not b or len(w) % (len(w) - b) == 0
+    return len(w) % _period(w) == 0

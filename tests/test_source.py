@@ -4,15 +4,19 @@ whose imports dominate the start-up of every command line; it holds no
 assert statement, whose check python -O would strip;
 only its two certificates raise VerificationFailed; the CLI reads no private
 name of the package's modules; the test oracles import no private name of
-the package they check; the README's library example runs as written, and
-its library API lists exactly what ``import parryscope`` gives."""
+the package they check; the README's library example and its command
+lines run as written, and its library API lists exactly what
+``import parryscope`` gives."""
 
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from parryscope.cli import main
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "parryscope"
@@ -134,6 +138,17 @@ def test_readme_library_example_runs_as_written():
         assert eval(code, namespace) == expected, line
         checked += 1
     assert checked >= 3
+
+
+def test_readme_command_lines_exit_0():
+    # every parryscope line of the fenced blocks of the "Command line"
+    # section, its comment dropped, runs in process and exits 0
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [re.sub(r" *#.*", "", line) for block in section.split("```")[1::2]
+             for line in block.splitlines() if line.startswith("parryscope ")]
+    assert len(lines) >= 13
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_readme_library_api_lists_what_the_package_exports():

@@ -1,4 +1,4 @@
-"""Word substrate: borders, primitive roots, the power condition.
+"""Word substrate: shift comparisons, borders, primitive roots, the power condition.
 
 Derived values are checked against naive reference implementations written
 here with no shared machinery (direct slice comparisons, divisor scans).
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from parryscope.errors import EmptyWordError
 from parryscope.numeration import validate_renyi
 from parryscope.words import (
+    _lcp,
+    _shifts,
     borders,
     fmt,
     primitive_root,
@@ -103,6 +105,29 @@ def test_word_reads_only_ascii_digits(text):
     with pytest.raises(ValueError, match="^not a digit word: ") as err:
         word(text)
     assert repr(text) in str(err.value)
+
+
+# --- shift comparisons -------------------------------------------------------
+
+
+def naive_lcp(a, b):
+    return max(l for l in range(min(len(a), len(b)) + 1) if a[:l] == b[:l])
+
+
+# random words, and powers of short words cut anywhere, whose long matches
+# the Z-array reuses
+SHORT_0_3 = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+WORDS_0_3 = st.one_of(
+    st.lists(st.integers(0, 3), max_size=60).map(tuple),
+    st.builds(lambda u, k, v: (u * k + v)[:60], SHORT_0_3, st.integers(0, 20), SHORT_0_3),
+)
+
+
+@given(WORDS_0_3, WORDS_0_3)
+def test_shifts_and_lcp_match_slice_comparisons(w, v):
+    assert list(_shifts(w)) == [(j, naive_lcp(w, w[j:])) for j in range(1, len(w))]
+    assert _lcp(w, v) == naive_lcp(w, v)
+    assert _lcp(w, w + v) == len(w)
 
 
 # --- borders ----------------------------------------------------------------
