@@ -40,16 +40,7 @@ from .words import fmt, satisfies_power_condition, word
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises UsageError on a usage error and keeps
-    the actions its ``add_argument`` returns, -h first, for ``_match``."""
-
-    def __init__(self, *args, **kwargs):
-        self.declared = []
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        self.declared.append(super().add_argument(*args, **kwargs))
-        return self.declared[-1]
+    """An argparse parser that raises UsageError on a usage error."""
 
     def error(self, message):
         raise UsageError(message)
@@ -422,15 +413,15 @@ def _build_parser():
 
 @functools.cache
 def _table(command):
-    """What ``_match`` reads of one command parser, from the actions its
-    ``add_argument`` returned: the positionals in order, each option that
+    """What ``_match`` reads of one command parser, from argparse's own list
+    of its actions, -h first: the positionals in order, each option that
     takes a value by its exact option strings (so not -h), the dests of the
     required options, and the attributes a namespace starts from."""
-    declared = command.declared
-    positionals = [a for a in declared if not a.option_strings]
-    options = {s: a for a in declared if a.nargs is None for s in a.option_strings}
+    actions = command._actions
+    positionals = [a for a in actions if not a.option_strings]
+    options = {s: a for a in actions if a.nargs is None for s in a.option_strings}
     required = {a.dest for a in options.values() if a.required}
-    start = {a.dest: a.default for a in declared if a.default is not argparse.SUPPRESS}
+    start = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
     start["func"] = command.get_default("func")
     return positionals, options, required, start
 

@@ -42,21 +42,18 @@ digit, integer and fractional alike, off one enclosure.  The interval is
 narrowed once, to 80 + log2(n) + 4m log2(beta) bits.  With k the least
 integer such that beta^k > n, certified by lo^k > n 2^(e k), r = n / beta^k
 in (0, 1) carries an integer enclosure a <= 2^e r <= b through
-r <- beta r - x, rounded outward in O(1) a digit, and x is read off it
-whenever x < beta r < x + 1.  A digit it
-cannot decide, such as every exact zero, is found by exact signs of
-v - x p on the exact remainder, one a probe.  The search first confirms
-the bracket [a >> e, b >> e] that the enclosure still gives, which
-settles an exact zero in one sign; where the bracket fails, it gallops
-up by steps 1, 2, 4, ..., capped at the largest digit, until v - x p goes
-negative, then bisects, so a digit D off its bracket takes about
-2 log2(D) signs.  No remainder is kept
-between fallbacks: the value is linear in the digits, so at the digit of
-beta^i the remainder beta^max(-i, 0) (n - the digits taken) is one Horner
-pass over those digits, negated, with n added at the place of beta^0, and
-p = beta^max(i, 0) is another.  A fallback thus costs one Horner pass over
-the digits taken so far, and the enclosure is read again off the
-remainder.  Fallbacks are rare: no expansion measured made more than one
+r <- beta r - x, rounded outward in O(1) a digit, and every digit x is
+read off it, in one way.  With no multiple of 2^e in [a, b], x = b >> e,
+as x < beta r < x + 1.  Otherwise the enclosure is read again off the
+exact remainder rem / p = beta r, after narrowing the interval of beta
+while two multiples or more remain, and with one, X 2^e, left, one exact
+sign of rem - X p gives the digit X, or X - 1 if it is negative, and an
+exact zero when it is 0.  No remainder is kept between such fallbacks:
+the value is linear in the digits, so at the digit of beta^i,
+rem = beta^max(-i, 0) (n - the digits taken) is one Horner pass over
+those digits, negated, with n added at the place of beta^0, and
+p = beta^max(i, 0) is another.  Fallbacks are rare: no expansion
+measured made more than one, at the exact zero that ends it, one sign
 (see ``greedy_expand_integer``).  An integer base, beta = t_1, takes its
 digits from ``divmod`` by t_1, with no sign.
 
@@ -65,8 +62,8 @@ beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
 move up one place and the top one folds back through
 beta^m = t_1 beta^(m-1) + ... + t_m, which is O(m).  Horner evaluation of a
 digit string, the orbit T^i(1), products and the remainders and place
-values of greedy fallbacks all use it, and the greedy search subtracts in
-place and asks the vector sign core directly.  ``ZBetaElement`` wraps a
+values of greedy fallbacks all use it, and a greedy fallback asks the
+vector sign core directly.  ``ZBetaElement`` wraps a
 vector for callers.  It has one constructor, which checks the length and
 coerces each coordinate with ``operator.index`` (a float raises
 TypeError), and every element is built by it, results of arithmetic too.
@@ -776,24 +773,30 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     enclosure a <= 2^e r <= b of r = n / beta^k is carried through all
     k + 4m digit positions by r <- beta r - x, rounded outward in O(1) a
     digit.  k, with beta^k > n certified by lo^k > n 2^(e k), comes from a
-    float estimate; one too many only adds a leading zero.  The enclosure
-    gives x whenever x < beta r < x + 1, which makes x the greedy digit, as
-    beta r < beta.  It never decides an integer beta r, so every exact
-    zero, and any digit it is too wide for, goes to ``_greedy_digit``, with
-    the bracket (a >> e, b >> e) that it still gives.
+    float estimate; one too many only adds a leading zero.
 
-    No remainder is kept between such fallbacks.  At the digit of beta^i
-    the search compares beta^max(-i, 0) (n - the digits taken) with
-    beta^max(i, 0).  The value is linear in the digits, so the first is one
-    ``_horner`` pass over the digits taken, negated and right-aligned with
-    zeros, with n added at the place of beta^0, and the second is another;
-    the enclosure is then read again off the remainder.  A fallback thus
-    costs one Horner pass over the digits taken so far, O((k + 4m) m).
-    Fallbacks are rare.  Over 11,486 expansions, the 150 of the
-    ``exact_arith`` benchmark at seed 7 and the 11,336 ``expand`` commands
-    of ``tools/same_outputs.py``, 6,163 were not exact and made none, 1,051
-    were exact and made none, and 4,272 made one, at the exact zero that
-    ends them; none made two.
+    Every digit is read off the enclosure.  With no multiple of 2^e in
+    [a, b], x < beta r < x + 1 for x = b >> e, which makes x the greedy
+    digit, as beta r < beta.  Otherwise the digit falls back to the exact
+    remainder: at the digit of beta^i, beta r is rem / p with
+    rem = beta^max(-i, 0) (n - the digits taken) and p = beta^max(i, 0).
+    The value is linear in the digits, so rem is one ``_horner`` pass over
+    the digits taken, negated and right-aligned with zeros, with n added at
+    the place of beta^0, and p is another; no remainder is kept between
+    fallbacks.  While [a, b] holds two multiples or more, the interval of
+    beta is narrowed and the enclosure read again off rem; it shrinks with
+    the interval, so at most one is left.  With one, X 2^e, and
+    (X - 1) 2^e < a <= X 2^e <= b < (X + 1) 2^e, one ``_sign`` of rem - X p
+    decides the digit: X if it is >= 0, and the expansion is exact if it
+    is 0, so an integer beta r is decided once; X - 1 if it is < 0 (X may
+    be max_digit + 1 only then).  The enclosure is read again off
+    rem - x p.  A fallback thus costs two Horner passes over the digits
+    taken so far, O((k + 4m) m), and a sign.  Fallbacks are rare.  Over
+    11,486 expansions, the 150 of the ``exact_arith`` benchmark at seed 7
+    and the 11,336 ``expand`` commands of ``tools/same_outputs.py``, 6,163
+    were not exact and made none, 1,051 were exact and made none, and 4,272
+    made one, at the exact zero that ends them, with one sign and no
+    narrowing; none made two.
     """
     n = operator.index(n)
     if n < 0:
@@ -820,22 +823,32 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     for i in range(k - 1, -4 * d.m - 1, -1):  # the digit of beta^i
         # r >= 0 and b >= 0, so these bound beta r, rounded outward
         a, b = lo * a >> e, -(-hi * b >> e)
-        x = a >> e
-        if x << e < a and b < (x + 1) << e:
+        x = b >> e
+        if x == (a - 1) >> e:  # no multiple of 2^e in [a, b]: x < beta r < x + 1
             digits.append(x)
             a -= x << e
             b -= x << e
             continue
-        # beta^max(-i, 0) (n - the digits taken) against beta^max(i, 0)
+        # beta r = rem / p: beta^max(-i, 0) (n - the digits taken) over beta^max(i, 0)
         v = [-x for x in digits] + [0] * (max(i, 0) + 1)
         v[k - 1] += n
-        rem = _horner(d, v)
-        x, exact = _greedy_digit(d, rem, _horner(d, (1,) + (0,) * max(i, 0)), (x, b >> e))
+        rem, p = _horner(d, v), _horner(d, (1,) + (0,) * max(i, 0))
+        while (b >> e) - ((a - 1) >> e) > 1:  # two multiples or more
+            _narrow(d, 2 * e)
+            a, b, lo, hi, e = _carried(d, rem, max(i, 0))
+        x = b >> e
+        rem = [u - x * c for u, c in zip(rem, p)]
+        if (a - 1) >> e < x:  # one multiple, x 2^e: beta r >= x or not
+            sign = _sign(d, rem)
+            exact = sign == 0
+            if sign < 0:
+                x -= 1
+                rem = [u + c for u, c in zip(rem, p)]
         digits.append(x)
         if exact:
             digits += [0] * i  # the rest of the integer part, if any
             break
-        # the signs of the search may have narrowed the interval of beta
+        # the narrowings and the sign may have narrowed the interval of beta
         a, b, lo, hi, e = _carried(d, rem, max(i, 0))
     top = next(j for j, x in enumerate(digits) if x)  # drop leading zeros
     expansion = BetaExpansion(tuple(digits[top:k]), tuple(digits[k:]))
@@ -854,40 +867,6 @@ def _carried(d: RenyiExpansion, v, k: int) -> tuple:
     s = e * (len(v) - 1)
     return ((low << e * (k + 1)) // (hi ** k << s), -((-high << e * (k + 1)) // (lo ** k << s)),
             lo, hi, e)
-
-
-def _greedy_digit(d: RenyiExpansion, v: list, p, bracket) -> tuple:
-    """The largest x <= md = max_digit with v - x p >= 0 (p > 0, v > 0),
-    leaving v - x p in v, one exact sign of v - x p a probe.  p is
-    subtracted in place, and added back after a probe that goes negative.
-    bracket (low, high) is where an enclosure puts x, and is confirmed, not
-    trusted: the first probe is high (kept in 1..md), then high + 1 if that
-    holds, or low if it does not, so a right bracket of width 0 or 1 takes
-    at most two signs.  Past it, the search gallops up from the largest x
-    that holds, by steps 1, 2, 4, ..., capped at md, until a probe goes
-    negative (from a bracket of (0, 0): x = 1, 2, 4, ...), then bisects.
-    Also returns whether a probe found v - x p to be 0; that x is the
-    digit, so the search stops there and each exact zero is decided once."""
-    md = d.max_digit
-    low, high = bracket
-    x = high if 0 < high <= md else 1 if high < 1 else md
-    # v holds v - lo p; hi = md + 1 is never probed
-    lo, hi, step, zero = 0, md + 1, 1, False
-    while lo + 1 < hi and not zero:
-        for i, c in enumerate(p):
-            v[i] -= (x - lo) * c
-        sign = _sign(d, v)
-        if sign < 0:
-            for i, c in enumerate(p):
-                v[i] += (x - lo) * c
-            hi = x
-        else:
-            lo, zero = x, sign == 0
-        if hi > md:
-            x, step = min(lo + step, md), 2 * step
-        else:
-            x = low if lo < low < hi else (lo + hi) // 2
-    return lo, zero
 
 
 def next_admissible(d: RenyiExpansion, s) -> Word:

@@ -460,7 +460,6 @@ def test_a_command_parser_reads_what_the_top_level_parser_hands_it(capsys, argv)
     command = parser.commands[argv[0]]
     direct = _outcome(capsys, command.parse_args, argv[1:])
     assert direct == _outcome(capsys, parser.parse_args, argv)
-    assert command.declared == command._actions
     matched = _match(command, argv[1:])
     assert matched is None or direct == ("parsed", vars(matched))
     if argv[-1] == "-h":
@@ -496,7 +495,7 @@ _COMMANDS = _build_parser().commands
 # the shapes argparse alone reads
 _WORDS = st.one_of(st.integers(-5, 30).map(str), st.sampled_from(sorted({
     *_COMMANDS, "x", "--", "--oracle-n=3", "2121", "m=2..3",
-    *(s for p in _COMMANDS.values() for a in p.declared
+    *(s for p in _COMMANDS.values() for a in p._actions
       for s in [*a.option_strings, *(a.choices or ())])})))
 
 
@@ -510,7 +509,7 @@ def _command_lines(draw):
     that the plain lines the matcher reads come often."""
     name = draw(st.sampled_from(sorted(_COMMANDS)))
     line, inserts = [], draw(st.lists(_WORDS.map(lambda w: [w]), max_size=1))
-    for action in _COMMANDS[name].declared:
+    for action in _COMMANDS[name]._actions:
         word = st.one_of(st.sampled_from(action.choices), _WORDS) if action.choices else _WORDS
         if not action.option_strings:
             line += [[w] for w in draw(st.lists(word, min_size=action.nargs != "*",
