@@ -20,7 +20,8 @@ set:
   and for N = 7 and 1000 on four long or wide bases written with commas:
   2 0^60 1, 1 0^120 1, 3^24 and 1000 1;
 * ``betaint D expand N`` for N = 10^6, 10^12 and 10^30 on the twelve named
-  bases, those four and 1000000 0^5 1, and for N = 1..3 (a single digit) on
+  bases, those four and 1000000 0^5 1, for N = 10^200 (a long start) on the
+  twelve named bases and those four, and for N = 1..3 (a single digit) on
   11, 21 and 1000 1;
 * ``betaint D expand N`` for N = 1..60, 10^30 and 10^100 on the integer
   bases 2, 3, 7 and 9, and for N = 10^6, 10^30 and 10^60 on three bases
@@ -28,7 +29,8 @@ set:
   9007199254740993 5 1 and 10^40 3 1;
 * on the twelve named bases: ``generate D -L N`` for N = 0, 1, 50 and 5000;
   ``betaint D coding START COUNT`` from 0, 1, 10 and 100, with COUNT = 1, 37
-  and 1000; and ``betaint D succ W`` for the first 50 admissible W;
+  and 1000; ``betaint D succ W`` for the first 50 admissible W; and
+  ``betaint D pred W`` for the first 50 nonzero admissible W;
 * ``witness`` and ``classify`` on 5222252221, whose witness spans 2,122,757
   gaps, and ``betaint 1000000,0,0,0,0,0,1 expand 1000000000``;
 * ``witness D`` and ``classify D --oracle-n 10`` on three bases whose words
@@ -53,7 +55,7 @@ set:
   ``SystemExit``, whose code is recorded as the exit code, so help text is
   compared as well.
 
-That is 13045 commands.
+That is 13661 commands.
 
 Prints the first difference, or ``identical: N commands``; exits 1 on a
 difference.
@@ -131,6 +133,8 @@ def commands() -> list:
         out += [["betaint", ",".join(map(str, t)), "expand", str(n)] for n in (7, 1000)]
     for s in SPECIALS_BASES + tuple(",".join(map(str, t)) for t in EXPAND_BASES + [WIDE_BASE]):
         out += [["betaint", s, "expand", str(10**k)] for k in (6, 12, 30)]
+    for s in SPECIALS_BASES + tuple(",".join(map(str, t)) for t in EXPAND_BASES):
+        out.append(["betaint", s, "expand", str(10**200)])
     for s in ("11", "21", "1000,1"):
         out += [["betaint", s, "expand", str(n)] for n in (1, 2, 3)]
     for s in INTEGER_BASES:
@@ -143,6 +147,9 @@ def commands() -> list:
                 for start in ("0", "1", "10", "100") for count in (1, 37, 1000)]
         ws = beta_integers(validate_renyi(s))
         out += [["betaint", s, "succ", fmt(next(ws)) or "0"] for _ in range(50)]
+        ws = beta_integers(validate_renyi(s))
+        next(ws)
+        out += [["betaint", s, "pred", fmt(next(ws))] for _ in range(50)]
     out += [["witness", "5222252221"], ["classify", "5222252221"],
             ["betaint", "1000000,0,0,0,0,0,1", "expand", "1000000000"]]
     for s in COMMA_BASES:
