@@ -39,23 +39,28 @@ shrinks onto it.
 
 A greedy expansion of an integer n above the largest digit reads every
 digit, integer and fractional alike, off one enclosure.  The interval is
-narrowed once, to 80 + log2(n) + 4m log2(beta) bits.  With k the least
-integer such that beta^k > n, certified by lo^k > n 2^(e k), r = n / beta^k
-in (0, 1) carries an integer enclosure a <= 2^e r <= b through
+narrowed once, to 80 + log2(n) + 4m log2(beta) bits.  The start divides
+2^e n by the interval of beta, one step at a time, rounded outward, into
+an integer enclosure a <= 2^e n / beta^k <= b, until b < 2^e certifies
+beta^k > n.  Then r = n / beta^k in (0, 1) carries its enclosure through
 r <- beta r - x, rounded outward in O(1) a digit, and every digit x is
 read off it, in one way.  With no multiple of 2^e in [a, b], x = b >> e,
 as x < beta r < x + 1.  Otherwise the enclosure is read again off the
-exact remainder rem / p = beta r, after narrowing the interval of beta
-while two multiples or more remain, and with one, X 2^e, left, one exact
-sign of rem - X p gives the digit X, or X - 1 if it is negative, and an
-exact zero when it is 0.  No remainder is kept between such fallbacks:
+exact remainder rem / p = beta r, as the quotient of the enclosures of the
+two coordinate vectors, after narrowing the interval of beta while two
+multiples or more remain, and with one, X 2^e, left, one exact sign of
+rem - X p gives the digit X, or X - 1 if it is negative, and an exact
+zero when it is 0.  No remainder is kept between such fallbacks:
 the value is linear in the digits, so at the digit of beta^i,
 rem = beta^max(-i, 0) (n - the digits taken) is one Horner pass over
 those digits, negated, with n added at the place of beta^0, and
 p = beta^max(i, 0) is another.  Fallbacks are rare: no expansion
 measured made more than one, at the exact zero that ends it, one sign
-(see ``greedy_expand_integer``).  An integer base, beta = t_1, takes its
-digits from ``divmod`` by t_1, with no sign.
+(see ``greedy_expand_integer``).  No power of the ends of the interval is
+taken, so no number carried has much more than e + log2(n) bits, and an
+expansion costs about k (e + log2(n)) bit operations: quadratic, not
+cubic, in the bits of n.  An integer base, beta = t_1, takes its digits
+from ``divmod`` by t_1, with no sign.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -366,9 +371,11 @@ def _narrow(d: RenyiExpansion, extra: int) -> None:
     doubling.  It replaces the shared interval only when it is narrower.
 
     A greedy expansion of n passes the bits of n as ``extra``.  Its carried
-    enclosure starts about 4k units of 2^-E wide, for its k = log_beta(n)
-    integer digits, and each of its k + 4m digits widens it about beta-fold,
-    to about 4k n beta^(4m) units at the end: E covers that with
+    enclosure of 2^E n / beta^k, divided by the interval k times with
+    outward rounding, starts about 4k units of 2^-E wide, for its
+    k = log_beta(n) integer digits (the rounding adds under
+    beta / (beta - 1) units), and each of its k + 4m digits widens it about
+    beta-fold, to about 4k n beta^(4m) units at the end: E covers that with
     _SPARE_BITS to spare.
     """
     t1 = d.t1
@@ -772,8 +779,16 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     narrows the interval of beta once, sized by the bits of n, and an
     enclosure a <= 2^e r <= b of r = n / beta^k is carried through all
     k + 4m digit positions by r <- beta r - x, rounded outward in O(1) a
-    digit.  k, with beta^k > n certified by lo^k > n 2^(e k), comes from a
-    float estimate; one too many only adds a leading zero.
+    digit.
+
+    The start divides a = b = 2^e n by the interval [lo/2^e, hi/2^e] of
+    beta, a by hi rounded down and b by lo rounded up, until b < 2^e
+    certifies beta^k > n.  It ends: lo > 2^e (below), so b falls while
+    b >= 2^e.  It stops at the least certified k or one later, and one
+    too many only adds a leading zero, which is dropped.  Each of its
+    steps rounds outward by under one unit, and every later step divides
+    that error by beta, so the start adds under beta / (beta - 1) units to
+    the width, beside the roughly 4k units that ``_narrow`` budgets for.
 
     Every digit is read off the enclosure.  With no multiple of 2^e in
     [a, b], x < beta r < x + 1 for x = b >> e, which makes x the greedy
@@ -783,7 +798,8 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     The value is linear in the digits, so rem is one ``_horner`` pass over
     the digits taken, negated and right-aligned with zeros, with n added at
     the place of beta^0, and p is another; no remainder is kept between
-    fallbacks.  While [a, b] holds two multiples or more, the interval of
+    fallbacks.  ``_carried`` reads the enclosure of rem / p off the
+    enclosures of the two vectors.  While [a, b] holds two multiples or more, the interval of
     beta is narrowed and the enclosure read again off rem; it shrinks with
     the interval, so at most one is left.  With one, X 2^e, and
     (X - 1) 2^e < a <= X 2^e <= b < (X + 1) 2^e, one ``_sign`` of rem - X p
@@ -812,13 +828,12 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
         return BetaExpansion(tuple(reversed(digits)))
     _narrow(d, n.bit_length())
     # beta - t_1 >= 1 / (m beta^(m-1)) (mean value theorem, P(t_1) <= -1),
-    # far above the width of the interval, so lo > 2^e and the estimate is
-    # finite
+    # far above the width of the interval, so lo > 2^e and the start ends
     lo, hi, e = d._iv[0]
-    k = int(math.log2(n) / (math.log2(lo) - e)) + 1
-    while lo ** k <= n << e * k:
-        k += 1
-    a, b, lo, hi, e = _carried(d, [n] + [0] * (d.m - 1), k)
+    a = b = n << e  # 2^e n / beta^k for k = 0, 1, ..., rounded outward
+    k = 0
+    while b >> e:  # until b < 2^e certifies beta^k > n
+        a, b, k = (a << e) // hi, -((-b << e) // lo), k + 1
     digits, exact = [], False
     for i in range(k - 1, -4 * d.m - 1, -1):  # the digit of beta^i
         # r >= 0 and b >= 0, so these bound beta r, rounded outward
@@ -835,7 +850,7 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
         rem, p = _horner(d, v), _horner(d, (1,) + (0,) * max(i, 0))
         while (b >> e) - ((a - 1) >> e) > 1:  # two multiples or more
             _narrow(d, 2 * e)
-            a, b, lo, hi, e = _carried(d, rem, max(i, 0))
+            a, b, lo, hi, e = _carried(d, rem, p)
         x = b >> e
         rem = [u - x * c for u, c in zip(rem, p)]
         if (a - 1) >> e < x:  # one multiple, x 2^e: beta r >= x or not
@@ -849,7 +864,7 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
             digits += [0] * i  # the rest of the integer part, if any
             break
         # the narrowings and the sign may have narrowed the interval of beta
-        a, b, lo, hi, e = _carried(d, rem, max(i, 0))
+        a, b, lo, hi, e = _carried(d, rem, p)
     top = next(j for j, x in enumerate(digits) if x)  # drop leading zeros
     expansion = BetaExpansion(tuple(digits[top:k]), tuple(digits[k:]))
     if not exact:
@@ -857,16 +872,23 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     return expansion
 
 
-def _carried(d: RenyiExpansion, v, k: int) -> tuple:
-    """(a, b, lo, hi, e) with a <= 2^e v(beta) / beta^k <= b, for
-    v(beta) >= 0, from the enclosure of v on the isolating interval
-    [lo/2^e, hi/2^e] of a base with m >= 2.  A negative a is a valid lower
-    bound."""
+def _carried(d: RenyiExpansion, v, p) -> tuple:
+    """(a, b, lo, hi, e) with a <= 2^e v(beta) / p(beta) <= b, for
+    v(beta) >= 0 and p = beta^i (i >= 0) given by their coordinates, from
+    their enclosures on the isolating interval [lo/2^e, hi/2^e] of a base
+    with m >= 2.
+
+    The coordinates of beta^i are non-negative, as beta^m folds back through
+    t_j >= 0, so p's lower bound is positive and its enclosure is tight: its
+    relative width is at most (m - 1) times that of the interval, where
+    (hi/lo)^i would widen it i times.  Both enclosures carry the scale
+    2^(e (m - 1)), which cancels.  A negative lower bound of v still gives a
+    valid a, as v(beta) >= 0.
+    """
     lo, hi, e = d._iv[0]
     low, high = _enclosure(v, lo, hi, e)
-    s = e * (len(v) - 1)
-    return ((low << e * (k + 1)) // (hi ** k << s), -((-high << e * (k + 1)) // (lo ** k << s)),
-            lo, hi, e)
+    p_low, p_high = _enclosure(p, lo, hi, e)
+    return (low << e) // p_high, -((-high << e) // p_low), lo, hi, e
 
 
 def next_admissible(d: RenyiExpansion, s) -> Word:

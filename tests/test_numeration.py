@@ -933,12 +933,18 @@ def test_carried_enclosure_gives_the_digits_of_trial_subtraction(digits, n, spar
     assert fast == _unit_steps(validate_renyi(digits), n)
 
 
+def _power(d, p):
+    """The i with p the coordinates of beta^i."""
+    return next(i for i in itertools.count() if list(p) == numeration._horner(d, (1,) + (0,) * i))
+
+
 def _reads_and_signs(mp):
-    """Record the exponent of every enclosure read and count the exact
-    signs."""
+    """Record the exponent i of the divisor beta^i of every enclosure read
+    and count the exact signs."""
     reads, signs = [], []
     carried, sign = numeration._carried, numeration._sign
-    mp.setattr(numeration, "_carried", lambda d, v, k: reads.append(k) or carried(d, v, k))
+    mp.setattr(numeration, "_carried",
+               lambda d, v, p: reads.append(_power(d, p)) or carried(d, v, p))
     mp.setattr(numeration, "_sign", lambda d, v: signs.append(1) or sign(d, v))
     return reads, signs
 
@@ -947,19 +953,20 @@ def test_an_undecided_digit_falls_back_and_the_enclosure_is_read_again(monkeypat
     # with no spare bits, the enclosure of 29 / beta^4 in base 2121 runs too
     # wide for one fractional digit: it holds one integer, and one sign
     # against it decides the digit; the enclosure is read again off the exact
-    # remainder
+    # remainder, divided by beta^0
     monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
     reads, signs = _reads_and_signs(monkeypatch)
     e, exact = _expansion(validate_renyi("2121"), 29)
     assert (str(e), exact) == ("1102.0020120001020121", False)
-    assert reads == [4, 0] and len(signs) == 1
+    assert reads == [0] and len(signs) == 1
 
 
 def test_a_wide_enclosure_is_narrowed_and_read_again(monkeypatch):
     # with no spare bits, the enclosure of beta r at the first fractional
     # digit of 15 in base 2121 holds two integers: the interval of beta is
-    # narrowed once and the enclosure read again off the exact remainder,
-    # which puts beta r between 1 and 2, so the digit 1 takes no sign.  With
+    # narrowed once and the enclosure read again off the exact remainder
+    # (divided by beta^0, as at every fractional digit), which puts beta r
+    # between 1 and 2, so the digit 1 takes no sign.  With
     # no sign, both narrowings are made by the expansion itself: the first
     # sizes the interval, the second is the narrowing loop
     monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
@@ -970,7 +977,7 @@ def test_a_wide_enclosure_is_narrowed_and_read_again(monkeypatch):
     d = validate_renyi("2121")
     e, exact = _expansion(d, 15)
     assert (str(e), exact) == ("200.1011121121101011", False)
-    assert len(narrows) == 2 and reads == [3, 0, 0] and signs == []
+    assert len(narrows) == 2 and reads == [0, 0] and signs == []
     monkeypatch.undo()
     assert (e, exact) == _unit_steps(d, 15)
 
@@ -986,7 +993,7 @@ def test_an_integer_digit_falls_back_and_the_enclosure_is_read_again(monkeypatch
     reads, signs = _reads_and_signs(monkeypatch)
     e, exact = _expansion(validate_renyi("11"), 65)
     assert (str(e), exact) == ("101000000.00000101", True)
-    assert reads == [9, 6] and len(signs) == 2
+    assert reads == [6] and len(signs) == 2
     assert (e, exact) == _unit_steps(validate_renyi("11"), 65)
     _check_expansion(validate_renyi("11"), 65)
 
@@ -997,21 +1004,23 @@ def test_carried_bounds_enclose_a_value_divided_by_a_power_of_beta(d, data, k):
     # a <= 2^e v(beta) / beta^k <= b by exact signs of the reference engine;
     # a constant v is enclosed exactly, so there only the division widens
     numeration._narrow(d, 40)
+    p = value_of(d, (1,) + (0,) * k)
     for v in (one(d) * data.draw(st.integers(1, 10**12)),
               value_of(d, _admissible_word(data, d))):
-        a, b, lo, hi, e = numeration._carried(d, list(v.coords), k)
-        scaled, p = v * (1 << e), value_of(d, (1,) + (0,) * k)
+        a, b, lo, hi, e = numeration._carried(d, list(v.coords), list(p.coords))
+        scaled = v * (1 << e)
         assert zbeta_oracle.zb_sign(scaled - p * a) >= 0
         assert zbeta_oracle.zb_sign(p * b - scaled) >= 0
 
 
 def test_the_enclosure_decides_every_digit_of_an_endless_expansion(monkeypatch):
     # 29 in base 2121 has no finite expansion: the enclosure of 29 / beta^4
-    # gives all four integer digits and all sixteen fractional ones
+    # gives all four integer digits and all sixteen fractional ones, with no
+    # read after the start
     reads, signs = _reads_and_signs(monkeypatch)
     e, exact = _expansion(validate_renyi("2121"), 29)
     assert (str(e), exact) == ("1102.0020120001020121", False)
-    assert reads == [4] and signs == []
+    assert reads == [] and signs == []
 
 
 @pytest.mark.parametrize("base, n", [("11", 7), ("2121", 10), ("1000000,0,0,0,0,0,1", 10**9)])
