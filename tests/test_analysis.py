@@ -913,6 +913,26 @@ def test_tampered_witness_fails_its_condition(base, field, value, condition):
     assert (err.value.condition, err.value.exit_code) == (condition, 4)
 
 
+# (iv) reads the match length k of z against the bundle's own a_pad and c:
+# 0 < a_pad <= k <= a_pad + len(c) < m.  On these bases k = a_pad and c is
+# empty, so a_pad one short, or c padded to reach m, breaks only the upper
+# bounds; verify_witness reads the bundle from its caller and must refuse both
+@pytest.mark.parametrize("base", ["2121", "221221", "3231"])
+@pytest.mark.parametrize("field, value", [
+    pytest.param("a_pad", lambda b, d: b.a_pad - 1, id="a_pad-below-k"),
+    pytest.param("c", lambda b, d: b.c + (0,) * (d.m - b.a_pad - len(b.c)), id="c-reaching-m"),
+])
+def test_a_bundle_past_the_upper_index_bounds_fails_condition_iv(base, field, value):
+    d = validate_renyi(base)
+    b = construct_witness(d)
+    k = verify_witness(d, b).succ_letter_z
+    tampered = WitnessBundle(**{**vars(b), field: value(b, d)})
+    assert 0 < tampered.a_pad <= k
+    with pytest.raises(VerificationFailed) as err:
+        verify_witness(d, tampered)
+    assert (err.value.condition, err.value.exit_code) == ("iv", 4)
+
+
 def test_a_walk_ending_off_x_plus_z_fails_condition_i(monkeypatch):
     # a walk that reads the coding from 0 ends at x + z, so only a broken
     # walk reaches this check

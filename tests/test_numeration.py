@@ -864,6 +864,41 @@ def test_huge_expansion_is_fast_and_exact():
     _check_expansion(d, 10**200)
 
 
+def test_a_long_start_matches_the_polynomial_oracle():
+    # 10^600 in base 11 has 2,871 integer digits: the start divides by the
+    # interval of beta as many times, and every digit is checked
+    _check_expansion(validate_renyi("11"), 10**600)
+
+
+def test_an_integer_next_to_a_power_of_beta_starts_in_its_place(monkeypatch):
+    # in base 111, beta^k + 2 Re(alpha^k) is the integer T_k = T_(k-1) +
+    # T_(k-2) + T_(k-3), where |alpha|^2 = 1 / beta, so 2^e T_k / beta^k is
+    # within a unit of 2^e once beta^(3k/2) > 2^e.  The start is given the
+    # interval [lo, lo + 1] / 2^e with lo = floor(2^e beta), by bisection
+    # on the sign of P, at e = 231, where 2^e beta - lo < 0.002.  With no
+    # spare bits the expansion asks for a wider interval, so it keeps this
+    # one, and dividing by lo gains under a unit over the start.  Only the
+    # outward rounding of each step then decides k: T_k has k + 1 integer
+    # digits when it exceeds beta^k, by the reference engine, and k if not
+    monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
+    e, lo, hi = 231, 1 << 231, 2 << 231
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**3 - (mid * mid << e) - (mid << 2 * e) < 1 << 3 * e else (lo, mid)
+    trib = [3, 1, 3]
+    while len(trib) <= 217:
+        trib.append(sum(trib[-3:]))
+    for k in range(179, 218):
+        d = validate_renyi("111")
+        power = _polynomial_coords(d, (1,) + (0,) * k)
+        above = zbeta_oracle.zb_sign(ZBetaElement(d, [trib[k] - power[0], *(-c for c in power[1:])]))
+        d._iv[0] = (lo, lo + 1, e)
+        expansion = _expansion(d, trib[k])[0]
+        assert len(expansion.integer_digits) == k + (above > 0), k
+        d._iv[0] = (lo, lo + 1, e)
+        _check_expansion(d, trib[k])
+
+
 def test_wide_integer_digits_are_read_off_the_enclosure(monkeypatch):
     # read off the enclosure, the digits 999 and 999999 take no sign: the one
     # sign decides the exact zero that ends the expansion, where raising a
