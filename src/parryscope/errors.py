@@ -78,8 +78,9 @@ class BudgetExceeded(ParryscopeError):
     """A request would need a text longer than the text cap (the texts of a
     factor library, a fixed-point prefix, a gap coding or the images of a
     substitution), a factor library would store more bytes of factors than
-    the stored-bytes cap, or a corpus has more candidate digit words than
-    the corpus cap."""
+    the stored-bytes cap, a corpus has more candidate digit words than
+    the corpus cap, or the start of a greedy expansion would pass the work
+    cap of ``numeration.EXPAND_CAP`` bit operations."""
 
     exit_code = 4
 

@@ -591,6 +591,7 @@ def t_orbit(d: RenyiExpansion, i: int) -> ZBetaElement:
 
 
 TEXT_CAP = 1 << 20  # letters in one gap coding, fixed-point prefix or factor text
+EXPAND_CAP = 1 << 40  # bit operations of the start of one greedy expansion
 MAX_ALPHABET = 255  # a fixed point holds its letters as bytes
 
 
@@ -771,7 +772,9 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
 
     Integer expansions need not terminate; after 4m fractional digits the
     partial result is raised in FractionalBudgetExceeded.  n is coerced
-    with ``operator.index``, so a float raises TypeError.
+    with ``operator.index``, so a float raises TypeError.  Before the
+    interval is narrowed, BudgetExceeded refuses an n whose start would
+    pass EXPAND_CAP bit operations, as bounded from the digits (below).
 
     An integer n <= max_digit is below beta, so it is its own one digit.
     An integer base (m = 1) has beta = t_1, so the digits are those of n in
@@ -826,6 +829,14 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
             n, x = divmod(n, d.t1)
             digits.append(x)
         return BetaExpansion(tuple(reversed(digits)))
+    # the start makes k = log_beta(n) divisions, each about e^2 bit
+    # operations, e = bits(n) + 4m log2(beta) + _SPARE_BITS; beta >= t_1 and
+    # beta^m >= t_1 + ... + t_m give lb <= log2(beta), so k <= bits(n) / lb.
+    # These floats size the refusal, made before the narrowing, and decide
+    # no digit
+    lb = max(math.log2(d.t1), math.log2(sum(d.digits)) / d.m)
+    if n.bit_length() / lb * (n.bit_length() + _SPARE_BITS + 4 * d.m * lb) ** 2 > EXPAND_CAP:
+        raise BudgetExceeded(f"expanding {n.bit_length()} bits passes the work cap of {EXPAND_CAP}")
     _narrow(d, n.bit_length())
     # beta - t_1 >= 1 / (m beta^(m-1)) (mean value theorem, P(t_1) <= -1),
     # far above the width of the interval, so lo > 2^e and the start ends

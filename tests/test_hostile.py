@@ -34,6 +34,8 @@ TEN_TO_99999 = "1" + "0" * 99999
 HUGE_FIRST = "1" + "0" * 100000 + ",1"
 # 1 0^253 1, m = 255: 10^12 expands to 2,726 digits
 LONG_BASE = "1," + "0," * 253 + "1"
+# 1 0^120 1, m = 122: 10^300 expands to 23,732 digits
+BASE_122 = "1," + "0," * 120 + "1"
 # first digits beyond float precision
 FIRST_2_53 = "9007199254740993,5,1"
 FIRST_10_160 = f"{10**160},3,1"
@@ -41,7 +43,8 @@ FIRST_10_160 = f"{10**160},3,1"
 NAMES = {ONES: "1^50000", ONES_THEN_2: "1^49999,2", ZEROS_THEN_2: "1,0^49998,2",
          ONES_255: "1^255", TEN_TO_99999: "10^99999", HUGE_FIRST: "10^100000,1",
          LONG_BASE: "1,0^253,1", FIRST_10_160: "10^160,3,1", str(10**40): "10^40",
-         str(10**300): "10^300", str(10**400): "10^400"}
+         str(10**300): "10^300", str(10**400): "10^400", BASE_122: "1,0^120,1",
+         str(10**1000): "10^1000", str(10**3000): "10^3000"}
 
 # (argv, exit code, wall-clock seconds)
 ROWS = [
@@ -81,6 +84,13 @@ ROWS = [
     # read off one enclosure
     (("betaint", "1000000,0,0,0,0,0,1", "expand", str(10**9)), 0, 1.0),
     (("betaint", LONG_BASE, "expand", str(10**12)), 0, 1.0),
+    # the start divides by the interval of beta, so long expansions cost
+    # about the square of the bits of n; one whose start would pass the
+    # work cap (426,419 digits) is refused before the interval is narrowed
+    (("betaint", "11", "expand", str(10**1000)), 0, 2.0),
+    (("betaint", "2121", "expand", str(10**1000)), 0, 2.0),
+    (("betaint", BASE_122, "expand", str(10**300)), 0, 2.0),
+    (("betaint", LONG_BASE, "expand", str(10**3000)), 4, 1.0),
     # a first digit beyond float precision is narrowed from above, and an
     # integer base expands by divmod
     (("betaint", FIRST_2_53, "expand", str(10**40)), 0, 1.0),

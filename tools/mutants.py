@@ -118,6 +118,10 @@ ROWS = [
     Mutant("match-no-required", C, "if words or not required <= given:", "if words:",
            ["tests/test_cli.py::test_the_matcher_reads_a_plain_line_as_argparse_does"],
            "the plain-line matcher accepts a line missing a required option"),
+    # the work cap of greedy expansions
+    Mutant("expand-cap-tenth", N, "> EXPAND_CAP:", "> EXPAND_CAP // 10:",
+           [f"{HOSTILE}[betaint 1,0^120,1 expand 10^300]"],
+           "the expansion cap a tenth as large refuses an expansion it must accept"),
 ]
 
 
