@@ -57,10 +57,10 @@ those digits, negated, with n added at the place of beta^0, and
 p = beta^max(i, 0) is another.  Fallbacks are rare: no expansion
 measured made more than one, at the exact zero that ends it, one sign
 (see ``greedy_expand_integer``).  No power of the ends of the interval is
-taken, so no number carried has much more than e + log2(n) bits, and an
-expansion costs about k (e + log2(n)) bit operations: quadratic, not
-cubic, in the bits of n.  An integer base, beta = t_1, takes its digits
-from ``divmod`` by t_1, with no sign.
+taken: each of the k steps of the start, like each digit, multiplies or
+divides a number of at most about e + log2(n) bits by one of e bits,
+where a power lo^k has k e bits.  An integer base, beta = t_1, takes its
+digits from ``divmod`` by t_1, with no sign.
 
 Arithmetic runs on plain integer coordinate vectors over 1, beta, ...,
 beta^(m-1).  Multiplying by beta is one companion shift: the coordinates
@@ -802,9 +802,10 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
     the digits taken, negated and right-aligned with zeros, with n added at
     the place of beta^0, and p is another; no remainder is kept between
     fallbacks.  ``_carried`` reads the enclosure of rem / p off the
-    enclosures of the two vectors.  While [a, b] holds two multiples or more, the interval of
-    beta is narrowed and the enclosure read again off rem; it shrinks with
-    the interval, so at most one is left.  With one, X 2^e, and
+    enclosures of the two vectors.  While [a, b] holds two multiples or
+    more, the interval of beta is narrowed and the enclosure read again off
+    rem; it shrinks with the interval, so at most one is left.  With one,
+    X 2^e, and
     (X - 1) 2^e < a <= X 2^e <= b < (X + 1) 2^e, one ``_sign`` of rem - X p
     decides the digit: X if it is >= 0, and the expansion is exact if it
     is 0, so an integer beta r is decided once; X - 1 if it is < 0 (X may
@@ -829,11 +830,11 @@ def greedy_expand_integer(d: RenyiExpansion, n: int) -> BetaExpansion:
             n, x = divmod(n, d.t1)
             digits.append(x)
         return BetaExpansion(tuple(reversed(digits)))
-    # the start makes k = log_beta(n) divisions, each about e^2 bit
-    # operations, e = bits(n) + 4m log2(beta) + _SPARE_BITS; beta >= t_1 and
-    # beta^m >= t_1 + ... + t_m give lb <= log2(beta), so k <= bits(n) / lb.
-    # These floats size the refusal, made before the narrowing, and decide
-    # no digit
+    # the start makes k = log_beta(n) divisions by an e-bit number, each
+    # about e^2 bit operations, e = bits(n) + 4m log2(beta) + _SPARE_BITS;
+    # beta >= t_1 and beta^m >= t_1 + ... + t_m give lb <= log2(beta), so
+    # k <= bits(n) / lb.  These floats size the refusal, made before the
+    # narrowing, and decide no digit
     lb = max(math.log2(d.t1), math.log2(sum(d.digits)) / d.m)
     if n.bit_length() / lb * (n.bit_length() + _SPARE_BITS + 4 * d.m * lb) ** 2 > EXPAND_CAP:
         raise BudgetExceeded(f"expanding {n.bit_length()} bits passes the work cap of {EXPAND_CAP}")
