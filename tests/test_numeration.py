@@ -873,7 +873,7 @@ def test_a_long_start_matches_the_polynomial_oracle():
 def test_an_integer_next_to_a_power_of_beta_starts_in_its_place(monkeypatch):
     # in base 111, beta^k + 2 Re(alpha^k) is the integer T_k = T_(k-1) +
     # T_(k-2) + T_(k-3), where |alpha|^2 = 1 / beta, so 2^e T_k / beta^k is
-    # within a unit of 2^e once beta^(3k/2) > 2^e.  The start is given the
+    # within a unit of 2^e once beta^(3k/2) > 2^(e+1).  The start is given the
     # interval [lo, lo + 1] / 2^e with lo = floor(2^e beta), by bisection
     # on the sign of P, at e = 231, where 2^e beta - lo < 0.002.  With no
     # spare bits the expansion asks for a wider interval, so it keeps this
@@ -891,7 +891,7 @@ def test_an_integer_next_to_a_power_of_beta_starts_in_its_place(monkeypatch):
     for k in range(179, 218):
         d = validate_renyi("111")
         power = _polynomial_coords(d, (1,) + (0,) * k)
-        above = zbeta_oracle.zb_sign(ZBetaElement(d, [trib[k] - power[0], *(-c for c in power[1:])]))
+        above = zbeta_oracle.zb_sign(ZBetaElement(d, power) * -1 + trib[k])
         d._iv[0] = (lo, lo + 1, e)
         expansion = _expansion(d, trib[k])[0]
         assert len(expansion.integer_digits) == k + (above > 0), k
@@ -1001,9 +1001,9 @@ def test_a_wide_enclosure_is_narrowed_and_read_again(monkeypatch):
     # digit of 15 in base 2121 holds two integers: the interval of beta is
     # narrowed once and the enclosure read again off the exact remainder
     # (divided by beta^0, as at every fractional digit), which puts beta r
-    # between 1 and 2, so the digit 1 takes no sign.  With
-    # no sign, both narrowings are made by the expansion itself: the first
-    # sizes the interval, the second is the narrowing loop
+    # between 1 and 2, so the digit 1 takes no sign.  With no sign, both
+    # narrowings are made by the expansion itself: the first sizes the
+    # interval, the second is the narrowing loop
     monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
     reads, signs = _reads_and_signs(monkeypatch)
     narrows, narrow = [], numeration._narrow
