@@ -30,7 +30,9 @@ common prefix is shorter than n.  The right special factors of length n,
 with their right letters, are the branching nodes of depth n in the trie of
 the sorted words; the same walk over the sorted reversed factors gives the
 left special factors with their left letters.  A node keeps one sorted key
-per letter, and becomes words only when an inventory asks for its length.
+per letter.  The first inventory that asks for a length decodes that level
+once, straight to the words (tuples) with their letters that the inventories
+return, and the level is kept for every later reader.
 A request whose texts would exceed ``TEXT_CAP`` letters, or whose
 longest factors would pass ``FACTOR_BYTES_CAP`` stored bytes, raises
 BudgetExceeded before anything is built.  The structural classifier is the
@@ -77,20 +79,26 @@ class PrefixCounts:
 
     def branches(self, n: int) -> dict:
         """{n-prefix: its next letters, ascending} over the n-prefixes with
-        two or more, for 0 <= n < L.  Read little-endian, the words count as
-        reversed: {n-suffix: the letters before it}.
+        two or more, for 0 <= n < L, each word and its letters a tuple of
+        ints.  Read little-endian, the words count as reversed: {n-suffix:
+        the letters before it}.
 
-        Each level is decoded once and kept, so the levels kept are at most
-        L and hold one entry per branching node: no more than the trie.
-        The dict returned is the one kept; callers must not mutate it."""
+        Each level is decoded once, one ``to_bytes`` per node, into the
+        words the inventories return, and kept, so the levels kept are at
+        most L and hold one entry per branching node: no more than the trie.
+        The dict returned is the one kept; callers must not mutate it, and
+        a report hands out a copy."""
         level = self.levels.get(n)
         if level is None:
             if not 0 <= n < self.length:
                 raise ValueError(f"branches need 0 <= n < {self.length}, not {n}")
             shift = 8 * (self.length - n)
-            level = self.levels[n] = {
-                (node[0] >> shift).to_bytes(n, self.byteorder):
-                tuple(key >> shift - 8 & 255 for key in node) for node in self.nodes[n]}
+            letter = shift - 8  # the next letter is the byte below the prefix
+            order = self.byteorder
+            level = self.levels[n] = {}
+            for node in self.nodes[n]:
+                level[tuple((node[0] >> shift).to_bytes(n, order))] = tuple(
+                    [key >> letter & 255 for key in node])
         return level
 
 
@@ -128,8 +136,9 @@ class FactorLibrary:
     sorted views are built when first asked for.  The branching nodes of
     depth n of ``sorted_view`` are the right special n-factors, and those of
     ``reversed_view`` the left special ones, each with its extension
-    letters.  Factors are kept as bytes; the public reports convert to
-    tuples.  ``prefix_length`` is the total length of the texts phi^k(a)
+    letters.  Factors are kept as bytes; ``PrefixCounts.branches`` decodes
+    each level of branching nodes once into tuples, the words the public
+    reports return.  ``prefix_length`` is the total length of the texts phi^k(a)
     phi^k(b), ab in L2, that certify the factors, not the number of letters
     read: ``factor_library`` reads only the joints of the blocks.
 
@@ -370,8 +379,8 @@ def special_factors(d: RenyiExpansion, n: int) -> SpecialFactorReport:
     if n < 1:
         raise ValueError("length must be at least 1")
     lib = factor_library(d, n + 1)
-    left = {tuple(w): e for w, e in lib.reversed_view.branches(n).items()}
-    right = {tuple(w): e for w, e in lib.sorted_view.branches(n).items()}
+    left = dict(lib.reversed_view.branches(n))
+    right = dict(lib.sorted_view.branches(n))
     bis = sorted(left.keys() & right.keys())
     c = lib.sorted_view.complexity
     return SpecialFactorReport(d, n, left, right, bis, c[n], c[n + 1], lib.prefix_length)
@@ -392,7 +401,7 @@ def maximal_left_special(d: RenyiExpansion, bound: int) -> list:
     left = [view.branches(n) for n in range(1, bound + 2)]
     out = [w for shorter, longer in zip(left, left[1:])
            for w in shorter.keys() - {v[:-1] for v in longer}]
-    return sorted(map(tuple, out), key=lambda w: (len(w), w))
+    return sorted(out, key=lambda w: (len(w), w))
 
 
 class Trident(_Frozen):
@@ -435,17 +444,17 @@ def find_tridents(d: RenyiExpansion, bound: int) -> list:
             rooted = []
             plain = []
             for a in right:
-                v = w + bytes([a])
+                v = w + (a,)
                 if v in left:
                     rooted.append(a)
                 else:
                     # the reversed keys of the factors ending in v start at
                     # the first one at or above v's, and share the letter before v
-                    key = keys[bisect_left(keys, int.from_bytes(v, "little") << shift)]
+                    key = keys[bisect_left(keys, int.from_bytes(bytes(v), "little") << shift)]
                     plain.append((a, key >> shift - 8 & 255))
             for (y, ly), (z, lz) in combinations(plain, 2):
                 if ly != lz:
-                    out.extend(Trident(tuple(w), x, (y, z), (ly, lz)) for x in rooted)
+                    out.extend(Trident(w, x, (y, z), (ly, lz)) for x in rooted)
     return sorted(out, key=lambda t: (len(t.word), t.word, t.rooted, t.teeth))
 
 

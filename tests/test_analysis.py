@@ -191,8 +191,9 @@ def _extension_maps(sets, n, m):
 
 
 def _special(extensions):
-    """The entries of an extension map with two or more letters, ascending."""
-    return {w: tuple(sorted(e)) for w, e in extensions.items() if len(e) >= 2}
+    """The entries of an extension map with two or more letters, ascending,
+    each word a tuple of letters, as ``branches`` gives them."""
+    return {tuple(w): tuple(sorted(e)) for w, e in extensions.items() if len(e) >= 2}
 
 
 def _left_letters(lib, w):
@@ -438,7 +439,7 @@ def test_branches_reject_lengths_outside_the_library():
         for n in (-1, 5, 6):
             with pytest.raises(ValueError):
                 view.branches(n)
-        assert view.branches(0) == {b"": tuple(range(D2121.m))}
+        assert view.branches(0) == {(): tuple(range(D2121.m))}
     sets = _factor_sets(lib)
     lext, rext = _extension_maps(sets, 4, D2121.m)
     assert lib.reversed_view.branches(4) == _special(lext)
@@ -456,6 +457,31 @@ def test_decoded_levels_are_kept_for_the_next_reader():
     find_tridents(D2121, 20)
     assert view.levels.keys() == decoded.keys()
     assert all(view.branches(n) is level for n, level in decoded.items())
+
+
+def _warm_session(corrupt):
+    """special_factors at 1 .. 20 and maximal_left_special at 20 on one warm
+    library of 2121, built cold; with ``corrupt``, each answer is emptied
+    once it is read, and all of them are asked again."""
+    clear_factor_cache()
+    lib = factor_library(D2121, 22)
+    reports = [special_factors(D2121, n) for n in range(1, 21)]
+    maximal = maximal_left_special(D2121, 20)
+    if corrupt:
+        for report in reports:
+            report.left_special.clear()
+            report.right_special.clear()
+        maximal.clear()
+        reports = [special_factors(D2121, n) for n in range(1, 21)]
+        maximal = maximal_left_special(D2121, 20)
+    assert factor_library(D2121, 22) is lib and lib.reversed_view.levels
+    return reports, maximal
+
+
+def test_a_report_cannot_corrupt_the_warm_cache():
+    # the reports copy the kept levels, so emptying a report's maps or the
+    # list of maximal factors leaves the next answers as a cold cache gives
+    assert _warm_session(corrupt=True) == _warm_session(corrupt=False)
 
 
 # --- special factors --------------------------------------------------------------
