@@ -899,6 +899,35 @@ def test_an_integer_next_to_a_power_of_beta_starts_in_its_place(monkeypatch):
         _check_expansion(d, trib[k])
 
 
+def test_an_exact_last_digit_stays_inside_the_carried_enclosure(monkeypatch):
+    # in base 111, 2 = beta + beta^-3 and 4 = beta^2 + beta^-1 + beta^-5 +
+    # beta^-6 end exactly: at the last digit beta r is 1, which the carried
+    # enclosure holds only by the slack of its upper end.  The expansion is
+    # given the interval [lo, lo + 1] / 2^e with lo = floor(2^e beta), read
+    # bit by bit off the sign of P, at the 43 e in 20 .. 259 where
+    # 2^e beta - lo < 0.1; with no spare bits it keeps that interval.  The
+    # start divides by lo, so it adds little slack, and each digit step
+    # multiplies by hi = lo + 1 and rounds up.  Rounded down, the upper end
+    # falls below 1 at the last digit in 7 of these 86 expansions, the exact
+    # end is missed, and the digits run on to the fractional budget
+    monkeypatch.setattr(numeration, "_SPARE_BITS", 0)
+
+    def below_beta(x, s):  # x / s < beta, by the sign of s^3 P(x / s)
+        return x**3 - x * x * s - x * s * s - s**3 < 0
+
+    lo = 1
+    for e in range(1, 260):
+        lo = 2 * lo + below_beta(2 * lo + 1, 1 << e)
+        if e < 20 or below_beta(10 * lo + 1, 10 << e):
+            continue
+        for n in (2, 4):
+            d = validate_renyi("111")
+            d._iv[0] = (lo, lo + 1, e)
+            assert _expansion(d, n)[1], (e, n)
+            d._iv[0] = (lo, lo + 1, e)
+            _check_expansion(d, n)
+
+
 def test_wide_integer_digits_are_read_off_the_enclosure(monkeypatch):
     # read off the enclosure, the digits 999 and 999999 take no sign: the one
     # sign decides the exact zero that ends the expansion, where raising a
