@@ -61,6 +61,10 @@ ROWS = [
     Mutant("one-multiple-off-by-one", N, "if (a - 1) >> e < x:", "if (a - 1) >> e < x - 1:",
            [f"{T_NUM}::test_greedy_golden_examples"],
            "the one-multiple test misses its one multiple, so no sign decides it"),
+    Mutant("loop-high-floored", N, "a, b = lo * a >> e, -(-hi * b >> e)",
+           "a, b = lo * a >> e, hi * b >> e",
+           [f"{T_NUM}::test_an_exact_last_digit_stays_inside_the_carried_enclosure"],
+           "the digit loop rounds the upper end of beta r down"),
     Mutant("no-add-back", N, "rem = [u + c for u, c in zip(rem, p)]", "rem = rem",
            [f"{T_NUM}::test_an_undecided_digit_falls_back_and_the_enclosure_is_read_again"],
            "no + p after a negative sign: the remainder stays below 0"),
@@ -98,6 +102,20 @@ ROWS = [
            equivalent="the threshold only trades slices for whole blocks: a block of up to "
                       "2 max_len letters opened at its joints and sub-blocks yields the "
                       "same windows as the block read whole"),
+    # the special-factor inventories
+    Mutant("letters-wrong-byte", A, "letter = shift - 8  #", "letter = shift  #",
+           [f"{T_AN}::test_branches_reject_lengths_outside_the_library"],
+           "branches reads a node's letters off the last byte of its prefix"),
+    Mutant("maximal-by-suffix", A, "{v[:-1] for v in longer}", "{v[1:] for v in longer}",
+           [f"{T_AN}::test_maximal_left_specials_match_brute_force_search"],
+           "a left special factor counts as extended when it ends a longer one"),
+    Mutant("report-shares-level", A, "left = dict(lib.reversed_view.branches(n))",
+           "left = lib.reversed_view.branches(n)",
+           [f"{T_AN}::test_a_report_cannot_corrupt_the_warm_cache"],
+           "special_factors hands out the kept level of left special factors"),
+    Mutant("trident-equal-left-letters", A, "if ly != lz:", "if ly == lz:",
+           [f"{T_AN}::test_tridents_match_brute_force_search"],
+           "two plain teeth with the same left letter make a trident"),
     # verify_witness
     Mutant("witness-no-i", A, "        if _sign(d, _excess(d, end, x, z)):",
            "        if False:",
