@@ -138,9 +138,9 @@ class FactorLibrary:
     ``reversed_view`` the left special ones, each with its extension
     letters.  Factors are kept as bytes; ``PrefixCounts.branches`` decodes
     each level of branching nodes once into tuples, the words the public
-    reports return.  ``prefix_length`` is the total length of the texts phi^k(a)
-    phi^k(b), ab in L2, that certify the factors, not the number of letters
-    read: ``factor_library`` reads only the joints of the blocks.
+    reports return.  ``prefix_length`` is the total length of the texts
+    phi^k(a) phi^k(b), ab in L2, that certify the factors, not the number of
+    letters read: ``factor_library`` reads only the joints of the blocks.
 
     The constructor raises VerificationFailed("balance") unless the
     (L-1)-suffixes of the factors F of length L = ``max_len`` are their

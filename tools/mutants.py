@@ -70,7 +70,8 @@ ROWS = [
            "no + p after a negative sign: the remainder stays below 0"),
     # exact signs and the interval of beta
     Mutant("enclosure-parts-swapped", N, "return pl - nh, ph - nl", "return pl - nl, ph - nh",
-           [f"{T_NUM}::test_sign_matches_reference_on_random_elements"],
+           [f"{T_NUM}::test_sign_matches_reference_on_random_elements",
+            f"{T_NUM}::test_a_deep_sign_continues_each_narrowing_from_the_interval_before"],
            "the negative part bounded at the wrong end of the interval"),
     Mutant("narrow-no-certificate", N,
            "while not _parry_at(d, lo, e)[0] < 0 < _parry_at(d, hi, e)[0]:", "while False:",
